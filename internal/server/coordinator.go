@@ -622,27 +622,24 @@ type fleetMerge struct {
 // race's same-index duplicate is dropped here, authoritatively, whatever
 // the shard-level dedup upstream saw — then releases the longest
 // now-contiguous prefix to the job (observers wake per cell, the journal
-// gets every release exactly once). Reports whether the cell was accepted.
+// gets every release exactly once). Releasing under m.mu keeps two
+// deliverers' batches from interleaving in the job's stream. Reports
+// whether the cell was accepted.
 func (m *fleetMerge) add(cell core.CellResult) bool {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.seen[cell.Index] {
-		m.mu.Unlock()
 		return false
 	}
 	m.seen[cell.Index] = true
 	m.pend[cell.Index] = cell
-	var release []core.CellResult
 	for m.next < len(m.order) {
 		c, ok := m.pend[m.order[m.next]]
 		if !ok {
 			break
 		}
 		delete(m.pend, m.order[m.next])
-		release = append(release, c)
 		m.next++
-	}
-	m.mu.Unlock()
-	for _, c := range release {
 		m.j.mu.Lock()
 		m.j.cells = append(m.j.cells, c)
 		m.j.cond.Broadcast()

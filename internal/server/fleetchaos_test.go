@@ -515,3 +515,42 @@ func TestFleetStragglerSpeculation(t *testing.T) {
 		t.Error("/metrics misses corona_fleet_speculations_total")
 	}
 }
+
+// TestFleetMergeConcurrentShardsAscending delivers two shards' cells from
+// two goroutines at once, interleaved index by index so both keep releasing
+// batches, and asserts the job's stream comes out strictly ascending: a
+// batch released by one deliverer must land before the next one's.
+func TestFleetMergeConcurrentShardsAscending(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	const cells, rounds = 64, 200
+	order := make([]int, cells)
+	for i := range order {
+		order[i] = i
+	}
+	for r := 0; r < rounds; r++ {
+		j := &job{id: "job-merge"}
+		j.cond = sync.NewCond(&j.mu)
+		m := &fleetMerge{s: s, j: j, order: order,
+			pend: make(map[int]core.CellResult), seen: make(map[int]bool)}
+		var wg sync.WaitGroup
+		for shard := 0; shard < 2; shard++ {
+			wg.Add(1)
+			go func(shard int) {
+				defer wg.Done()
+				for i := shard; i < cells; i += 2 {
+					m.add(core.CellResult{Index: i})
+				}
+			}(shard)
+		}
+		wg.Wait()
+		if len(j.cells) != cells {
+			t.Fatalf("round %d: merge released %d cells, want %d", r, len(j.cells), cells)
+		}
+		for i := 1; i < len(j.cells); i++ {
+			if j.cells[i].Index <= j.cells[i-1].Index {
+				t.Fatalf("round %d: stream not strictly ascending at position %d: %d after %d",
+					r, i, j.cells[i].Index, j.cells[i-1].Index)
+			}
+		}
+	}
+}

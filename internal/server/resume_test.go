@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -252,6 +254,54 @@ func TestUnparseableStoredScenarioFailsDurably(t *testing.T) {
 	for _, js := range st3.Jobs() {
 		if js.ID == "job-000007" && js.Status != statusFailed {
 			t.Fatalf("job-000007 status after restart = %q, want failed persisted", js.Status)
+		}
+	}
+}
+
+// errorCounter is a slog handler that counts error-level records: the
+// daemon logs every refused or failed journal write at that level.
+type errorCounter struct{ n *atomic.Int64 }
+
+func (h errorCounter) Enabled(_ context.Context, l slog.Level) bool { return l >= slog.LevelError }
+func (h errorCounter) Handle(context.Context, slog.Record) error    { h.n.Add(1); return nil }
+func (h errorCounter) WithAttrs([]slog.Attr) slog.Handler           { return h }
+func (h errorCounter) WithGroup(string) slog.Handler                { return h }
+
+// TestSubmitJournaledBeforeCells runs submit-and-wait cycles against a
+// small retention window, so evictions (and compactions) run alongside
+// every submission, and asserts no journal append is ever an orphan: the
+// daemon logs no refused write, and after a restart every journaled job
+// comes back done with all of its cells.
+func TestSubmitJournaledBeforeCells(t *testing.T) {
+	const cycles = 150
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	var errs atomic.Int64
+	s := New(Options{Store: st, RetainJobs: 8, Logger: slog.New(errorCounter{&errs}),
+		Client: core.NewClient(core.WithWorkers(2))})
+	ts := httptest.NewServer(s.Handler())
+	for i := 0; i < cycles; i++ {
+		v, resp := postScenario(t, ts, tinyScenario)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, resp.StatusCode)
+		}
+		waitStatus(t, ts, v.ID, statusDone)
+	}
+	ts.Close()
+	s.Close()
+	st.Close()
+	if n := errs.Load(); n != 0 {
+		t.Fatalf("%d journal writes refused or failed over %d cycles", n, cycles)
+	}
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	jobs := st2.Jobs()
+	if len(jobs) == 0 {
+		t.Fatal("journal holds no jobs")
+	}
+	for _, js := range jobs {
+		if js.Status != statusDone || len(js.Cells) != js.Total {
+			t.Fatalf("job %s replayed %q with %d of %d cells", js.ID, js.Status, len(js.Cells), js.Total)
 		}
 	}
 }

@@ -81,8 +81,9 @@ type Options struct {
 	MaxBodyBytes int64
 	// RetainJobs bounds how many finished jobs (and their accumulated cell
 	// results) stay queryable: when a submission would exceed it, the oldest
-	// terminal jobs are evicted (and eventually compacted out of the Store).
-	// Live jobs are never evicted. Default 256.
+	// terminal jobs are evicted, and the Store drops them too (compacting
+	// the journal once enough of it is evicted). Live jobs are never
+	// evicted. Default 256.
 	RetainJobs int
 	// Store, when non-nil, is the durable job journal: submissions, cells,
 	// and terminal statuses are persisted to it, and jobs it reports as
@@ -138,12 +139,12 @@ type Server struct {
 	wg     sync.WaitGroup
 	queue  chan *job
 
-	mu           sync.Mutex
-	closed       bool
-	nextID       uint64
-	jobs         map[string]*job
-	order        []string // job ids in submission order, for bounded eviction
-	sinceCompact int      // evictions since the journal was last compacted
+	mu        sync.Mutex
+	closed    bool
+	nextID    uint64
+	admitting int // submissions holding a queue slot while their submit is journaled
+	jobs      map[string]*job
+	order     []string // job ids in submission order, for bounded eviction
 }
 
 // New builds a Server, resumes any interrupted jobs found in the store, and
@@ -225,13 +226,13 @@ func (s *Server) restoreJobs() []*job {
 			s.nextID = n
 		}
 		if js.Status != "" {
-			j.status, j.errMsg = js.Status, js.Error
+			j.status, j.errMsg, j.settled = js.Status, js.Error, true
 		} else if sc, subset, err := reparseSubmission(js.Scenario); err != nil {
 			// The stored scenario no longer parses (schema drift, registry
 			// change): fail it durably rather than retrying forever.
 			j.status = statusFailed
 			j.errMsg = "resume: " + err.Error()
-			s.persistStatus(js.ID, statusFailed, j.errMsg)
+			s.settle(j, statusFailed, j.errMsg)
 			s.log.Error("job resume rejected", "job", js.ID, "err", err)
 		} else {
 			j.scenario, j.subset, j.raw = sc, subset, js.Scenario
@@ -354,6 +355,10 @@ type job struct {
 	errMsg   string
 	canceled bool               // cancel requested (possibly before running)
 	cancel   context.CancelFunc // non-nil while running
+	// settled is set once the terminal status is journaled (or the journal
+	// refused it): only then may the job be evicted, so no append for it
+	// can reach the store after the store has dropped it.
+	settled bool
 }
 
 func newJob(id string, sc *core.Scenario, timeout time.Duration, subset []int, raw json.RawMessage) *job {
@@ -416,7 +421,7 @@ func (j *job) view() JobView {
 	return v
 }
 
-// persistSubmit/persistCell/persistStatus write through to the journal when
+// persistSubmit/persistCell/settle write through to the journal when
 // one is configured. A store failure (a wedged journal, a dead disk) is
 // loud but not fatal: the daemon degrades to in-memory operation — visible
 // in /healthz — rather than dying mid-campaign.
@@ -438,13 +443,16 @@ func (s *Server) persistCell(id string, cell core.CellResult) {
 	}
 }
 
-func (s *Server) persistStatus(id, status, errMsg string) {
-	if s.st == nil {
-		return
+// settle journals j's terminal status and then marks it evictable.
+func (s *Server) settle(j *job, status, errMsg string) {
+	if s.st != nil {
+		if err := s.st.AppendStatus(j.id, status, errMsg); err != nil {
+			s.log.Error("job store write failed; durability degraded", "job", j.id, "record", "status", "err", err)
+		}
 	}
-	if err := s.st.AppendStatus(id, status, errMsg); err != nil {
-		s.log.Error("job store write failed; durability degraded", "job", id, "record", "status", "err", err)
-	}
+	j.mu.Lock()
+	j.settled = true
+	j.mu.Unlock()
 }
 
 // runner executes queued jobs until the queue closes: locally on a plain
@@ -475,7 +483,7 @@ func (s *Server) containPanic(j *job) {
 			j.cancel = nil
 			j.cond.Broadcast()
 			j.mu.Unlock()
-			s.persistStatus(j.id, statusFailed, msg)
+			s.settle(j, statusFailed, msg)
 			return
 		}
 		j.mu.Unlock()
@@ -547,7 +555,7 @@ func (s *Server) finishJob(j *job, err error, started time.Time) {
 
 	interrupted := status == statusCanceled && !userCanceled && s.ctx.Err() != nil
 	if !interrupted {
-		s.persistStatus(j.id, status, detail)
+		s.settle(j, status, detail)
 		s.noteJobDone(time.Now())
 	}
 	s.log.Info("job finished", "job", j.id, "status", status,
@@ -623,43 +631,27 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// evictLocked drops the oldest terminal jobs once the registry exceeds the
+// evictLocked drops the oldest settled jobs once the registry exceeds the
 // retention bound, so a long-lived daemon's memory stays proportional to
-// retain + live jobs rather than to its submission history. Live (queued or
-// running) jobs are never evicted. Once enough evictions accumulate, the
-// journal is compacted so disk tracks the registry too. Callers hold s.mu.
-func (s *Server) evictLocked() {
-	evicted := 0
+// retain + live jobs rather than to its submission history, and returns
+// their ids for the store. Live (queued or running) jobs are never evicted.
+// Callers hold s.mu.
+func (s *Server) evictLocked() []string {
+	var evicted []string
 	for i := 0; len(s.jobs) > s.retain && i < len(s.order); {
 		j := s.jobs[s.order[i]]
 		j.mu.Lock()
-		dead := j.terminal()
+		settled := j.settled
 		j.mu.Unlock()
-		if !dead {
+		if !settled {
 			i++
 			continue
 		}
+		evicted = append(evicted, s.order[i])
 		delete(s.jobs, s.order[i])
 		s.order = append(s.order[:i], s.order[i+1:]...)
-		evicted++
 	}
-	if evicted == 0 || s.st == nil {
-		return
-	}
-	// Compact once an eighth of the retention window has been evicted —
-	// often enough to bound the journal, rare enough that steady-state
-	// submissions do not rewrite it every time.
-	if s.sinceCompact += evicted; s.sinceCompact*8 < s.retain {
-		return
-	}
-	s.sinceCompact = 0
-	keep := make(map[string]bool, len(s.jobs))
-	for id := range s.jobs {
-		keep[id] = true
-	}
-	if err := s.st.Compact(func(id string) bool { return keep[id] }); err != nil {
-		s.log.Error("journal compaction failed", "err", err)
-	}
+	return evicted
 }
 
 func (s *Server) lookup(id string) *job {
@@ -874,16 +866,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, retryAfterShutdown, "server is shutting down")
 		return
 	}
-	s.nextID++
-	j := newJob(fmt.Sprintf("job-%06d", s.nextID), sc, timeout, subset, body)
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.evictLocked()
-		s.mu.Unlock()
-	default:
-		s.nextID-- // the id was never visible
+	// Only submissions push to the queue, under s.mu, so a slot counted
+	// free here stays free for this one until it enqueues below.
+	if len(s.queue)+s.admitting >= cap(s.queue) {
 		s.mu.Unlock()
 		retry := retryAfterFull
 		if len(s.workers) > 0 {
@@ -893,7 +878,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, retry, "job queue full; retry later")
 		return
 	}
+	s.admitting++
+	s.nextID++
+	j := newJob(fmt.Sprintf("job-%06d", s.nextID), sc, timeout, subset, body)
+	s.mu.Unlock()
+
+	// The submit record is journaled before a runner can see the job, so
+	// none of its cell records can reach the store first.
 	s.persistSubmit(j.id, body, j.total, j.submitted, timeout)
+	s.mu.Lock()
+	s.admitting--
+	if s.closed {
+		// Close ran while the submit was journaled: the job is left for the
+		// next daemon on this store to resume, like any queued job.
+		j.status, j.errMsg = statusCanceled, "canceled before start"
+	} else {
+		s.queue <- j
+	}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	evicted := s.evictLocked()
+	s.mu.Unlock()
+	if s.st != nil && len(evicted) > 0 {
+		// Outside s.mu: a compaction this triggers blocks no lookup,
+		// stream, or other submission.
+		if err := s.st.Evict(evicted...); err != nil {
+			s.log.Error("journal eviction failed", "err", err)
+		}
+	}
 	s.log.Info("job submitted", "job", j.id, "cells", j.total, "timeout", timeout)
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, j.view())
@@ -999,7 +1011,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if finalizedNow {
 		// A user cancel is a real terminal state: persist it so a restart
 		// does not resurrect the job.
-		s.persistStatus(j.id, statusCanceled, "canceled while queued")
+		s.settle(j, statusCanceled, "canceled while queued")
 		s.log.Info("job canceled while queued", "job", j.id)
 	}
 	writeJSON(w, http.StatusAccepted, j.view())

@@ -15,12 +15,19 @@
 // Replay tolerates a truncated or torn tail — a crash mid-append leaves a
 // short or CRC-invalid final frame, which Open discards by truncating the
 // file back to the last good frame, exactly as if the append had never
-// started. Compaction (dropping evicted jobs, squeezing out superseded
-// frames) writes a brand-new next-numbered segment through a temp file and
-// an atomic rename, like the sweep cache's entry writes: a crash during
-// compaction leaves either the old segment intact or the new one complete,
-// never a half state. Open deletes leftover temp files and any superseded
-// lower-numbered segments.
+// started.
+//
+// Retention and compaction: the store keeps each live job as the places in
+// the segment of the frames it wrote — the submit frame, the first frame
+// per cell index, the latest status frame — not as decoded records. A job
+// the server evicts (Evict) leaves memory at once and its frames become
+// garbage, like superseded and duplicate frames. Once the garbage reaches
+// the live bytes (the header plus the kept frames), the kept frames are
+// copied verbatim into a new next-numbered segment through a temp file and
+// an atomic rename, like the sweep cache's entry writes: a crash leaves the
+// old segment intact or the new one complete, and Open deletes leftover
+// temp files and superseded segments. Each garbage byte pays for at most one
+// rewritten byte, so compaction rewrites no more than was appended.
 //
 // Failure semantics: the first append or compaction error — a real disk
 // failure or an injected one (internal/faultinject, points
@@ -33,6 +40,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -42,7 +50,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,6 +71,11 @@ const Schema = 1
 const maxFrame = 64 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrUnknownJob is returned by AppendCell and AppendStatus for a job the
+// store has no submit record for (never submitted, or already evicted):
+// such a frame would be an orphan that replay drops.
+var ErrUnknownJob = errors.New("store: unknown job")
 
 // Record is one journal frame's payload. Type selects which fields are
 // meaningful.
@@ -91,6 +104,22 @@ type Record struct {
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
+
+// encodeFrame returns rec's complete frame: length, CRC, JSON payload.
+func encodeFrame(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	copy(frame[8:], payload)
+	return frame, nil
+}
+
+// headerFrame starts every segment; encoding a constant record cannot fail.
+var headerFrame, _ = encodeFrame(Record{Type: "header", Schema: Schema})
 
 // JobState is one job as reconstructed by replay: its submission, every
 // durably recorded cell (deduplicated by index, in append order), and its
@@ -129,9 +158,37 @@ type Store struct {
 	seg    int
 	broken error
 
-	jobs  map[string]*JobState
-	order []string // job ids in first-submit order
-	seen  map[string]map[int]bool
+	// size is the active segment's length; live is what compacting it
+	// would write (the header plus every kept frame). size-live is garbage.
+	size, live int64
+
+	jobs  map[string]*jobFrames
+	order []string // live job ids in first-submit order
+}
+
+// span locates one whole frame (header and payload) in the active segment.
+type span struct{ off, n int64 }
+
+// jobFrames is one live job as the frames it was journaled with, so
+// compaction copies bytes instead of re-encoding records.
+type jobFrames struct {
+	submit span
+	cells  []span       // the first frame per cell index, in append order
+	seen   map[int]bool // cell indices already in cells
+	status span         // the latest status frame; n == 0 while unfinished
+}
+
+// frames lists the job's kept frames in the order compaction writes them.
+func (jf *jobFrames) frames() []*span {
+	out := make([]*span, 0, len(jf.cells)+2)
+	out = append(out, &jf.submit)
+	for i := range jf.cells {
+		out = append(out, &jf.cells[i])
+	}
+	if jf.status.n > 0 {
+		out = append(out, &jf.status)
+	}
+	return out
 }
 
 // Open opens (creating if needed) the journal in dir and replays it.
@@ -147,8 +204,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:  dir,
 		log:  log,
 		nos:  opts.NoSync,
-		jobs: make(map[string]*JobState),
-		seen: make(map[string]map[int]bool),
+		live: int64(len(headerFrame)),
+		jobs: make(map[string]*jobFrames),
 	}
 	seg, stale, err := scanSegments(dir)
 	if err != nil {
@@ -225,33 +282,23 @@ func (s *Store) replay() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	size := info.Size()
+	data := make([]byte, info.Size())
+	if _, err := s.f.ReadAt(data, 0); err != nil && err != io.EOF {
+		return fmt.Errorf("store: replay read: %w", err)
+	}
 	var (
-		off     int64 // end of the last intact frame
-		n       int
-		header  bool
-		hdr     [8]byte
-		payload []byte
+		off    int // end of the last intact frame
+		n      int
+		header bool
 	)
-	for off < size {
-		if size-off < int64(len(hdr)) {
-			break // torn frame header
-		}
-		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-			return fmt.Errorf("store: replay read: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > maxFrame || off+8+int64(length) > size {
+	for len(data)-off >= 8 { // a shorter remainder is a torn frame header
+		length := binary.LittleEndian.Uint32(data[off : off+4])
+		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
+		if length == 0 || length > maxFrame || int64(length) > int64(len(data)-off-8) {
 			break // absurd length or torn payload
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := s.f.ReadAt(payload, off+8); err != nil {
-			return fmt.Errorf("store: replay read: %w", err)
-		}
+		end := off + 8 + int(length)
+		payload := data[off+8 : end]
 		if crc32.Checksum(payload, crcTable) != crc {
 			break // torn or bit-flipped frame
 		}
@@ -268,31 +315,29 @@ func (s *Store) replay() error {
 			}
 			header = true
 		} else {
-			s.apply(rec)
+			s.apply(rec, span{int64(off), int64(end - off)})
 		}
-		off += 8 + int64(length)
+		off = end
 		n++
 	}
-	if off < size {
+	s.size = int64(off)
+	if off < len(data) {
 		s.log.Warn("store: truncating torn journal tail",
-			"segment", s.f.Name(), "good_bytes", off, "dropped_bytes", size-off)
-		if err := s.f.Truncate(off); err != nil {
+			"segment", s.f.Name(), "good_bytes", off, "dropped_bytes", len(data)-off)
+		if err := s.f.Truncate(int64(off)); err != nil {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
 	}
-	if !header {
-		// Brand-new segment (or one that died before the header landed).
-		if err := s.writeFrame(Record{Type: "header", Schema: Schema}); err != nil {
-			return err
-		}
-		return nil
-	}
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
+	if _, err := s.f.Seek(int64(off), io.SeekStart); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	if !header {
+		// Brand-new segment (or one that died before the header landed).
+		return s.writeFrame(Record{Type: "header", Schema: Schema})
+	}
 	interrupted := 0
-	for _, js := range s.jobs {
-		if js.Status == "" {
+	for _, jf := range s.jobs {
+		if jf.status.n == 0 {
 			interrupted++
 		}
 	}
@@ -301,8 +346,11 @@ func (s *Store) replay() error {
 	return nil
 }
 
-// apply folds one replayed (or just-appended) record into the job state.
-func (s *Store) apply(rec Record) {
+// apply folds one intact frame — replayed or just appended — into the live
+// state, keeping its place when it is one a compaction must copy. Frames of
+// unknown jobs, repeated submits, and repeated cell indices are not kept:
+// they are garbage the next compaction drops.
+func (s *Store) apply(rec Record, frame span) {
 	switch rec.Type {
 	case "submit":
 		if rec.Job == "" {
@@ -312,46 +360,38 @@ func (s *Store) apply(rec Record) {
 			s.log.Warn("store: duplicate submit record ignored", "job", rec.Job)
 			return
 		}
-		s.jobs[rec.Job] = &JobState{
-			ID:        rec.Job,
-			Scenario:  rec.Scenario,
-			Total:     rec.Total,
-			Submitted: rec.Submitted,
-			Timeout:   rec.Timeout,
-		}
+		s.jobs[rec.Job] = &jobFrames{submit: frame, seen: make(map[int]bool)}
 		s.order = append(s.order, rec.Job)
-		s.seen[rec.Job] = make(map[int]bool)
+		s.live += frame.n
 	case "cell":
-		js := s.jobs[rec.Job]
-		if js == nil || rec.Cell == nil || s.seen[rec.Job][rec.Cell.Index] {
+		jf := s.jobs[rec.Job]
+		if jf == nil || rec.Cell == nil || jf.seen[rec.Cell.Index] {
 			return
 		}
-		s.seen[rec.Job][rec.Cell.Index] = true
-		js.Cells = append(js.Cells, *rec.Cell)
+		jf.seen[rec.Cell.Index] = true
+		jf.cells = append(jf.cells, frame)
+		s.live += frame.n
 	case "status":
-		if js := s.jobs[rec.Job]; js != nil {
-			js.Status, js.Error = rec.Status, rec.Error
+		if jf := s.jobs[rec.Job]; jf != nil {
+			s.live += frame.n - jf.status.n
+			jf.status = frame
 		}
 	}
 }
 
-// writeFrame encodes rec, writes its frame at the current file position, and
-// fsyncs (unless NoSync). The fault points bracket each sub-step so the
-// chaos suite can kill the store before, during (a torn half-frame reaches
-// the disk), or after the write. Any failure wedges the store. Callers hold
-// s.mu (or are Open's single-threaded replay).
+// writeFrame encodes rec, writes its frame at the end of the segment (s.size
+// grows by the frame's length), and fsyncs (unless NoSync). The fault points
+// bracket each sub-step so the chaos suite can kill the store before, during
+// (a torn half-frame reaches the disk), or after the write. Any failure
+// wedges the store. Callers hold s.mu (or are Open's single-threaded replay).
 func (s *Store) writeFrame(rec Record) error {
 	if err := faultinject.Fire("store.append.before"); err != nil {
 		return s.wedge(err)
 	}
-	payload, err := json.Marshal(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
 		return s.wedge(fmt.Errorf("store: encoding record: %w", err))
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
 	if err := faultinject.Fire("store.append.torn"); err != nil {
 		// Simulated crash mid-write: half the frame reaches the disk, the
 		// rest never does. Replay must discard it.
@@ -361,6 +401,7 @@ func (s *Store) writeFrame(rec Record) error {
 	if _, err := s.f.Write(frame); err != nil {
 		return s.wedge(fmt.Errorf("store: append: %w", err))
 	}
+	s.size += int64(len(frame))
 	if err := faultinject.Fire("store.append.sync"); err != nil {
 		// Simulated crash after the write: the frame is on disk (the chaos
 		// suite asserts it survives) but the caller sees a dead store.
@@ -385,17 +426,22 @@ func (s *Store) wedge(err error) error {
 	return s.broken
 }
 
-// append serializes, writes, and applies one record.
+// append writes and applies one record. A cell or status for a job the
+// store does not hold is refused without writing anything.
 func (s *Store) append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken != nil {
 		return s.broken
 	}
+	if _, known := s.jobs[rec.Job]; !known && rec.Type != "submit" {
+		return fmt.Errorf("%w %s", ErrUnknownJob, rec.Job)
+	}
+	off := s.size
 	if err := s.writeFrame(rec); err != nil {
 		return err
 	}
-	s.apply(rec)
+	s.apply(rec, span{off, s.size - off})
 	return nil
 }
 
@@ -409,31 +455,62 @@ func (s *Store) AppendSubmit(id string, scenario json.RawMessage, total int, sub
 		Total: total, Submitted: submitted, Timeout: timeout})
 }
 
-// AppendCell durably records one completed cell of a job.
+// AppendCell durably records one completed cell of a submitted job.
 func (s *Store) AppendCell(id string, cell core.CellResult) error {
 	return s.append(Record{Type: "cell", Job: id, Cell: &cell})
 }
 
-// AppendStatus durably records a job's terminal status. Jobs without one
-// are considered interrupted and are resumed by the next daemon to open the
-// store.
+// AppendStatus durably records a submitted job's terminal status. Jobs
+// without one are considered interrupted and are resumed by the next daemon
+// to open the store.
 func (s *Store) AppendStatus(id, status, errMsg string) error {
 	return s.append(Record{Type: "status", Job: id, Status: status, Error: errMsg})
 }
 
-// Jobs returns every known job in first-submit order. The returned states
-// are copies; mutating them does not affect the store.
+// Jobs returns every live job in first-submit order, read back from the
+// segment and decoded. Meant for startup and tests: it reads and decodes
+// every kept frame on each call. A job whose frames cannot be read back is
+// logged and left out.
 func (s *Store) Jobs() []JobState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]JobState, 0, len(s.order))
+	var buf []byte
+	var err error
 	for _, id := range s.order {
-		js := s.jobs[id]
-		cp := *js
-		cp.Cells = append([]core.CellResult(nil), js.Cells...)
-		out = append(out, cp)
+		js := JobState{ID: id}
+		for _, sp := range s.jobs[id].frames() {
+			if buf, err = s.readFrame(buf, *sp); err != nil {
+				s.log.Error("store: job left out", "job", id, "err", err)
+				break
+			}
+			// Every kept frame decoded once already, at append or replay.
+			var rec Record
+			json.Unmarshal(buf[8:], &rec)
+			switch rec.Type {
+			case "submit":
+				js.Scenario, js.Total, js.Submitted, js.Timeout = rec.Scenario, rec.Total, rec.Submitted, rec.Timeout
+			case "cell":
+				js.Cells = append(js.Cells, *rec.Cell)
+			case "status":
+				js.Status, js.Error = rec.Status, rec.Error
+			}
+		}
+		if err == nil {
+			out = append(out, js)
+		}
 	}
 	return out
+}
+
+// readFrame reads the frame at sp into buf, grown as needed. Callers hold
+// s.mu.
+func (s *Store) readFrame(buf []byte, sp span) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(sp.n))[:sp.n]
+	if _, err := s.f.ReadAt(buf, sp.off); err != nil {
+		return buf, fmt.Errorf("reading back a frame: %w", err)
+	}
+	return buf, nil
 }
 
 // Err returns the error that wedged the store, or nil while it is healthy.
@@ -443,20 +520,35 @@ func (s *Store) Err() error {
 	return s.broken
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Compact rewrites the journal as a fresh next-numbered segment containing
-// only the jobs keep reports true for (nil keeps everything), dropping
-// evicted jobs and duplicate frames. The new segment is written to a temp
-// file, fsynced, and renamed into place — a crash mid-compaction leaves the
-// old segment authoritative — and only then is the old segment deleted.
-func (s *Store) Compact(keep func(id string) bool) error {
+// Evict drops jobs the server no longer retains: they leave memory at once
+// and their frames become garbage. Once the garbage reaches the live bytes,
+// the journal is compacted before Evict returns. Unknown ids are ignored.
+func (s *Store) Evict(ids ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, id := range ids {
+		if jf := s.jobs[id]; jf != nil {
+			for _, sp := range jf.frames() {
+				s.live -= sp.n
+			}
+			delete(s.jobs, id)
+		}
+	}
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.jobs[id] == nil })
 	if s.broken != nil {
 		return s.broken
 	}
+	if s.size-s.live < s.live {
+		return nil
+	}
+	return s.compact()
+}
+
+// compact writes the header and every kept frame, verbatim, to a temp file,
+// fsyncs it, and renames it into place as the next segment — a crash
+// mid-compaction leaves the old segment authoritative — and only then
+// deletes the old segment. Callers hold s.mu.
+func (s *Store) compact() error {
 	next := s.seg + 1
 	dst := s.segPath(next)
 	tmp, err := os.CreateTemp(s.dir, "compact-*.tmp")
@@ -464,40 +556,22 @@ func (s *Store) Compact(keep func(id string) bool) error {
 		return s.wedge(fmt.Errorf("store: compact: %w", err))
 	}
 	defer os.Remove(tmp.Name()) // no-op once renamed
-	var kept []string
+	// bufio errors are sticky: a failed Write surfaces at Flush.
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	w.Write(headerFrame)
+	var buf []byte
 	for _, id := range s.order {
-		if keep == nil || keep(id) {
-			kept = append(kept, id)
+		for _, sp := range s.jobs[id].frames() {
+			if buf, err = s.readFrame(buf, *sp); err != nil {
+				tmp.Close()
+				return s.wedge(fmt.Errorf("store: compact: %w", err))
+			}
+			w.Write(buf)
 		}
 	}
-	recs := []Record{{Type: "header", Schema: Schema}}
-	for _, id := range kept {
-		js := s.jobs[id]
-		recs = append(recs, Record{Type: "submit", Job: id, Scenario: js.Scenario,
-			Total: js.Total, Submitted: js.Submitted, Timeout: js.Timeout})
-		for i := range js.Cells {
-			recs = append(recs, Record{Type: "cell", Job: id, Cell: &js.Cells[i]})
-		}
-		if js.Status != "" {
-			recs = append(recs, Record{Type: "status", Job: id, Status: js.Status, Error: js.Error})
-		}
-	}
-	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return s.wedge(fmt.Errorf("store: compact encode: %w", err))
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := tmp.Write(hdr[:]); err == nil {
-			_, err = tmp.Write(payload)
-		}
-		if err != nil {
-			tmp.Close()
-			return s.wedge(fmt.Errorf("store: compact write: %w", err))
-		}
+	if err := w.Flush(); err != nil {
+		tmp.Close()
+		return s.wedge(fmt.Errorf("store: compact write: %w", err))
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -519,24 +593,17 @@ func (s *Store) Compact(keep func(id string) bool) error {
 	}
 	old := s.f
 	oldPath := s.segPath(s.seg)
-	s.f, s.seg = f, next
+	s.f, s.seg, s.size = f, next, int64(len(headerFrame))
 	old.Close()
 	os.Remove(oldPath)
-	// Drop evicted jobs from the in-memory state to match the new segment.
-	if len(kept) != len(s.order) {
-		keptSet := make(map[string]bool, len(kept))
-		for _, id := range kept {
-			keptSet[id] = true
+	// The kept frames now sit back to back after the header, in the order
+	// just written.
+	for _, id := range s.order {
+		for _, sp := range s.jobs[id].frames() {
+			sp.off, s.size = s.size, s.size+sp.n
 		}
-		for id := range s.jobs {
-			if !keptSet[id] {
-				delete(s.jobs, id)
-				delete(s.seen, id)
-			}
-		}
-		s.order = kept
 	}
-	s.log.Info("store: compacted", "segment", dst, "jobs", len(kept), "frames", len(recs))
+	s.log.Info("store: compacted", "segment", dst, "jobs", len(s.order), "bytes", s.live)
 	return nil
 }
 
@@ -565,11 +632,4 @@ func (s *Store) Close() error {
 	}
 	s.f = nil
 	return err
-}
-
-// SortCells orders cells by matrix index — the canonical order restart-
-// resume equivalence is asserted in, since completion order is inherently
-// timing-dependent at any worker count.
-func SortCells(cells []core.CellResult) {
-	sort.Slice(cells, func(a, b int) bool { return cells[a].Index < cells[b].Index })
 }

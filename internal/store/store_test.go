@@ -1,11 +1,19 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
+	"log/slog"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -205,11 +213,28 @@ func TestCompactDropsEvictedJobs(t *testing.T) {
 		s.AppendStatus(id, "done", "")
 	}
 	before := s.f.Name()
-	if err := s.Compact(func(id string) bool { return id != "job-000001" }); err != nil {
+	// One evicted job of three is less garbage than the live bytes: it
+	// leaves memory at once, but the segment stays.
+	if err := s.Evict("job-000001"); err != nil {
+		t.Fatal(err)
+	}
+	if s.f.Name() != before {
+		t.Fatal("compacted with garbage below the live bytes")
+	}
+	if jobs := s.Jobs(); len(jobs) != 2 || jobs[0].ID != "job-000002" {
+		t.Fatalf("jobs after evicting job-000001 = %+v", jobs)
+	}
+	// A second eviction tips the garbage over the live bytes.
+	if err := s.Evict("job-000002"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(before); !os.IsNotExist(err) {
 		t.Fatalf("old segment %s still present after compaction", before)
+	}
+	// The survivor's frames are read back from their new places.
+	if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].ID != "job-000003" ||
+		len(jobs[0].Cells) != 1 || jobs[0].Status != "done" {
+		t.Fatalf("jobs read back after compaction = %+v", jobs)
 	}
 	// Appends continue into the new segment and everything replays.
 	if err := s.AppendSubmit("job-000004", testScenario, 1, time.Now().UTC(), 0); err != nil {
@@ -221,8 +246,8 @@ func TestCompactDropsEvictedJobs(t *testing.T) {
 	for i, j := range jobs {
 		ids[i] = j.ID
 	}
-	want := []string{"job-000002", "job-000003", "job-000004"}
-	if len(ids) != 3 || ids[0] != want[0] || ids[1] != want[1] || ids[2] != want[2] {
+	want := []string{"job-000003", "job-000004"}
+	if !slices.Equal(ids, want) {
 		t.Fatalf("jobs after compaction = %v, want %v", ids, want)
 	}
 }
@@ -271,5 +296,199 @@ func TestEmptyAndFreshDirectories(t *testing.T) {
 	s2 := mustOpen(t, dir)
 	if jobs := s2.Jobs(); len(jobs) != 0 {
 		t.Fatalf("header-only store has %d jobs", len(jobs))
+	}
+}
+
+// quietStore opens an unsynced store that logs nowhere, for tests that
+// append thousands of frames.
+func quietStore(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir, Options{NoSync: true, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// referenceCompaction is the compaction oracle: it re-encodes the jobs
+// record by record — header, submit, cells in append order, and the status
+// when one is set — as a compactor that keeps decoded state must.
+func referenceCompaction(t *testing.T, jobs []JobState) []byte {
+	t.Helper()
+	recs := []Record{{Type: "header", Schema: Schema}}
+	for _, js := range jobs {
+		recs = append(recs, Record{Type: "submit", Job: js.ID, Scenario: js.Scenario,
+			Total: js.Total, Submitted: js.Submitted, Timeout: js.Timeout})
+		for i := range js.Cells {
+			recs = append(recs, Record{Type: "cell", Job: js.ID, Cell: &js.Cells[i]})
+		}
+		if js.Status != "" {
+			recs = append(recs, Record{Type: "status", Job: js.ID, Status: js.Status, Error: js.Error})
+		}
+	}
+	var buf bytes.Buffer
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+		buf.Write(hdr[:])
+		buf.Write(payload)
+	}
+	return buf.Bytes()
+}
+
+// TestCompactionMatchesReencode pins verbatim compaction to the oracle: the
+// compacted segment is byte-identical to re-encoding the surviving jobs,
+// across superseded statuses, duplicate cells, unfinished jobs, deadlines,
+// and a pretty-printed scenario body — both for jobs appended in this
+// process and for jobs replayed from disk.
+func TestCompactionMatchesReencode(t *testing.T) {
+	pretty := json.RawMessage("{\n  \"configs\": [{\"preset\": \"XBar/OCM\"}],\n  \"workloads\": [\"Uniform\"]\n}")
+	rng := rand.New(rand.NewPCG(12, 2008))
+	for _, reopen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
+			dir := t.TempDir()
+			s := quietStore(t, dir)
+			var ids []string
+			for j := 0; j < 24; j++ {
+				id := fmt.Sprintf("job-%06d", j+1)
+				ids = append(ids, id)
+				sc := testScenario
+				if j%3 == 0 {
+					sc = pretty
+				}
+				sub := time.Date(2026, 8, 7, 12, 0, 0, rng.IntN(1e9), time.UTC)
+				if err := s.AppendSubmit(id, sc, 6, sub, time.Duration(rng.IntN(3))*time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				for c := rng.IntN(7); c > 0; c-- {
+					if err := s.AppendCell(id, cell(rng.IntN(6), rng.Uint64N(1e6))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for st := rng.IntN(3); st > 0; st-- { // none, one, or a superseded pair
+					if err := s.AppendStatus(id, []string{"done", "failed"}[rng.IntN(2)], fmt.Sprintf("detail %d", st)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if reopen {
+				s.Close()
+				s = quietStore(t, dir)
+			}
+			evict := ids[:20]
+			var survivors []JobState
+			for _, js := range s.Jobs() {
+				if !slices.Contains(evict, js.ID) {
+					survivors = append(survivors, js)
+				}
+			}
+			want := referenceCompaction(t, survivors)
+			seg := s.seg
+			if err := s.Evict(evict...); err != nil {
+				t.Fatal(err)
+			}
+			if s.seg == seg {
+				t.Fatal("evicting 20 of 24 jobs did not compact")
+			}
+			got, err := os.ReadFile(s.segPath(s.seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("compacted segment (%d bytes) differs from the re-encoded reference (%d bytes)", len(got), len(want))
+			}
+			if int64(len(got)) != s.live || s.size != s.live {
+				t.Fatalf("after compaction size=%d live=%d, segment holds %d bytes", s.size, s.live, len(got))
+			}
+			s.Close()
+			if jobs := quietStore(t, dir).Jobs(); !reflect.DeepEqual(jobs, survivors) {
+				t.Fatalf("replay of the compacted segment differs:\n got %+v\nwant %+v", jobs, survivors)
+			}
+		})
+	}
+}
+
+// TestCompactionAmortized drives a retention window through many
+// submit/evict cycles and asserts the compaction bound: bytes rewritten by
+// compaction never exceed the bytes appended plus one live journal, and the
+// segment never grows past twice its live bytes once an eviction returns.
+func TestCompactionAmortized(t *testing.T) {
+	const cycles, retain = 600, 8
+	s := quietStore(t, t.TempDir())
+	var appended, rewritten, maxLive int64
+	var window []string
+	compactions := 0
+	for i := 0; i < cycles; i++ {
+		id := fmt.Sprintf("job-%06d", i+1)
+		before := s.size
+		if err := s.AppendSubmit(id, testScenario, 4, time.Now().UTC(), 0); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c <= i%4; c++ {
+			if err := s.AppendCell(id, cell(c, uint64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.AppendStatus(id, "done", ""); err != nil {
+			t.Fatal(err)
+		}
+		appended += s.size - before
+		maxLive = max(maxLive, s.live)
+		if window = append(window, id); len(window) <= retain {
+			continue
+		}
+		seg := s.seg
+		if err := s.Evict(window[0]); err != nil {
+			t.Fatal(err)
+		}
+		window = window[1:]
+		if s.seg != seg {
+			compactions++
+			rewritten += s.size
+		}
+		if s.size > 2*s.live {
+			t.Fatalf("cycle %d: segment %d bytes, live %d: garbage outgrew the live bytes", i, s.size, s.live)
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no compaction in the whole run")
+	}
+	if rewritten > appended+maxLive {
+		t.Fatalf("compaction rewrote %d bytes for %d appended (live at most %d)", rewritten, appended, maxLive)
+	}
+	t.Logf("%d cycles: %d compactions rewrote %d bytes for %d appended", cycles, compactions, rewritten, appended)
+}
+
+// TestAppendForUnknownJobRefused pins the orphan guard: a cell or status for
+// a job the store does not hold — never submitted, or already evicted — is
+// refused without writing a byte or wedging the store.
+func TestAppendForUnknownJobRefused(t *testing.T) {
+	s := quietStore(t, t.TempDir())
+	if err := s.AppendSubmit("evicted", testScenario, 1, time.Now().UTC(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Evict("evicted"); err != nil {
+		t.Fatal(err)
+	}
+	size := s.size
+	for _, id := range []string{"ghost", "evicted"} {
+		if err := s.AppendCell(id, cell(0, 1)); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("AppendCell(%s) = %v, want ErrUnknownJob", id, err)
+		}
+		if err := s.AppendStatus(id, "done", ""); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("AppendStatus(%s) = %v, want ErrUnknownJob", id, err)
+		}
+	}
+	if s.size != size {
+		t.Errorf("refused appends wrote %d bytes", s.size-size)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("refused appends wedged the store: %v", err)
 	}
 }
