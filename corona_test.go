@@ -179,6 +179,7 @@ func (x *idealNet) Clusters() int                              { return x.n }
 func (x *idealNet) Stats() noc.Stats                           { return x.stats }
 func (x *idealNet) SetDeliver(cluster int, fn noc.DeliverFunc) { x.deliver[cluster] = fn }
 func (x *idealNet) Consume(_ int, m *noc.Message)              { x.Release(m) }
+func (x *idealNet) InjectEpoch(int) uint64                     { return 0 }
 func (x *idealNet) Send(m *noc.Message) bool {
 	x.k.ScheduleEvent(1, (*idealDeliver)(x), x.slots.Put(m))
 	return true

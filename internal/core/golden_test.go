@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
@@ -143,5 +146,30 @@ func TestSweepCacheDistinguishesParams(t *testing.T) {
 	again, _ := run(2)
 	if again.Results[0][0] != small.Results[0][0] {
 		t.Fatal("cached result differs from the live 2-credit run")
+	}
+}
+
+// matrixDigest pins every Result field of the 6x15 matrix at 2000 requests
+// per cell — KernelEvents, NetMessages and HopTraversals included — as a
+// sha256 over json.Marshal(Results). The figure tables round and omit the
+// diagnostics, so a change that dispatches one more (or one fewer) kernel
+// event or moves one message would pass the golden tables unseen. A change
+// to the simulator's internals (scheduler layout, fabric bookkeeping) must
+// leave this digest unchanged; a change to the model must update it and
+// say why.
+const matrixDigest = "1bb03b0323ef1279491150777cb3543f6ad48f3afeec4a489e5f49f064ba358b"
+
+func TestMatrixResultDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("90-cell matrix")
+	}
+	s := sixMachineMatrix(2000)
+	mustSweep(t, s)
+	raw, err := json.Marshal(s.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != matrixDigest {
+		t.Fatalf("6x15 Result digest = %s, want %s (event count, order or a Result field changed)", got, matrixDigest)
 	}
 }

@@ -182,7 +182,7 @@ func (s *System) Restore(snap *SystemSnapshot, extra func(sim.Handler) sim.Handl
 }
 
 // Reset returns the system to its just-constructed state, reusing every
-// grown buffer: the kernel's node arena, the network's queues and pools, the
+// grown buffer: the kernel's chunk pool, the network's queues and pools, the
 // controllers' booking lists, the hubs' MSHR files and injection queues, and
 // the latency reservoir. It fails when the fabric does not support in-place
 // reset (no noc.Resetter); callers fall back to building a fresh system.

@@ -115,13 +115,22 @@ func (e *submitLocalEvent) OnEvent(_ sim.Time, data uint64) {
 	h.submitLocal(data)
 }
 
-// pumpRetryEvent re-drives a back-pressured injection queue.
+// pumpRetryEvent re-drives a back-pressured injection queue. Its data word
+// packs the destination (low 32 bits) with the memo of the refusal that
+// armed it (high 32 bits, see refusalMemo). While the memo still matches,
+// the network would refuse the same head again, so the event only re-arms —
+// the reschedule a refused Send leads to — without touching the queue.
 type pumpRetryEvent hub
 
 func (e *pumpRetryEvent) OnEvent(_ sim.Time, data uint64) {
 	h := (*hub)(e)
-	h.outArmed[data] = false
-	h.pumpOut(int(data))
+	if memo := uint32(data >> 32); memo != 0 && memo == h.refusalMemo() {
+		h.sys.K.ScheduleEvent(2, e, data)
+		return
+	}
+	dst := int(uint32(data))
+	h.outArmed[dst] = false
+	h.pumpOut(dst)
 }
 
 // respondEvent is the memory controller's typed completion for remote
@@ -269,13 +278,22 @@ func (h *hub) send(m *noc.Message) {
 	h.pumpOut(m.Dst)
 }
 
-// armRetry schedules the (single) injection retry timer for dst.
+// armRetry schedules the (single) injection retry timer for dst. It is
+// called right after the network refused the head of outq[dst], so the
+// timer carries that refusal's memo.
 func (h *hub) armRetry(dst int) {
 	if !h.outArmed[dst] {
 		h.outArmed[dst] = true
-		h.sys.K.ScheduleEvent(2, (*pumpRetryEvent)(h), uint64(dst))
+		h.sys.K.ScheduleEvent(2, (*pumpRetryEvent)(h), uint64(dst)|uint64(h.refusalMemo())<<32)
 	}
 }
+
+// refusalMemo identifies this hub's injection state for the refusal memo:
+// the network's InjectEpoch(id)+1, in 32 bits (zero, after a wrap, means no
+// memo). A head the network refused keeps being refused until the epoch
+// moves, and truncating is safe because a false match would need 2^32
+// injection slots to free between two polls two cycles apart.
+func (h *hub) refusalMemo() uint32 { return uint32(h.sys.Net.InjectEpoch(h.id)) + 1 }
 
 // pumpOut injects as many queued messages for dst as the network accepts,
 // then arms a single retry timer on back pressure.

@@ -119,6 +119,9 @@ type Mesh struct {
 	// injectCount tracks stage-0 packets per cluster per class against
 	// InjectQueue, laid out cluster-major (cluster*numClasses + class).
 	injectCount []int
+	// epochs counts injection slots freed per cluster, over both classes
+	// (InjectEpoch).
+	epochs []uint64
 
 	// slots parks in-flight packets for the typed hop/eject events; pktFree
 	// recycles retired packets (keeping their routed-path buffers) so the
@@ -181,7 +184,9 @@ type injectDoneEvent Mesh
 
 func (e *injectDoneEvent) OnEvent(_ sim.Time, data uint64) {
 	m := (*Mesh)(e)
-	m.injectCount[int(data&0xffff)*numClasses+int(data>>20&1)]--
+	src := int(data & 0xffff)
+	m.injectCount[src*numClasses+int(data>>20&1)]--
+	m.epochs[src]++
 }
 
 // hopEvent advances a packet's head into the next router (cut-through).
@@ -252,6 +257,7 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 		ports:       make([]outPort, n*int(numDirs)),
 		deliver:     make([]noc.DeliverFunc, n),
 		injectCount: make([]int, n*numClasses),
+		epochs:      make([]uint64, n),
 	}
 	for r := 0; r < n; r++ {
 		for d := dir(0); d < numDirs; d++ {
@@ -327,6 +333,7 @@ func (m *Mesh) Reset() {
 		}
 	}
 	clear(m.injectCount)
+	clear(m.epochs)
 	m.slots.Reset()
 	m.stats = noc.Stats{}
 	m.LinkBusyCycles = 0
@@ -413,6 +420,10 @@ func (m *Mesh) Send(msg *noc.Message) bool {
 	m.tryGrant(first)
 	return true
 }
+
+// InjectEpoch implements noc.Network: a cluster's injection slot (of either
+// class) frees when the packet's tail leaves the first link.
+func (m *Mesh) InjectEpoch(src int) uint64 { return m.epochs[src] }
 
 // Consume implements noc.Network: the hub drained msg, freeing its slot in
 // the ejection buffer of msg's virtual network and recycling the message.

@@ -1,0 +1,140 @@
+package noc_test
+
+import (
+	"testing"
+
+	_ "corona/internal/mesh"
+	"corona/internal/noc"
+	"corona/internal/sim"
+	_ "corona/internal/swmr"
+	_ "corona/internal/xbar"
+)
+
+// TestInjectEpochContract holds every registered fabric (plus SWMR with
+// tuned receivers) to the InjectEpoch contract the hub's refusal memo relies
+// on: after Send refuses a message from src, Send keeps refusing it while
+// InjectEpoch(src) is unchanged; the first accept after a refusal follows an
+// epoch change; the epoch never decreases; and Reset zeroes every epoch.
+func TestInjectEpochContract(t *testing.T) {
+	type variant struct {
+		name   string
+		fabric string
+		params map[string]int
+	}
+	var variants []variant
+	for _, name := range noc.Names() {
+		variants = append(variants, variant{name, name, nil})
+	}
+	variants = append(variants, variant{"swmr-tuned", "swmr", map[string]int{"tuned_receivers": 1}})
+	if len(variants) < 5 {
+		t.Fatalf("only %d fabric variants registered: %v", len(variants), noc.Names())
+	}
+
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			fab, ok := noc.Lookup(v.fabric)
+			if !ok {
+				t.Fatalf("fabric %q not registered", v.fabric)
+			}
+			k := sim.NewKernel()
+			net, err := fab.Build(k, noc.FabricParams{Clusters: 64, Params: v.params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < net.Clusters(); c++ {
+				net.SetDeliver(c, func(m *noc.Message) { net.Consume(c, m) })
+			}
+			for c := 0; c < net.Clusters(); c++ {
+				if e := net.InjectEpoch(c); e != 0 {
+					t.Fatalf("fresh network: InjectEpoch(%d) = %d, want 0", c, e)
+				}
+			}
+
+			// Sources 0 and 9 send to a few destinations in both message
+			// classes, so per-destination and per-class injection queues
+			// all fill; each source keeps one refused head and retries it.
+			var id uint64
+			next := func(src int) *noc.Message {
+				id++
+				m := net.Acquire()
+				m.ID, m.Src, m.Dst = id, src, (src+1+int(id%3))%net.Clusters()
+				m.Kind, m.Size = noc.KindRequest, noc.RequestBytes
+				if id%2 == 0 {
+					m.Kind, m.Size = noc.KindResponse, noc.ResponseBytes
+				}
+				return m
+			}
+			type source struct {
+				src     int
+				head    *noc.Message // refused, awaiting retry
+				refused uint64       // InjectEpoch(src) at the head's refusal
+				last    uint64       // last epoch seen, for monotonicity
+				accepts int          // accepts following a refusal
+			}
+			// fill sends fresh messages until one is refused.
+			fill := func(s *source) {
+				for i := 0; i < 1000; i++ {
+					m := next(s.src)
+					if !net.Send(m) {
+						s.head, s.refused = m, net.InjectEpoch(s.src)
+						return
+					}
+				}
+				t.Fatalf("source %d: 1000 sends without back pressure", s.src)
+			}
+			sources := []*source{{src: 0}, {src: 9}}
+			for _, s := range sources {
+				fill(s)
+				if net.Send(s.head) {
+					t.Fatalf("source %d: immediate re-Send accepted with the epoch unchanged", s.src)
+				}
+			}
+
+			for steps := 0; k.Step(); steps++ {
+				if steps > 200000 {
+					t.Fatal("network did not settle")
+				}
+				for _, s := range sources {
+					if s.head == nil {
+						continue
+					}
+					e := net.InjectEpoch(s.src)
+					if e < s.last {
+						t.Fatalf("source %d: epoch fell from %d to %d", s.src, s.last, e)
+					}
+					s.last = e
+					if !net.Send(s.head) {
+						s.refused = e
+						continue
+					}
+					if e == s.refused {
+						t.Fatalf("source %d: refused head accepted at t=%d with the epoch unchanged (%d)", s.src, k.Now(), e)
+					}
+					s.accepts++
+					s.head = nil
+					if s.accepts < 40 {
+						fill(s)
+					}
+				}
+			}
+			for _, s := range sources {
+				if s.accepts < 40 || net.InjectEpoch(s.src) == 0 {
+					t.Fatalf("source %d: %d accepts after refusal, epoch %d; the network never drained its injection queues",
+						s.src, s.accepts, net.InjectEpoch(s.src))
+				}
+			}
+
+			r, ok := net.(noc.Resetter)
+			if !ok {
+				t.Fatalf("%s does not implement noc.Resetter", v.name)
+			}
+			k.Reset()
+			r.Reset()
+			for c := 0; c < net.Clusters(); c++ {
+				if e := net.InjectEpoch(c); e != 0 {
+					t.Fatalf("after Reset: InjectEpoch(%d) = %d, want 0", c, e)
+				}
+			}
+		})
+	}
+}

@@ -156,6 +156,12 @@ type Network interface {
 	// Send injects msg. It returns false when the source's injection queue is
 	// full; the caller must retry later (back pressure).
 	Send(msg *Message) bool
+	// InjectEpoch returns the number of injection slots freed at src so far:
+	// it rises every time a message leaves one of src's injection queues,
+	// and Reset returns it to zero. A Send that src refused keeps being
+	// refused while InjectEpoch(src) is unchanged, so a sender may skip the
+	// retry until the epoch moves. A fabric that never refuses returns 0.
+	InjectEpoch(src int) uint64
 	// SetDeliver installs the delivery callback for a destination cluster.
 	SetDeliver(cluster int, fn DeliverFunc)
 	// Consume returns one receive-buffer credit at cluster after the hub has
@@ -191,8 +197,9 @@ type Quiescer interface {
 // byte-identical determinism contract extends to pooled reuse.
 type Resetter interface {
 	// Reset restores construction-time state: empty queues, full credit
-	// pools, zeroed statistics. Messages still held by the free-list pools
-	// stay pooled (capacity is the one thing reuse keeps).
+	// pools, zeroed statistics and injection epochs. Messages still held by
+	// the free-list pools stay pooled (capacity is the one thing reuse
+	// keeps).
 	Reset()
 }
 

@@ -8,17 +8,15 @@
 // deterministic for a given seed.
 //
 // The scheduler is a hierarchical time wheel (calendar queue) with an
-// overflow heap, dispatching from pooled event nodes held in one flat slice
-// and linked by index: steady-state scheduling allocates nothing, both
-// Schedule and Step are O(1) for the near-future events that dominate
-// cycle-accurate models, and the index links keep the bucket push/pop hot
-// path free of pointer write barriers. The flat layout is also what makes
-// Snapshot/Restore — the warmup-forking substrate (docs/DETERMINISM.md) — a
-// handful of slice copies. Components on the hot path use the typed
-// ScheduleEvent/Handler fast path instead of closure capture;
-// Schedule(delay, func()) remains as the compatibility path. The layout, the
-// ordering guarantee, and the measured win over the former container/heap
-// kernel are documented in docs/PERFORMANCE.md.
+// overflow heap. Every wheel bucket is a FIFO of event values held in
+// fixed-size chunks drawn from a per-kernel free list: a level-0 bucket
+// holds exactly one timestamp, so dispatch reads its events sequentially
+// from one chunk after another, and steady-state scheduling allocates
+// nothing. Both Schedule and Step are O(1) for the near-future events that
+// dominate cycle-accurate models. Components on the hot path use the typed
+// ScheduleEvent/Handler path; Schedule(delay, func()) wraps the closure in a
+// Handler adapter and shares the same queues. The layout, the ordering
+// guarantee, and its measured cost are documented in docs/PERFORMANCE.md.
 package sim
 
 import (
@@ -65,19 +63,55 @@ type Handler interface {
 	OnEvent(now Time, data uint64)
 }
 
-// eventNode is one scheduled event. Nodes live in the kernel's flat node
-// slice and are linked by index (next threads the wheel's bucket FIFOs and
-// the free list), so steady-state scheduling performs no allocation and the
-// links carry no write barriers. Exactly one of h and fn is set on a live
-// node; index 0 is the shared nil sentinel.
-type eventNode struct {
-	when Time
-	seq  uint64
-	next int32
+// closureEvent adapts a func() to Handler for the Schedule/At path. A func
+// value is pointer-shaped, so storing one in a Handler does not allocate.
+type closureEvent func()
 
+func (f closureEvent) OnEvent(Time, uint64) { f() }
+
+// event is one scheduled event.
+type event struct {
+	when Time
 	h    Handler
 	data uint64
-	fn   func()
+}
+
+// slot is an event as a bucket FIFO holds it. A level-0 bucket holds exactly
+// one timestamp, so its slots need no other; level-1 and level-2 buckets
+// keep each slot's timestamp in the chunk's parallel when array.
+type slot struct {
+	h    Handler
+	data uint64
+}
+
+// chunkCap is the number of events per chunk, and chunkSlab the number of
+// chunks the pool allocates at once: a chunk (its link plus chunkCap 24-byte
+// slots and 8-byte timestamps) is 488 bytes, and a slab of 16 fills 7808 of
+// the runtime's 8 KiB allocation size class. Pooled kernels keep their peak
+// chunk count and a sparse bucket still holds a whole chunk, so small chunks
+// keep memory near what the events themselves need; slabs keep the pool's
+// growth to one allocation per 16 chunks.
+const (
+	chunkCap  = 15
+	chunkSlab = 16
+)
+
+// chunk is one fixed-size block of a bucket FIFO. Chunks are allocated in
+// slabs per kernel and recycled through its free list; next links a bucket's
+// chunks in FIFO order, and the free list when pooled. Dispatch from level 0
+// reads only ev, sequentially; when is written and read at levels 1 and 2.
+type chunk struct {
+	next *chunk
+	ev   [chunkCap]slot
+	when [chunkCap]Time
+}
+
+// fifo is one wheel bucket: events appended at w in the tail chunk and
+// consumed from r in the head chunk, so same-timestamp order is append
+// order. The zero value is an empty bucket holding no chunk.
+type fifo struct {
+	head, tail *chunk
+	r, w       int32
 }
 
 // Wheel geometry: three levels of 256 power-of-two cycle buckets. Level L
@@ -94,22 +128,23 @@ const (
 	span2 = Time(1) << (3 * wheelBits) // level-2 span: 256 buckets of 65536 cycles
 )
 
-// bucketList is a FIFO of event-node indices: appended at tail on schedule
-// and cascade, drained from head on dispatch, so same-(when, seq) order is
-// the append order. Index 0 means empty.
-type bucketList struct {
-	head, tail int32
-}
-
 // wheelLevel is one ring of buckets plus an occupancy bitmap used to find the
 // next non-empty bucket in a handful of word operations.
 type wheelLevel struct {
-	buckets [wheelSize]bucketList
+	buckets [wheelSize]fifo
 	occ     [wheelSize / 64]uint64
 }
 
+// heapEvent is an overflow-heap resident: the event plus its scheduling
+// sequence number, which breaks same-timestamp ties in the heap. The wheel
+// needs no sequence number — its FIFOs keep append order.
+type heapEvent struct {
+	event
+	seq uint64
+}
+
 // Kernel is a discrete-event scheduler. The zero value is not usable; create
-// one with NewKernel. A Kernel (including its node arena) is confined to one
+// one with NewKernel. A Kernel (including its chunk pool) is confined to one
 // goroutine; independent kernels on separate goroutines share nothing.
 type Kernel struct {
 	now     Time
@@ -121,10 +156,9 @@ type Kernel struct {
 	// base is the start of the level-0 window, always span0-aligned. The
 	// level-1 and level-2 spans containing it are base &^ (span1-1) and
 	// base &^ (span2-1).
-	base       Time
-	levels     [wheelLevels]wheelLevel
-	wheelCount int // events resident in the wheel levels
-	pending    int // wheelCount plus overflow heap residents
+	base    Time
+	levels  [wheelLevels]wheelLevel
+	pending int // events resident in the wheel levels and the overflow heap
 	// cur0 is the level-0 occupancy scan cursor: every occ word below it is
 	// empty, so dispatch scans start there instead of at word zero. popNext
 	// raises it (events cannot be scheduled before the clock, which dispatch
@@ -134,18 +168,14 @@ type Kernel struct {
 	// overflow holds events beyond the wheel's current 2^24-cycle horizon,
 	// ordered by (when, seq); it refills the wheel when dispatch rolls past
 	// the horizon.
-	overflow []int32
+	overflow []heapEvent
 
-	// nodes is the flat event arena; nodes[0] is the nil sentinel. free heads
-	// the free list of released nodes, reused at schedule.
-	nodes []eventNode
-	free  int32
+	// free heads the list of pooled chunks, reused by every bucket.
+	free *chunk
 }
 
 // NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel {
-	return &Kernel{nodes: make([]eventNode, 1, 1024)}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
@@ -166,14 +196,10 @@ func (k *Kernel) Schedule(delay Time, fn func()) {
 // At runs fn at absolute time t. Scheduling in the past is a programming
 // error and panics: silent time travel corrupts causality in queue models.
 func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, before now %d", t, k.now))
+	if fn == nil {
+		panic("sim: At with nil func")
 	}
-	n := k.newNode()
-	k.seq++
-	nd := &k.nodes[n]
-	nd.when, nd.seq, nd.fn = t, k.seq, fn
-	k.enqueue(n)
+	k.AtEvent(t, closureEvent(fn), 0)
 }
 
 // ScheduleEvent runs h.OnEvent(now, data) after delay cycles: the typed,
@@ -186,98 +212,145 @@ func (k *Kernel) ScheduleEvent(delay Time, h Handler, data uint64) {
 // AtEvent runs h.OnEvent(t, data) at absolute time t; it panics on a nil
 // handler or a past timestamp.
 func (k *Kernel) AtEvent(t Time, h Handler, data uint64) {
+	if h == nil || t < k.now {
+		k.badEvent(t, h)
+	}
+	k.seq++
+	k.pending++
+	// Near-future events dominate: t-base underflows huge for t < base, so
+	// one unsigned compare selects the level-0 window.
+	if t-k.base < span0 {
+		k.push(0, int(t)&wheelMask, event{when: t, h: h, data: data})
+		return
+	}
+	k.schedule(event{when: t, h: h, data: data})
+}
+
+func (k *Kernel) badEvent(t Time, h Handler) {
 	if h == nil {
 		panic("sim: AtEvent with nil handler")
 	}
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, before now %d", t, k.now))
-	}
-	n := k.newNode()
-	k.seq++
-	nd := &k.nodes[n]
-	nd.when, nd.seq, nd.h, nd.data = t, k.seq, h, data
-	k.enqueue(n)
+	panic(fmt.Sprintf("sim: event scheduled at %d, before now %d", t, k.now))
 }
 
-func (k *Kernel) newNode() int32 {
-	if n := k.free; n != 0 {
-		k.free = k.nodes[n].next
-		k.nodes[n].next = 0
-		return n
-	}
-	k.nodes = append(k.nodes, eventNode{})
-	return int32(len(k.nodes) - 1)
-}
-
-func (k *Kernel) releaseNode(n int32) {
-	nd := &k.nodes[n]
-	// Zeroed h/fn mark the node free (Snapshot's liveness test). fn is nil on
-	// the typed path, which is every hot-path event; the branch skips its
-	// pointer write barrier there.
-	nd.h, nd.data = nil, 0
-	if nd.fn != nil {
-		nd.fn = nil
-	}
-	nd.next = k.free
-	k.free = n
-}
-
-// enqueue files n into the wheel or the overflow heap.
-func (k *Kernel) enqueue(n int32) {
-	if k.pending == 0 {
-		// Empty kernel: snap the window back to the clock so a run that
-		// coasted far ahead (RunUntil past the last event) does not strand
-		// near-future work in the overflow heap.
+// schedule files a new event that is not in the level-0 window.
+func (k *Kernel) schedule(ev event) {
+	if k.pending == 1 {
+		// The kernel was empty: snap the window back to the clock so a run
+		// that coasted far ahead (RunUntil past the last event) does not
+		// strand near-future work in the overflow heap.
 		k.base = k.now &^ (span0 - 1)
 		k.cur0 = 0
 	}
-	k.pending++
-	k.place(n)
+	if !k.place(ev) {
+		k.heapPush(heapEvent{ev, k.seq})
+	}
 }
 
-// place files n by range: the lowest wheel level whose current span contains
-// n's timestamp, else the overflow heap. Spans are aligned, which is what
-// makes bucket order dispatch order: a timestamp enters the wheel only at its
-// span's refill/cascade boundary or later, so every append lands behind all
+// place files ev into the lowest wheel level whose current span contains its
+// timestamp and reports whether it did; the caller sends the rest to the
+// overflow heap. Spans are aligned, which is what makes bucket order
+// dispatch order: a timestamp enters the wheel only at its span's
+// refill/cascade boundary or later, so every append lands behind all
 // earlier-scheduled events for the same cycle.
 //
 // A timestamp below the window (possible when peek cascaded the window past
 // the clock and the next schedule lands in the gap) goes to the overflow
 // heap, which dispatch checks before the wheel; it cannot tie with a wheel
 // event, whose timestamps are all >= base.
-func (k *Kernel) place(n int32) {
-	when := k.nodes[n].when
-	// Near-future events dominate; when-base underflows huge for when < base,
-	// so one unsigned compare selects level 0 and subsumes the below-window
-	// check.
+func (k *Kernel) place(ev event) bool {
+	when := ev.when
+	// when-base underflows huge for when < base, so this one compare also
+	// excludes the below-window case.
 	if when-k.base < span0 {
-		k.pushBucket(0, int(when)&wheelMask, n)
-		return
+		k.push(0, int(when)&wheelMask, ev)
+		return true
 	}
 	switch {
 	case when < k.base:
-		k.heapPush(n)
+		return false
 	case when < (k.base&^(span1-1))+span1:
-		k.pushBucket(1, int(when>>wheelBits)&wheelMask, n)
+		k.push(1, int(when>>wheelBits)&wheelMask, ev)
 	case when < (k.base&^(span2-1))+span2:
-		k.pushBucket(2, int(when>>(2*wheelBits))&wheelMask, n)
+		k.push(2, int(when>>(2*wheelBits))&wheelMask, ev)
 	default:
-		k.heapPush(n)
+		return false
+	}
+	return true
+}
+
+// push appends ev to bucket idx of level, starting a new chunk when the
+// bucket has none or its tail chunk is full.
+func (k *Kernel) push(level, idx int, ev event) {
+	lv := &k.levels[level]
+	f := &lv.buckets[idx]
+	if f.tail == nil || f.w == chunkCap {
+		c := k.newChunk()
+		if f.tail == nil {
+			f.head = c
+		} else {
+			f.tail.next = c
+		}
+		f.tail, f.w = c, 0
+	}
+	f.tail.ev[f.w] = slot{ev.h, ev.data}
+	if level != 0 {
+		f.tail.when[f.w] = ev.when
+	}
+	f.w++
+	lv.occ[idx>>6] |= 1 << (idx & 63)
+}
+
+func (k *Kernel) newChunk() *chunk {
+	if k.free == nil {
+		slab := new([chunkSlab]chunk)
+		for i := range slab {
+			k.freeChunk(&slab[i])
+		}
+	}
+	c := k.free
+	k.free, c.next = c.next, nil
+	return c
+}
+
+// freeChunk returns c to the pool. Its stale slots are overwritten on reuse
+// rather than cleared: they can only reference handlers of this kernel's
+// own simulation, which outlives them.
+func (k *Kernel) freeChunk(c *chunk) {
+	c.next = k.free
+	k.free = c
+}
+
+// each calls fn on every event of bucket idx at level, in FIFO order.
+func (k *Kernel) each(level, idx int, fn func(event)) {
+	f := &k.levels[level].buckets[idx]
+	for c, r := f.head, f.r; c != nil; c, r = c.next, 0 {
+		end := int32(chunkCap)
+		if c == f.tail {
+			end = f.w
+		}
+		for i := r; i < end; i++ {
+			when := k.base + Time(idx) // level 0: the bucket is the timestamp
+			if level != 0 {
+				when = c.when[i]
+			}
+			fn(event{when, c.ev[i].h, c.ev[i].data})
+		}
 	}
 }
 
-func (k *Kernel) pushBucket(level, idx int, n int32) {
-	k.wheelCount++
+// release returns the chunks of bucket idx at level to the pool and leaves
+// the bucket empty.
+func (k *Kernel) release(level, idx int) {
 	lv := &k.levels[level]
-	b := &lv.buckets[idx]
-	k.nodes[n].next = 0
-	if b.tail == 0 {
-		b.head = n
-	} else {
-		k.nodes[b.tail].next = n
+	f := &lv.buckets[idx]
+	for c := f.head; c != nil; {
+		next := c.next
+		k.freeChunk(c)
+		c = next
 	}
-	b.tail = n
-	lv.occ[idx>>6] |= 1 << (idx & 63)
+	*f = fifo{}
+	lv.occ[idx>>6] &^= 1 << (idx & 63)
 }
 
 // firstSet returns the index of the lowest set bit in the occupancy bitmap.
@@ -304,31 +377,33 @@ func (k *Kernel) scan0() (int, bool) {
 	return 0, false
 }
 
-// popNext removes and returns the earliest (when, seq) event's node index,
-// or 0.
-func (k *Kernel) popNext() int32 {
-	if k.pending == 0 {
-		return 0
-	}
+// popNext removes and returns the earliest (when, seq) event. Called only
+// with pending > 0.
+func (k *Kernel) popNext() event {
 	for {
-		if len(k.overflow) > 0 && k.nodes[k.overflow[0]].when < k.base {
+		if len(k.overflow) > 0 && k.overflow[0].when < k.base {
 			k.pending--
-			return k.heapPop()
+			return k.heapPop().event
 		}
 		if idx, ok := k.scan0(); ok {
 			k.cur0 = idx >> 6
-			lv := &k.levels[0]
-			b := &lv.buckets[idx]
-			n := b.head
-			b.head = k.nodes[n].next
-			if b.head == 0 {
-				b.tail = 0
-				lv.occ[idx>>6] &^= 1 << (idx & 63)
-			}
-			k.wheelCount--
 			k.pending--
-			k.nodes[n].next = 0
-			return n
+			lv := &k.levels[0]
+			f := &lv.buckets[idx]
+			c := f.head
+			s := c.ev[f.r]
+			f.r++
+			if c == f.tail {
+				if f.r == f.w {
+					*f = fifo{}
+					lv.occ[idx>>6] &^= 1 << (idx & 63)
+					k.freeChunk(c)
+				}
+			} else if f.r == chunkCap {
+				f.head, f.r = c.next, 0
+				k.freeChunk(c)
+			}
+			return event{k.base + Time(idx), s.h, s.data}
 		}
 		k.advance()
 	}
@@ -341,8 +416,8 @@ func (k *Kernel) peek() (Time, bool) {
 		return 0, false
 	}
 	for {
-		if len(k.overflow) > 0 && k.nodes[k.overflow[0]].when < k.base {
-			return k.nodes[k.overflow[0]].when, true
+		if len(k.overflow) > 0 && k.overflow[0].when < k.base {
+			return k.overflow[0].when, true
 		}
 		if idx, ok := k.scan0(); ok {
 			return k.base + Time(idx), true
@@ -358,15 +433,15 @@ func (k *Kernel) peek() (Time, bool) {
 // pending > 0 and level 0 empty.
 func (k *Kernel) advance() {
 	k.cur0 = 0 // base moves; the cascade/refill below may fill any word
-	if k.wheelCount == 0 {
+	if k.pending == len(k.overflow) {
 		// Rollover: every wheel event has dispatched, so the next span is
 		// wherever the heap minimum lives. Draining the heap in (when, seq)
 		// order seeds each bucket FIFO sorted; later direct schedules into
 		// these spans carry larger sequence numbers and append behind.
-		k.base = k.nodes[k.overflow[0]].when &^ (span0 - 1)
+		k.base = k.overflow[0].when &^ (span0 - 1)
 		limit := (k.base &^ (span2 - 1)) + span2
-		for len(k.overflow) > 0 && k.nodes[k.overflow[0]].when < limit {
-			k.place(k.heapPop())
+		for len(k.overflow) > 0 && k.overflow[0].when < limit {
+			k.refile(k.heapPop().event)
 		}
 		return
 	}
@@ -384,35 +459,44 @@ func (k *Kernel) advance() {
 }
 
 // cascade redistributes one upper-level bucket into the levels below it,
-// preserving list order (and therefore same-cycle FIFO order).
+// preserving FIFO order (and therefore same-cycle dispatch order). The
+// window never moves into the bucket being emptied, so refiling cannot
+// append to it.
 func (k *Kernel) cascade(level, idx int) {
-	lv := &k.levels[level]
-	b := &lv.buckets[idx]
-	n := b.head
-	b.head, b.tail = 0, 0
-	lv.occ[idx>>6] &^= 1 << (idx & 63)
-	for n != 0 {
-		next := k.nodes[n].next
-		k.wheelCount--
-		k.place(n)
-		n = next
+	f := &k.levels[level].buckets[idx]
+	for c, r := f.head, f.r; c != nil; c, r = c.next, 0 {
+		end := int32(chunkCap)
+		if c == f.tail {
+			end = f.w
+		}
+		for i := r; i < end; i++ {
+			k.refile(event{c.when[i], c.ev[i].h, c.ev[i].data})
+		}
+	}
+	k.release(level, idx)
+}
+
+// refile places an event that advance moved inside the window's span; the
+// wheel always has room for it.
+func (k *Kernel) refile(ev event) {
+	if !k.place(ev) {
+		panic(fmt.Sprintf("sim: event at t=%d outside the window it was moved into (base %d)", ev.when, k.base))
 	}
 }
 
-// Overflow heap: a hand-rolled binary min-heap on (when, seq) over node
-// indices, avoiding container/heap's interface boxing on the cold path too.
+// Overflow heap: a hand-rolled binary min-heap of event values on
+// (when, seq), avoiding container/heap's interface boxing on the cold path.
 
-func (k *Kernel) nodeLess(a, b int32) bool {
-	na, nb := &k.nodes[a], &k.nodes[b]
-	return na.when < nb.when || (na.when == nb.when && na.seq < nb.seq)
+func heapLess(a, b *heapEvent) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-func (k *Kernel) heapPush(n int32) {
-	h := append(k.overflow, n)
+func (k *Kernel) heapPush(e heapEvent) {
+	h := append(k.overflow, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !k.nodeLess(h[i], h[p]) {
+		if !heapLess(&h[i], &h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -421,11 +505,12 @@ func (k *Kernel) heapPush(n int32) {
 	k.overflow = h
 }
 
-func (k *Kernel) heapPop() int32 {
+func (k *Kernel) heapPop() heapEvent {
 	h := k.overflow
-	n := h[0]
+	e := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
+	h[last] = heapEvent{}
 	h = h[:last]
 	i := 0
 	for {
@@ -433,39 +518,31 @@ func (k *Kernel) heapPop() int32 {
 		if c >= len(h) {
 			break
 		}
-		if c+1 < len(h) && k.nodeLess(h[c+1], h[c]) {
+		if c+1 < len(h) && heapLess(&h[c+1], &h[c]) {
 			c++
 		}
-		if !k.nodeLess(h[c], h[i]) {
+		if !heapLess(&h[c], &h[i]) {
 			break
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
 	k.overflow = h
-	return n
+	return e
 }
 
 // Step executes the single earliest event and returns true, or returns false
 // if no events remain.
 func (k *Kernel) Step() bool {
-	n := k.popNext()
-	if n == 0 {
+	if k.pending == 0 {
 		return false
 	}
-	nd := &k.nodes[n]
-	k.now = nd.when
+	// The event leaves its bucket before dispatch, so the handler's own
+	// scheduling may reuse the freed chunk slot.
+	ev := k.popNext()
+	k.now = ev.when
 	k.executed++
-	// Release before dispatch so the handler's own scheduling reuses the node.
-	if h := nd.h; h != nil {
-		data := nd.data
-		k.releaseNode(n)
-		h.OnEvent(k.now, data)
-	} else {
-		fn := nd.fn
-		k.releaseNode(n)
-		fn()
-	}
+	ev.h.OnEvent(ev.when, ev.data)
 	return true
 }
 

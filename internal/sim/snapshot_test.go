@@ -187,3 +187,84 @@ func TestKernelResetMatchesFresh(t *testing.T) {
 		t.Fatal("reset kernel diverges from fresh kernel")
 	}
 }
+
+// burstRecorder records its dispatches; every event whose data is a multiple
+// of 7 spawns a burst of more than three chunks over the next three cycles,
+// so bucket FIFOs are routinely partway through a chunk.
+type burstRecorder struct {
+	k     *Kernel
+	trace []snapEvent
+	left  int
+	next  uint64
+}
+
+func (r *burstRecorder) OnEvent(now Time, data uint64) {
+	r.trace = append(r.trace, snapEvent{now, data})
+	if r.left <= 0 {
+		return
+	}
+	r.left--
+	n := 1
+	if data%7 == 0 {
+		n = 3*chunkCap + 2
+	}
+	for i := 0; i < n; i++ {
+		r.next++
+		r.k.ScheduleEvent(Time(r.next%3), r, r.next)
+	}
+}
+
+func seedBursts(k *Kernel, left int) *burstRecorder {
+	r := &burstRecorder{k: k, left: left, next: 100}
+	for i := uint64(0); i < 3*chunkCap; i++ {
+		k.ScheduleEvent(Time(i%2), r, i)
+	}
+	k.ScheduleEvent(span1+5, r, 7) // a level-1 resident across the cut
+	return r
+}
+
+// TestKernelSnapshotRestorePartialChunks cuts a burst-heavy run at points
+// that leave buckets partway through a chunk, restores the snapshot into a
+// fresh kernel, and requires the continued trace to match the uninterrupted
+// run. It also resets a kernel at each cut and requires it to then behave
+// like a new one.
+func TestKernelSnapshotRestorePartialChunks(t *testing.T) {
+	oracle := NewKernel()
+	or := seedBursts(oracle, 60)
+	oracle.Run()
+	for _, cut := range []int{1, chunkCap / 2, chunkCap + 1, 2*chunkCap + 3, len(or.trace) / 2, len(or.trace) - 1} {
+		k1 := NewKernel()
+		r1 := seedBursts(k1, 60)
+		if n := k1.RunLimit(uint64(cut)); n != uint64(cut) {
+			t.Fatalf("cut %d: kernel drained after %d events", cut, n)
+		}
+		snap, err := k1.Snapshot(nil)
+		if err != nil {
+			t.Fatalf("cut %d: Snapshot: %v", cut, err)
+		}
+		k2 := NewKernel()
+		r2 := &burstRecorder{k: k2, left: r1.left, next: r1.next}
+		if err := k2.Restore(snap, func(Handler) Handler { return r2 }); err != nil {
+			t.Fatalf("cut %d: Restore: %v", cut, err)
+		}
+		if k2.Pending() != k1.Pending() || snap.Pending() != k1.Pending() {
+			t.Fatalf("cut %d: restored %d pending (snapshot %d), source %d", cut, k2.Pending(), snap.Pending(), k1.Pending())
+		}
+		k2.Run()
+		got := append(append([]snapEvent(nil), r1.trace...), r2.trace...)
+		if !reflect.DeepEqual(got, or.trace) {
+			t.Fatalf("cut %d: trace diverges after restore (%d events, oracle %d)", cut, len(got), len(or.trace))
+		}
+
+		// Reset with partially consumed chunks, then rerun from scratch.
+		k1.Reset()
+		if k1.Pending() != 0 || k1.Now() != 0 {
+			t.Fatalf("cut %d: Reset left pending=%d now=%d", cut, k1.Pending(), k1.Now())
+		}
+		again := seedBursts(k1, 60)
+		k1.Run()
+		if !reflect.DeepEqual(again.trace, or.trace) {
+			t.Fatalf("cut %d: reset kernel diverges from a fresh one", cut)
+		}
+	}
+}

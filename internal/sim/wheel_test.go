@@ -80,6 +80,28 @@ func childDelays(id, budget uint64) []Time {
 	return []Time{delayMix[(id*13)%uint64(n)], delayMix[(id*29)%uint64(n)], 0}
 }
 
+// burstChildren makes same-cycle bursts the common case for the chunked
+// bucket FIFOs: every 16th event spawns a burst of more than three chunks
+// one cycle out, and others spawn zero-delay children interleaved with
+// short and next-window delays. It never spawns more than budget children.
+func burstChildren(id, budget uint64) []Time {
+	var kids []Time
+	switch {
+	case id%16 == 0:
+		for i := 0; i < 3*chunkCap+2; i++ {
+			kids = append(kids, 1)
+		}
+	case id%3 == 0:
+		kids = []Time{0, 2, 0}
+	case id%5 == 0:
+		kids = []Time{span0 + 3, 0}
+	}
+	if uint64(len(kids)) > budget {
+		kids = kids[:budget]
+	}
+	return kids
+}
+
 // diffDriver runs the wheel side of the differential test: every dispatched
 // event records (when, id) and schedules its children, alternating between
 // the typed and closure paths so both funnel through the ordering machinery.
@@ -88,11 +110,17 @@ type diffDriver struct {
 	got    []refEvent
 	nextID uint64
 	budget uint64 // remaining child spawns, to terminate the cascade
+	// children picks an event's child delays; nil means childDelays.
+	children func(id, budget uint64) []Time
 }
 
 func (d *diffDriver) OnEvent(now Time, id uint64) {
 	d.got = append(d.got, refEvent{when: now, id: id})
-	for _, delay := range childDelays(id, d.budget) {
+	children := d.children
+	if children == nil {
+		children = childDelays
+	}
+	for _, delay := range children(id, d.budget) {
 		d.budget--
 		cid := d.nextID
 		d.nextID++
@@ -107,15 +135,20 @@ func (d *diffDriver) OnEvent(now Time, id uint64) {
 
 // refDriver mirrors diffDriver's decisions on the oracle.
 type refDriver struct {
-	r      *refKernel
-	got    []refEvent
-	nextID uint64
-	budget uint64
+	r        *refKernel
+	got      []refEvent
+	nextID   uint64
+	budget   uint64
+	children func(id, budget uint64) []Time
 }
 
 func (d *refDriver) dispatch(e refEvent) {
 	d.got = append(d.got, refEvent{when: e.when, id: e.id})
-	for _, delay := range childDelays(e.id, d.budget) {
+	children := d.children
+	if children == nil {
+		children = childDelays
+	}
+	for _, delay := range children(e.id, d.budget) {
 		d.budget--
 		cid := d.nextID
 		d.nextID++
@@ -172,6 +205,99 @@ func TestWheelMatchesHeapKernel(t *testing.T) {
 		if k.Pending() != 0 {
 			t.Fatalf("trial %d: %d events still pending after Run", trial, k.Pending())
 		}
+	}
+}
+
+// TestWheelChunkBurstsMatchHeap drives the bucket FIFOs across chunk
+// boundaries: seeded same-cycle bursts of over three chunks, burst-spawning
+// events, and zero-delay children appended to the bucket being drained, all
+// checked against the reference heap's (when, seq) order.
+func TestWheelChunkBurstsMatchHeap(t *testing.T) {
+	rng := NewRand(20081016)
+	for trial := 0; trial < 30; trial++ {
+		k := NewKernel()
+		ref := &refKernel{}
+		wd := &diffDriver{k: k, budget: 2000, children: burstChildren}
+		rd := &refDriver{r: ref, budget: 2000, children: burstChildren}
+		schedule := func(d Time) {
+			k.ScheduleEvent(d, wd, wd.nextID)
+			ref.schedule(d, rd.nextID)
+			wd.nextID++
+			rd.nextID++
+		}
+		// A burst of 3*chunkCap+1..3*chunkCap+chunkCap events on one cycle,
+		// interleaved with events on the neighbouring cycles.
+		at := Time(rng.Intn(300))
+		for i := 0; i < 3*chunkCap+1+rng.Intn(chunkCap); i++ {
+			schedule(at)
+			if i%5 == 0 {
+				schedule(at + 1)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			schedule(delayMix[rng.Intn(len(delayMix))])
+		}
+
+		k.Run()
+		for {
+			e, ok := ref.step()
+			if !ok {
+				break
+			}
+			rd.dispatch(e)
+		}
+		compareDispatch(t, trial, wd.got, rd.got)
+		if k.Pending() != 0 {
+			t.Fatalf("trial %d: %d events still pending after Run", trial, k.Pending())
+		}
+	}
+}
+
+// TestWheelBucketRefillMidChunk stops dispatch partway through a bucket —
+// mid-chunk, and again once the bucket is fully drained and its chunks are
+// back in the pool — and refills the current cycle from outside. Refilled
+// events must run after everything already queued for the cycle, in order.
+func TestWheelBucketRefillMidChunk(t *testing.T) {
+	k := NewKernel()
+	s := &stopAfter{k: k, limit: chunkCap / 2}
+	const first = chunkCap + 3 // spans two chunks
+	for i := 0; i < first; i++ {
+		k.ScheduleEvent(10, s, uint64(i))
+	}
+	k.Run()
+	if k.Now() != 10 || len(s.got) != chunkCap/2 {
+		t.Fatalf("stopped after %d events at t=%d, want %d at t=10", len(s.got), k.Now(), chunkCap/2)
+	}
+	// Mid-chunk refill: append behind the remaining events of the cycle.
+	next := uint64(first)
+	for i := 0; i < 2*chunkCap; i++ {
+		k.ScheduleEvent(0, s, next)
+		next++
+	}
+	s.limit = int(next) // drain the bucket exactly
+	k.Run()
+	// Drained bucket: its chunks are pooled; refill the same cycle again.
+	if k.Now() != 10 || k.Pending() != 0 {
+		t.Fatalf("after draining: t=%d pending=%d, want t=10 and none", k.Now(), k.Pending())
+	}
+	for i := 0; i < chunkCap+1; i++ {
+		k.ScheduleEvent(0, s, next)
+		next++
+	}
+	k.ScheduleEvent(1, s, next)
+	next++
+	s.limit = 0
+	k.Run()
+	if len(s.got) != int(next) {
+		t.Fatalf("dispatched %d events, want %d", len(s.got), next)
+	}
+	for i, id := range s.got {
+		if id != uint64(i) {
+			t.Fatalf("dispatch %d is event %d, want %d (same-cycle FIFO across refills)", i, id, i)
+		}
+	}
+	if k.Now() != 11 {
+		t.Fatalf("final clock %d, want 11", k.Now())
 	}
 }
 
@@ -272,9 +398,9 @@ func TestWheelStopMidCycle(t *testing.T) {
 	}
 }
 
-// reuseHandler exercises the node free list as components do: every dispatch
-// immediately schedules again, so the just-released node is reused while the
-// event is still running.
+// reuseHandler exercises the chunk pool as components do: every dispatch
+// immediately schedules again, so chunks released by drained buckets are
+// reused while events are still running.
 type reuseHandler struct {
 	k    *Kernel
 	left int
@@ -285,7 +411,7 @@ func (h *reuseHandler) OnEvent(_ Time, data uint64) {
 		return
 	}
 	h.left--
-	// Mixed fan-out keeps several pooled nodes in flight at once.
+	// Mixed fan-out keeps several pooled chunks in flight at once.
 	h.k.ScheduleEvent(1+Time(data%7), h, data*2654435761+1)
 	if data%3 == 0 {
 		h.k.ScheduleEvent(span1+Time(data%97), h, data+1)
@@ -293,7 +419,7 @@ func (h *reuseHandler) OnEvent(_ Time, data uint64) {
 }
 
 // TestWheelFreeListRace runs independent kernels concurrently under the race
-// detector: the node pool is per-kernel state, so hammering many kernels at
+// detector: the chunk pool is per-kernel state, so hammering many kernels at
 // once must show no sharing. (go test -race is the point of this test; it
 // still verifies pool-reuse bookkeeping without the detector.)
 func TestWheelFreeListRace(t *testing.T) {

@@ -84,6 +84,8 @@ type Crossbar struct {
 
 	credits    []int           // per destination receive-buffer pool
 	creditWait []sim.Fifo[int] // per destination: sources waiting, FIFO
+	// epochs counts injection slots freed per source (InjectEpoch).
+	epochs []uint64
 
 	// slots parks in-flight messages for the typed delivery event.
 	slots sim.Slots[*noc.Message]
@@ -117,6 +119,7 @@ func (e *releaseEvent) OnEvent(_ sim.Time, data uint64) {
 	x := (*Crossbar)(e)
 	src := int(data)
 	x.queues[src].msgs.Pop()
+	x.epochs[src]++
 	x.advance(src)
 }
 
@@ -163,6 +166,7 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 		deliver:    make([]noc.DeliverFunc, cfg.Clusters),
 		credits:    make([]int, cfg.Clusters),
 		creditWait: make([]sim.Fifo[int], cfg.Clusters),
+		epochs:     make([]uint64, cfg.Clusters),
 	}
 	if cfg.TunedReceivers {
 		x.arb = arbiter.New(k, cfg.Clusters, cfg.Clusters, cfg.PropSpeed)
@@ -217,6 +221,7 @@ func (x *Crossbar) Reset() {
 		x.credits[d] = x.cfg.RecvBuffer
 		x.creditWait[d].Reset()
 	}
+	clear(x.epochs)
 	x.slots.Reset()
 	if x.arb != nil {
 		x.arb.Reset()
@@ -257,6 +262,10 @@ func (x *Crossbar) Send(m *noc.Message) bool {
 	}
 	return true
 }
+
+// InjectEpoch implements noc.Network: a slot of src's channel FIFO frees
+// when the head message's tail leaves the channel (releaseEvent).
+func (x *Crossbar) InjectEpoch(src int) uint64 { return x.epochs[src] }
 
 // Consume implements noc.Network: the hub drained one message from
 // cluster's receive buffer, freeing a credit and recycling the message.

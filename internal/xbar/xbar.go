@@ -63,6 +63,8 @@ type Crossbar struct {
 
 	credits    []int           // per destination channel
 	creditWait []sim.Fifo[int] // per destination: src clusters waiting, FIFO
+	// epochs counts injection slots freed per source (InjectEpoch).
+	epochs []uint64
 
 	// slots parks in-flight messages for the typed delivery event.
 	slots sim.Slots[*noc.Message]
@@ -136,6 +138,7 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 		deliver:    make([]noc.DeliverFunc, cfg.Clusters),
 		credits:    make([]int, cfg.Clusters),
 		creditWait: make([]sim.Fifo[int], cfg.Clusters),
+		epochs:     make([]uint64, cfg.Clusters),
 	}
 	for i := range x.queues {
 		x.queues[i] = make([]srcDstQueue, cfg.Clusters)
@@ -188,6 +191,7 @@ func (x *Crossbar) Reset() {
 		x.credits[d] = x.cfg.RecvBuffer
 		x.creditWait[d].Reset()
 	}
+	clear(x.epochs)
 	x.slots.Reset()
 	x.arb.Reset()
 	x.stats = noc.Stats{}
@@ -230,6 +234,10 @@ func (x *Crossbar) Send(m *noc.Message) bool {
 	}
 	return true
 }
+
+// InjectEpoch implements noc.Network: a slot of one of src's (src,dst)
+// injection FIFOs frees when its head message transmits.
+func (x *Crossbar) InjectEpoch(src int) uint64 { return x.epochs[src] }
 
 // Consume implements noc.Network: the hub drained one message from cluster's
 // receive buffer, freeing a credit and recycling the message. The crossbar
@@ -274,6 +282,7 @@ func (x *Crossbar) haveCredit(src, dst int) {
 func (x *Crossbar) transmit(src, dst int) {
 	q := &x.queues[src][dst]
 	m := q.msgs.Pop()
+	x.epochs[src]++
 
 	tx := sim.Time((m.Size + x.cfg.BytesPerCycle - 1) / x.cfg.BytesPerCycle)
 	prop := x.propagation(src, dst)
