@@ -123,92 +123,6 @@ func BenchmarkSweepEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmupFork prices warmup forking at the cell level: the same
-// replay run from scratch versus forked from a shared barrier snapshot
-// (docs/DETERMINISM.md, "Warmup forking and the snapshot contract"). Two
-// workload shapes bound the mechanism:
-//
-//   - mid: a 99.9%-local stream whose barrier falls mid-replay — the shape
-//     the sweep engine actually forks. The saving is the skipped prefix; the
-//     barrier-cycles metric shows how deep it was.
-//   - full: an all-local stream (no remote record at all), where the donor
-//     replays the entire cell and a fork only restores final state — the
-//     upper bound on what forking can save.
-//
-// The paper's fifteen workloads all touch the network at time zero (their
-// barrier is zero), so neither shape occurs in the headline matrix; this
-// bench prices the mechanism, not the sweep. BenchmarkSweepEngine remains
-// the full-sweep wall-clock number.
-func BenchmarkWarmupFork(b *testing.B) {
-	const forkRequests = 4000
-	shapes := []struct {
-		name string
-		spec traffic.Spec
-	}{
-		{"mid", traffic.Spec{Name: "LocalUniform", Kind: traffic.Uniform,
-			DemandTBs: 5, LocalFrac: 0.999, WriteFrac: 0.3}},
-		{"full", traffic.Spec{Name: "LocalTranspose", Kind: traffic.Transpose,
-			DemandTBs: 5, LocalFrac: 1, WriteFrac: 0.1}},
-	}
-	cfg := config.Corona()
-	for _, shape := range shapes {
-		buckets := core.MaterializeStream(shape.spec, cfg.Clusters, forkRequests, core.CellSeed(1, shape.spec.Name))
-		barrier := core.WarmupHorizon(buckets)
-		if barrier == 0 {
-			b.Fatalf("%s: warmup barrier is zero; the fork path would not run", shape.name)
-		}
-		b.Run(shape.name+"/scratch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := core.ReplayRunner(sys, shape.spec.Name, buckets)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(shape.name+"/forked", func(b *testing.B) {
-			donor, err := core.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dr, err := core.ReplayRunner(donor, shape.spec.Name, buckets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dr.RunToBarrier(barrier)
-			snap, err := dr.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fr, err := core.ForkRunner(sys, snap)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fr.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if barrier != ^sim.Time(0) {
-				b.ReportMetric(float64(barrier), "barrier-cycles")
-			}
-		})
-	}
-}
-
 // --- Kernel micro-benches: scheduler throughput in isolation. ---
 //
 // The workload is the component steady state: a fixed population of 64

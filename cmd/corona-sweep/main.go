@@ -6,7 +6,7 @@
 //
 //	corona-sweep [-config scenario.json] [-requests N] [-seed S]
 //	             [-workers W] [-cache DIR] [-fig 8|9|10|11|all] [-v]
-//	             [-warmup=false] [-cpuprofile FILE] [-memprofile FILE]
+//	             [-cpuprofile FILE] [-memprofile FILE]
 //	             [-bench-out FILE.json]
 //
 // With -config, the matrix comes from a JSON scenario file instead: any
@@ -76,7 +76,6 @@ func run() (code int) {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the sweep")
 	benchOut := flag.String("bench-out", "", "write a machine-readable perf record of the sweep to this JSON file")
-	warmup := flag.Bool("warmup", true, "share each row's fabric-independent warmup prefix across cells via snapshot forking (results are byte-identical either way; -warmup=false is the reference path)")
 	flag.Parse()
 
 	// Ctrl-C / SIGTERM cancel the sweep's context; the engine drains, keeps
@@ -131,7 +130,7 @@ func run() (code int) {
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
-	job, err := client.Submit(ctx, s, core.Warmup(*warmup))
+	job, err := client.Submit(ctx, s)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "corona-sweep: %v\n", err)
 		return 2
@@ -174,7 +173,7 @@ func run() (code int) {
 		if *benchOut == "" {
 			return
 		}
-		if err := writeBenchRecord(*benchOut, s, *workers, *warmup, elapsed, memBefore); err != nil {
+		if err := writeBenchRecord(*benchOut, s, *workers, elapsed, memBefore); err != nil {
 			fmt.Fprintf(os.Stderr, "corona-sweep: -bench-out: %v\n", err)
 			code = 1
 		}
@@ -218,11 +217,6 @@ type benchRecord struct {
 	Requests int    `json:"requests"`
 	Workers  int    `json:"workers"`
 	Seed     uint64 `json:"seed"`
-	// Warmup records whether warmup forking (the default) was on for the
-	// run. It cannot move a single result byte — the differential
-	// fork-equivalence suite pins that — but it does shift the perf numbers
-	// this record exists to track.
-	Warmup bool `json:"warmup"`
 	// Measured results.
 	WallSeconds   float64 `json:"wall_seconds"`
 	KernelEvents  uint64  `json:"kernel_events"`
@@ -234,7 +228,7 @@ type benchRecord struct {
 }
 
 // writeBenchRecord snapshots the finished sweep's performance into path.
-func writeBenchRecord(path string, s *core.Sweep, workers int, warmup bool, elapsed time.Duration, before runtime.MemStats) error {
+func writeBenchRecord(path string, s *core.Sweep, workers int, elapsed time.Duration, before runtime.MemStats) error {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	var events uint64
@@ -248,12 +242,11 @@ func writeBenchRecord(path string, s *core.Sweep, workers int, warmup bool, elap
 	}
 	cells := len(s.Configs) * len(s.Workloads)
 	rec := benchRecord{
-		Schema:       2, // 2: added the warmup field
+		Schema:       3, // 3: dropped the warmup field (2 added it)
 		Cells:        cells,
 		Requests:     s.Requests,
 		Workers:      workers,
 		Seed:         s.Seed,
-		Warmup:       warmup,
 		WallSeconds:  elapsed.Seconds(),
 		KernelEvents: events,
 		Allocs:       after.Mallocs - before.Mallocs,

@@ -5,8 +5,7 @@
 //	go build -o /tmp/corona-vet ./cmd/corona-vet
 //	go vet -vettool=/tmp/corona-vet ./...
 //
-// go vet drives the binary per compilation unit, threading deprecation facts
-// through the build graph; diagnostics land on stderr in the usual
+// go vet drives the binary per compilation unit; diagnostics land on stderr in the usual
 // file:line:col form and any finding fails the run. Individual analyzers can
 // be switched off with -<name>=false (e.g. -determinism=false). See
 // docs/LINTING.md for the catalog and the //lint:allow escape hatch.

@@ -13,6 +13,38 @@ import (
 	"corona/internal/trace"
 )
 
+// mustRun is (*Client).Run on a default client, failing the test on error.
+func mustRun(t *testing.T, cfg SystemConfig, spec Workload, requests int, seed uint64) Result {
+	t.Helper()
+	res, err := NewClient().Run(context.Background(), cfg, spec, requests, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustReplay is (*Client).Replay on a default client, failing the test on
+// error.
+func mustReplay(t *testing.T, cfg SystemConfig, recs []TraceRecord, threadsPerCluster int) Result {
+	t.Helper()
+	res, err := NewClient().Replay(context.Background(), cfg, recs, threadsPerCluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustCompare is (*Client).Compare on a default client, failing the test on
+// error.
+func mustCompare(t *testing.T, spec Workload, requests int, seed uint64, configs ...SystemConfig) []Result {
+	t.Helper()
+	res, err := NewClient().Compare(context.Background(), spec, requests, seed, configs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestPublicConfigurations(t *testing.T) {
 	cfgs := Configurations()
 	if len(cfgs) != 5 {
@@ -36,7 +68,7 @@ func TestPublicWorkloads(t *testing.T) {
 }
 
 func TestPublicRun(t *testing.T) {
-	res := RunWorkload(Corona(), SyntheticWorkloads()[0], 1000, 1)
+	res := mustRun(t, Corona(), SyntheticWorkloads()[0], 1000, 1)
 	if res.Requests != 1000 || res.Cycles == 0 {
 		t.Fatalf("bad result: %+v", res)
 	}
@@ -50,7 +82,7 @@ func TestPublicReplay(t *testing.T) {
 		{Time: 0, Thread: 0, Addr: 0x40 * 5, Write: false},
 		{Time: 1, Thread: 900, Addr: 0x40 * 9, Write: true},
 	}
-	res := ReplayTrace(Corona(), recs, 16)
+	res := mustReplay(t, Corona(), recs, 16)
 	if res.Requests != 2 {
 		t.Fatalf("replay requests = %d, want 2", res.Requests)
 	}
@@ -140,7 +172,7 @@ func TestPublicFabricsAndCustomConfig(t *testing.T) {
 	if cfg.Name() != "SWMR/OCM" || cfg.Clusters != 64 {
 		t.Fatalf("CustomConfig = %+v", cfg)
 	}
-	res := RunWorkload(cfg, SyntheticWorkloads()[0], 800, 3)
+	res := mustRun(t, cfg, SyntheticWorkloads()[0], 800, 3)
 	if res.Config != "SWMR/OCM" || res.Cycles == 0 || res.NetworkPowerW != 32 {
 		t.Fatalf("SWMR run = %+v", res)
 	}
@@ -186,7 +218,7 @@ func (x *idealNet) Send(m *noc.Message) bool {
 }
 
 // TestRegisterFabricEndToEnd registers a fabric through the public façade
-// and drives it through RunWorkload and a matrix sweep — the complete
+// and drives it through Client.Run and a matrix sweep — the complete
 // "add a topology without touching the simulator" path.
 func TestRegisterFabricEndToEnd(t *testing.T) {
 	// The registry is process-global, so guard against double registration
@@ -203,11 +235,11 @@ func TestRegisterFabricEndToEnd(t *testing.T) {
 	}
 	ideal := CustomConfig("", "ideal", OCM, nil)
 	spec := SyntheticWorkloads()[0]
-	res := RunWorkload(ideal, spec, 1000, 5)
+	res := mustRun(t, ideal, spec, 1000, 5)
 	if res.Config != "Ideal/OCM" || res.Requests != 1000 {
 		t.Fatalf("ideal run = %+v", res)
 	}
-	real := RunWorkload(Corona(), spec, 1000, 5)
+	real := mustRun(t, Corona(), spec, 1000, 5)
 	if res.Cycles > real.Cycles {
 		t.Errorf("ideal interconnect (%d cycles) slower than the crossbar (%d)", res.Cycles, real.Cycles)
 	}
@@ -233,16 +265,16 @@ func TestRegisterFabricEndToEnd(t *testing.T) {
 
 func TestPublicCompareCustomConfigs(t *testing.T) {
 	spec := SyntheticWorkloads()[0]
-	res := CompareConfigs(spec, 600, 3, Corona(), CustomConfig("", "swmr", OCM, nil))
+	res := mustCompare(t, spec, 600, 3, Corona(), CustomConfig("", "swmr", OCM, nil))
 	if len(res) != 2 || res[0].Config != "XBar/OCM" || res[1].Config != "SWMR/OCM" {
 		t.Fatalf("explicit-config compare = %+v", res)
 	}
 }
 
-func TestPublicCompareConfigs(t *testing.T) {
-	res := CompareConfigs(SyntheticWorkloads()[0], 800, 3)
+func TestPublicComparePaperConfigs(t *testing.T) {
+	res := mustCompare(t, SyntheticWorkloads()[0], 800, 3)
 	if len(res) != 5 {
-		t.Fatalf("CompareConfigs returned %d results, want 5", len(res))
+		t.Fatalf("Compare returned %d results, want 5", len(res))
 	}
 	for i, cfg := range Configurations() {
 		if res[i].Config != cfg.Name() {
@@ -298,8 +330,8 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("trace has %d records, want %d", len(recs), 64*perCluster)
 	}
 
-	fast := ReplayTrace(Corona(), recs, cluster.ThreadsPerCluster)
-	slow := ReplayTrace(Configurations()[0], recs, cluster.ThreadsPerCluster)
+	fast := mustReplay(t, Corona(), recs, cluster.ThreadsPerCluster)
+	slow := mustReplay(t, Configurations()[0], recs, cluster.ThreadsPerCluster)
 	if fast.Requests != len(recs) || slow.Requests != len(recs) {
 		t.Fatalf("replay incomplete: %d/%d", fast.Requests, slow.Requests)
 	}
@@ -312,10 +344,10 @@ func TestFullPipeline(t *testing.T) {
 	}
 }
 
-// TestPublicClientJob drives the new context-aware API through the façade:
-// a one-shot Client.Run that matches the deprecated blocking wrapper result
-// for result, typed rejection of bad input, and a streamed Job whose cells
-// cover the matrix.
+// TestPublicClientJob drives the context-aware API through the façade: a
+// one-shot Client.Run that matches a default client's run result for
+// result, typed rejection of bad input, and a streamed Job whose cells cover
+// the matrix.
 func TestPublicClientJob(t *testing.T) {
 	client := NewClient(WithWorkers(4))
 	spec := SyntheticWorkloads()[0]
@@ -323,8 +355,8 @@ func TestPublicClientJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy := RunWorkload(Corona(), spec, 800, 3); res != legacy {
-		t.Fatalf("Client.Run differs from the deprecated wrapper:\n%+v\nvs\n%+v", res, legacy)
+	if other := mustRun(t, Corona(), spec, 800, 3); res != other {
+		t.Fatalf("Client.Run differs across clients:\n%+v\nvs\n%+v", res, other)
 	}
 
 	_, err = client.Run(context.Background(), CustomConfig("", "no-such-fabric", OCM, nil), spec, 100, 1)

@@ -136,22 +136,6 @@ func (e *snoopEvent) OnEvent(_ sim.Time, data uint64) {
 // Clusters returns the endpoint count.
 func (b *Bus) Clusters() int { return b.cfg.Clusters }
 
-// Quiescent returns nil only when the bus is in its construction state —
-// empty broadcast FIFOs, no modulation in progress, no in-flight snoops, and
-// a virgin token. It is the broadcast leg of the network snapshot contract
-// (docs/DETERMINISM.md).
-func (b *Bus) Quiescent() error {
-	for src, q := range b.queues {
-		if len(q) > 0 || b.active[src] {
-			return fmt.Errorf("bus: cluster %d broadcast queue busy (%d queued, active=%v)", src, len(q), b.active[src])
-		}
-	}
-	if n := b.slots.Len(); n != 0 {
-		return fmt.Errorf("bus: %d broadcasts in flight", n)
-	}
-	return b.arb.Quiescent()
-}
-
 // Reset restores the construction state in place, keeping the message pool
 // and grown queue capacity. Snoop callbacks are left installed.
 func (b *Bus) Reset() {

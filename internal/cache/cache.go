@@ -202,20 +202,6 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// CopyFrom overwrites c with an exact copy of src's lines, LRU clock, and
-// counters. The two caches must share a configuration. Part of the
-// snapshot/restore substrate (docs/DETERMINISM.md).
-func (c *Cache) CopyFrom(src *Cache) {
-	if c.cfg != src.cfg {
-		panic(fmt.Sprintf("cache: CopyFrom config mismatch (%+v vs %+v)", c.cfg, src.cfg))
-	}
-	for i, set := range src.sets {
-		copy(c.sets[i], set)
-	}
-	c.clock = src.clock
-	c.stats = src.stats
-}
-
 // mshrEntry is one outstanding line miss and its merged requester count.
 type mshrEntry struct {
 	line  uint64
@@ -287,16 +273,6 @@ func (m *MSHR) Allocate(line uint64) (primary, ok bool) {
 func (m *MSHR) Reset() {
 	m.entries = m.entries[:0]
 	m.PrimaryMisses, m.SecondaryMerges, m.FullStalls = 0, 0, 0
-}
-
-// CopyFrom overwrites m with an exact copy of src's entries and counters.
-// Capacities must match.
-func (m *MSHR) CopyFrom(src *MSHR) {
-	if m.cap != src.cap {
-		panic(fmt.Sprintf("cache: MSHR CopyFrom capacity mismatch (%d vs %d)", m.cap, src.cap))
-	}
-	m.entries = append(m.entries[:0], src.entries...)
-	m.PrimaryMisses, m.SecondaryMerges, m.FullStalls = src.PrimaryMisses, src.SecondaryMerges, src.FullStalls
 }
 
 // Complete retires line's entry, returning how many requesters were merged

@@ -209,6 +209,36 @@ func NewSystem(cfg config.System) (*System, error) {
 	return s, nil
 }
 
+// Reset returns the system to its just-constructed state, reusing every
+// grown buffer: the kernel's chunk pool, the network's queues and pools, the
+// controllers' booking lists, the hubs' MSHR files and injection queues, and
+// the latency reservoir. It fails when the fabric does not support in-place
+// reset (no noc.Resetter); callers fall back to building a fresh system.
+func (s *System) Reset() error {
+	r, ok := s.Net.(noc.Resetter)
+	if !ok {
+		return fmt.Errorf("core: %s: fabric %q does not support in-place reset (no noc.Resetter)", s.Cfg.Name(), s.Net.Name())
+	}
+	s.K.Reset()
+	r.Reset()
+	for _, mc := range s.MCs {
+		mc.Reset()
+	}
+	for _, h := range s.hubs {
+		h.mshr.Reset()
+		for dst := range h.outq {
+			h.outq[dst].Reset()
+		}
+		clear(h.outArmed)
+	}
+	s.Latency.Reset()
+	s.WireBytes, s.completed, s.nextID = 0, 0, 0
+	s.txnSlots.Reset()
+	s.msgSlots.Reset()
+	s.onMSHRFree = nil
+	return nil
+}
+
 // Completed returns the number of retired transactions.
 func (s *System) Completed() int { return s.completed }
 

@@ -6,18 +6,11 @@
 // framework lives in-tree; the surface mirrors x/tools closely enough that an
 // analyzer written here ports to the upstream API by changing one import.
 //
-// Two extensions carry repo-specific policy:
-//
-//   - Allow directives. A diagnostic is suppressed by a comment of the form
-//     `//lint:allow <analyzer> <reason>` on the reported line or the line
-//     directly above it. The reason is mandatory; a directive without one, or
-//     one naming an analyzer that does not exist, is itself a diagnostic, so
-//     the escape hatch cannot silently rot.
-//
-//   - Deprecation facts. Each Pass carries the set of objects whose doc
-//     comment contains a "Deprecated:" paragraph, for the current package and
-//     (through the vetx fact files go vet threads between compilation units)
-//     its whole import closure. See facts.go.
+// One extension carries repo-specific policy: allow directives. A diagnostic
+// is suppressed by a comment of the form `//lint:allow <analyzer> <reason>`
+// on the reported line or the line directly above it. The reason is
+// mandatory; a directive without one, or one naming an analyzer that does not
+// exist, is itself a diagnostic, so the escape hatch cannot silently rot.
 package analysis
 
 import (
@@ -56,13 +49,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Deprecated holds the qualified keys of every object in the package's
-	// import closure (and the package itself) whose documentation carries a
-	// "Deprecated:" paragraph. Keys are "pkgpath.Func" for package-level
-	// functions and "pkgpath.Type.Method" for methods; DeprecatedKey builds
-	// the key for an arbitrary object.
-	Deprecated map[string]bool
-
 	// ReadRepoFile reads a file by path relative to the repository root
 	// (the directory holding go.mod). Analyzers that cross-check source
 	// against checked-in documentation — faultpoint and docs/OPERATIONS.md —
@@ -83,7 +69,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos lies in a _test.go file. Several analyzers
 // scope themselves to production code: tests legitimately poke lifecycle
-// internals, pin deprecated compatibility surfaces, and build literals.
+// internals and build literals.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return isTestFilename(p.Fset.Position(pos).Filename)
 }
@@ -95,55 +81,13 @@ func isTestFilename(name string) bool {
 
 // NormalizePkgPath strips the decorations go vet adds to test-variant
 // package paths — the " [pkg.test]" suffix of a test build and the "_test"
-// suffix of an external test package — so fact keys stay canonical across
-// build variants.
+// suffix of an external test package — so package-scoped checks treat every
+// build variant of a package alike.
 func NormalizePkgPath(pkgPath string) string {
 	if i := strings.Index(pkgPath, " ["); i >= 0 {
 		pkgPath = pkgPath[:i]
 	}
 	return strings.TrimSuffix(pkgPath, "_test")
-}
-
-// DeprecatedKey returns the key under which obj would appear in
-// Pass.Deprecated, or "" for objects that cannot carry deprecation facts
-// (nil, universe-scope, or local objects). Package paths in keys are
-// normalized via NormalizePkgPath.
-func DeprecatedKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	pkgPath := NormalizePkgPath(obj.Pkg().Path())
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		// Struct fields share the "pkg.Name" key space with package-level
-		// declarations (ast.File's Package field vs the ast.Package type);
-		// fields carry no facts, so they must not match any.
-		return ""
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			recv := sig.Recv()
-			name := recvTypeName(recv.Type())
-			if name == "" {
-				return ""
-			}
-			return pkgPath + "." + name + "." + obj.Name()
-		}
-	}
-	if obj.Parent() != nil && obj.Parent() != obj.Pkg().Scope() {
-		return "" // local declaration
-	}
-	return pkgPath + "." + obj.Name()
-}
-
-// recvTypeName unwraps a method receiver type down to its named type's name.
-func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // A SuiteDiagnostic is a Diagnostic tagged with the analyzer that produced
@@ -159,7 +103,7 @@ type SuiteDiagnostic struct {
 // analyzer names, missing reasons). knownNames is the full set of analyzer
 // names a directive may legally reference — the complete suite, even when
 // only a subset runs (the test harness runs analyzers one at a time).
-func RunSuite(analyzers []*Analyzer, knownNames map[string]bool, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, deprecated map[string]bool, readRepoFile func(string) ([]byte, error)) ([]SuiteDiagnostic, error) {
+func RunSuite(analyzers []*Analyzer, knownNames map[string]bool, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, readRepoFile func(string) ([]byte, error)) ([]SuiteDiagnostic, error) {
 	allows, hygiene := indexAllows(fset, files, knownNames)
 	var out []SuiteDiagnostic
 	for _, a := range analyzers {
@@ -169,7 +113,6 @@ func RunSuite(analyzers []*Analyzer, knownNames map[string]bool, fset *token.Fil
 			Files:        files,
 			Pkg:          pkg,
 			TypesInfo:    info,
-			Deprecated:   deprecated,
 			ReadRepoFile: readRepoFile,
 		}
 		if err := a.Run(pass); err != nil {

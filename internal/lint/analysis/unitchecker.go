@@ -24,14 +24,15 @@ import (
 //	tool -V=full       print a version line for go's build cache
 //	tool -flags        print the tool's flag definitions as JSON
 //	tool [flags] x.cfg analyze the single compilation unit described by the
-//	                   JSON config file, writing facts to cfg.VetxOutput and
-//	                   diagnostics to stderr (exit 1 when any are found)
+//	                   JSON config file, writing an empty facts file to
+//	                   cfg.VetxOutput and diagnostics to stderr (exit 1 when
+//	                   any are found)
 //
 // go vet drives the tool once per package in the build graph — dependencies
-// run in VetxOnly mode purely to produce facts — handing each invocation the
-// export data of its imports (PackageFile) and the fact files of its direct
-// dependencies (PackageVetx). Everything here sticks to the standard
-// library: the gc export-data importer plus go/parser and go/types replace
+// run in VetxOnly mode, where the tool only writes its (empty) facts file and
+// skips parsing — handing each invocation the export data of its imports (PackageFile). The
+// suite's analyzers are all package-local, so no facts cross units.
+// Everything here sticks to the standard library: the gc export-data importer plus go/parser and go/types replace
 // the x/tools loader.
 
 // vetConfig mirrors cmd/go's vetConfig / unitchecker.Config JSON.
@@ -128,6 +129,10 @@ func runUnit(progname, cfgPath string, analyzers []*Analyzer, known map[string]b
 	if len(cfg.GoFiles) == 0 {
 		fatalf(progname, "package %s has no Go files", cfg.ImportPath)
 	}
+	writeFacts(progname, &cfg)
+	if cfg.VetxOnly {
+		return 0 // no facts to compute for a dependency
+	}
 
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -135,7 +140,7 @@ func runUnit(progname, cfgPath string, analyzers []*Analyzer, known map[string]b
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return writeFacts(progname, &cfg, nil) // compiler will report it
+				return 0 // compiler will report it
 			}
 			fatalf(progname, "%v", err)
 		}
@@ -159,39 +164,12 @@ func runUnit(progname, cfgPath string, analyzers []*Analyzer, known map[string]b
 	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return writeFacts(progname, &cfg, nil)
+			return 0
 		}
 		fatalf(progname, "typechecking %s: %v", cfg.ImportPath, err)
 	}
 
-	// Assemble deprecation facts: this unit's own doc comments plus the
-	// fact files of its direct dependencies (which re-export transitives).
-	deprecated := make(map[string]bool)
-	for depPath, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			continue // no facts recorded for this dependency
-		}
-		if err := DecodeFacts(data, deprecated); err != nil {
-			fatalf(progname, "facts of %s: %v", depPath, err)
-		}
-	}
-	// Standard-library deprecations (ast.Package, importer.ForCompiler, …)
-	// are upstream's business, not this repo's fence: only units of the main
-	// module contribute facts. (cfg.Standard can't tell us — it records the
-	// std-ness of the unit's dependencies, never of the unit itself.)
-	if inModule(cfg.ImportPath, cfg.ModulePath) {
-		CollectDeprecated(NormalizePkgPath(pkg.Path()), files, deprecated)
-	}
-
-	if code := writeFacts(progname, &cfg, deprecated); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	diags, err := RunSuite(analyzers, known, fset, files, pkg, info, deprecated, repoFileReader(cfg.Dir))
+	diags, err := RunSuite(analyzers, known, fset, files, pkg, info, repoFileReader(cfg.Dir))
 	if err != nil {
 		fatalf(progname, "%v", err)
 	}
@@ -204,20 +182,16 @@ func runUnit(progname, cfgPath string, analyzers []*Analyzer, known map[string]b
 	return 0
 }
 
-// writeFacts writes the unit's vetx output file; go vet content-addresses it
-// into the build cache, so it must exist even when empty.
-func writeFacts(progname string, cfg *vetConfig, deprecated map[string]bool) int {
+// writeFacts writes the unit's vetx output file. The suite records no facts,
+// but go vet content-addresses the file into the build cache, so it must
+// exist even though it is empty.
+func writeFacts(progname string, cfg *vetConfig) {
 	if cfg.VetxOutput == "" {
-		return 0
+		return
 	}
-	data, err := EncodeFacts(deprecated)
-	if err != nil {
-		fatalf(progname, "encoding facts: %v", err)
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
+	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 		fatalf(progname, "%v", err)
 	}
-	return 0
 }
 
 // makeImporter resolves imports through the export data go build already
@@ -264,16 +238,6 @@ func repoFileReader(pkgDir string) func(string) ([]byte, error) {
 			dir = parent
 		}
 	}
-}
-
-// inModule reports whether importPath belongs to the module modPath.
-// Standard-library units carry no module path, so they never match.
-func inModule(importPath, modPath string) bool {
-	if modPath == "" {
-		return false
-	}
-	importPath = NormalizePkgPath(importPath)
-	return importPath == modPath || strings.HasPrefix(importPath, modPath+"/")
 }
 
 // goarch returns the architecture go vet is building for; the tool inherits

@@ -1,9 +1,8 @@
 // Package lint is corona-vet: a suite of static-analysis invariants that
 // keep the repository's core guarantees — byte-identical deterministic
 // sweeps, zero-allocation pooled message flow, the typed schedule path,
-// disciplined fault-point naming, structured logging, and a deprecation
-// fence — enforced by the compiler toolchain instead of convention and CI
-// greps. The suite compiles into cmd/corona-vet and runs as
+// disciplined fault-point naming, and structured logging — enforced by the
+// compiler toolchain instead of convention and CI greps. The suite compiles into cmd/corona-vet and runs as
 // `go vet -vettool=corona-vet ./...`; docs/LINTING.md is the catalog.
 //
 // Intentional violations are annotated in place:
@@ -31,7 +30,6 @@ func Analyzers() []*analysis.Analyzer {
 		PoolFlow,
 		FaultPoint,
 		LogDiscipline,
-		DeprecatedCaller,
 	}
 }
 

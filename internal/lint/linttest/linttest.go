@@ -59,15 +59,8 @@ func runOne(t *testing.T, a *analysis.Analyzer, pkgPath string) {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
 
-	// Deprecation facts come from the whole loaded fixture closure — the
-	// harness equivalent of the fact files go vet threads between units.
-	deprecated := make(map[string]bool)
-	for _, p := range ld.loaded {
-		analysis.CollectDeprecated(analysis.NormalizePkgPath(p.pkg.Path()), p.files, deprecated)
-	}
-
 	diags, err := analysis.RunSuite([]*analysis.Analyzer{a}, lint.Names(),
-		ld.fset, target.files, target.pkg, target.info, deprecated, fixtureRepoReader(pkgPath))
+		ld.fset, target.files, target.pkg, target.info, fixtureRepoReader(pkgPath))
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
 	}

@@ -272,6 +272,21 @@ func (c *Controller) Config() Config { return c.cfg }
 // QueueLen returns the number of in-flight transactions.
 func (c *Controller) QueueLen() int { return c.queued }
 
+// Reset returns the controller to its just-constructed state, keeping grown
+// storage so a pooled controller's next run allocates nothing.
+func (c *Controller) Reset() {
+	c.inLink.booked = c.inLink.booked[:0]
+	if !c.cfg.HalfDuplex {
+		c.outLink.booked = c.outLink.booked[:0]
+	}
+	clear(c.banks)
+	c.queued = 0
+	c.waiters.Reset()
+	c.inflight.Reset()
+	c.Served, c.BytesMoved, c.QueueFullRefusals = 0, 0, 0
+	c.TotalLatency = 0
+}
+
 // chainDelay is the extra propagation from daisy-chained OCM modules: the
 // light passes through each module un-buffered, so the delay is small and
 // uniform across modules (Section 3.3 / Figure 6c).

@@ -188,7 +188,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"corona_queue_depth 0",
 		"corona_queue_capacity 16",
 		"corona_cells_completed_total 6",
-		"corona_cells_per_second",
 		"corona_uptime_seconds",
 		"corona_fleet_workers 2",
 		"corona_fleet_shard_retries_total 0",

@@ -4,9 +4,9 @@ package server
 // of the daemon's operational surface — no client library, because the
 // whole format is "# HELP / # TYPE / name{labels} value" lines and a
 // dependency would outweigh it. Everything /healthz reports is here in
-// scrapeable form, plus throughput (a cells/sec gauge computed over a short
-// window of recent scrapes) and, on a coordinator, the fleet dispatch and
-// retry counters.
+// scrapeable form, plus throughput (a cells-completed counter; the scraper
+// computes its rate()) and, on a coordinator, the fleet dispatch and retry
+// counters.
 
 import (
 	"fmt"
@@ -15,48 +15,6 @@ import (
 	"strings"
 	"time"
 )
-
-// scrapeSample is one (when, cellsDone) observation; the server keeps a
-// short ring of them so corona_cells_per_second reflects recent throughput
-// rather than a lifetime average diluted by idle hours.
-type scrapeSample struct {
-	at    time.Time
-	cells uint64
-}
-
-// scrape windowing: samples older than rateWindow no longer inform the
-// cells/sec gauge, and the ring never grows past scrapeKeep entries.
-const (
-	rateWindow = 60 * time.Second
-	scrapeKeep = 32
-)
-
-// cellRate records a scrape observation and returns cells completed per
-// second over the retained window: the delta against the oldest in-window
-// sample. The first scrape (nothing to diff against) reports zero.
-func (s *Server) cellRate(now time.Time, cells uint64) float64 {
-	s.mxMu.Lock()
-	defer s.mxMu.Unlock()
-	keep := s.mxScrape[:0]
-	for _, smp := range s.mxScrape {
-		if now.Sub(smp.at) <= rateWindow {
-			keep = append(keep, smp)
-		}
-	}
-	s.mxScrape = keep
-	var rate float64
-	if len(s.mxScrape) > 0 {
-		oldest := s.mxScrape[0]
-		if dt := now.Sub(oldest.at).Seconds(); dt > 0 && cells >= oldest.cells {
-			rate = float64(cells-oldest.cells) / dt
-		}
-	}
-	s.mxScrape = append(s.mxScrape, scrapeSample{at: now, cells: cells})
-	if len(s.mxScrape) > scrapeKeep {
-		s.mxScrape = s.mxScrape[len(s.mxScrape)-scrapeKeep:]
-	}
-	return rate
-}
 
 // metricsView is the point-in-time state a scrape renders: counts by job
 // status plus the queue and store signals /healthz also reports.
@@ -94,7 +52,6 @@ func (s *Server) metricsSnapshot() metricsView {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
 	cells := s.cellsDone.Load()
-	rate := s.cellRate(now, cells)
 	v := s.metricsSnapshot()
 
 	var b strings.Builder
@@ -115,7 +72,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("corona_queue_depth", "Jobs waiting in the admission queue.", float64(v.queued))
 	gauge("corona_queue_capacity", "Admission queue bound; depth at capacity means 503s.", float64(v.capacity))
 	counter("corona_cells_completed_total", "Sweep cells completed (or restored from the journal) since start.", float64(cells))
-	gauge("corona_cells_per_second", "Cell completion rate over the recent scrape window.", rate)
 	if v.hasStore {
 		gauge("corona_store_healthy", "1 while the journal store accepts appends, 0 once wedged.", v.storeOK)
 	}

@@ -131,9 +131,6 @@ type Server struct {
 	started   time.Time     // for /metrics uptime
 	cellsDone atomic.Uint64 // cells appended to any job, for /metrics
 
-	mxMu     sync.Mutex     // guards the cells/sec scrape window
-	mxScrape []scrapeSample // recent (time, cellsDone) samples
-
 	ctx    context.Context // canceled by Close: stops every running job
 	cancel context.CancelFunc
 	wg     sync.WaitGroup

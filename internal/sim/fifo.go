@@ -34,23 +34,12 @@ func (q *Fifo[T]) Empty() bool { return q.head == len(q.buf) }
 // Front returns the head element without removing it.
 func (q *Fifo[T]) Front() T { return q.buf[q.head] }
 
-// At returns the i-th queued element (0 = head) without removing it.
-func (q *Fifo[T]) At(i int) T { return q.buf[q.head+i] }
-
 // Reset drops every element and clears the whole backing buffer (so no
 // references linger in capacity), keeping the grown capacity for reuse.
 func (q *Fifo[T]) Reset() {
 	clear(q.buf[:cap(q.buf)])
 	q.buf = q.buf[:0]
 	q.head = 0
-}
-
-// CopyFrom overwrites q with src's live window. The copy is compacted (head
-// 0), which is observationally identical: only the live element sequence is
-// visible through the Fifo API.
-func (q *Fifo[T]) CopyFrom(src *Fifo[T]) {
-	q.Reset()
-	q.buf = append(q.buf, src.buf[src.head:]...)
 }
 
 // Pop removes and returns the head element. Popped (and compacted-over)

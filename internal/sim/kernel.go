@@ -321,24 +321,6 @@ func (k *Kernel) freeChunk(c *chunk) {
 	k.free = c
 }
 
-// each calls fn on every event of bucket idx at level, in FIFO order.
-func (k *Kernel) each(level, idx int, fn func(event)) {
-	f := &k.levels[level].buckets[idx]
-	for c, r := f.head, f.r; c != nil; c, r = c.next, 0 {
-		end := int32(chunkCap)
-		if c == f.tail {
-			end = f.w
-		}
-		for i := r; i < end; i++ {
-			when := k.base + Time(idx) // level 0: the bucket is the timestamp
-			if level != 0 {
-				when = c.when[i]
-			}
-			fn(event{when, c.ev[i].h, c.ev[i].data})
-		}
-	}
-}
-
 // release returns the chunks of bucket idx at level to the pool and leaves
 // the bucket empty.
 func (k *Kernel) release(level, idx int) {
@@ -351,6 +333,25 @@ func (k *Kernel) release(level, idx int) {
 	}
 	*f = fifo{}
 	lv.occ[idx>>6] &^= 1 << (idx & 63)
+}
+
+// Reset returns the kernel to its just-constructed state — time zero, no
+// events — returning every bucket's chunks to the pool and keeping the heap's
+// capacity, so a pooled kernel's next run schedules without allocating.
+func (k *Kernel) Reset() {
+	for level := range k.levels {
+		for idx := range k.levels[level].buckets {
+			if k.levels[level].buckets[idx].head != nil {
+				k.release(level, idx)
+			}
+		}
+	}
+	k.now, k.seq, k.executed, k.base = 0, 0, 0, 0
+	k.stopped = false
+	k.cur0 = 0
+	k.pending = 0
+	clear(k.overflow)
+	k.overflow = k.overflow[:0]
 }
 
 // firstSet returns the index of the lowest set bit in the occupancy bitmap.
@@ -566,22 +567,6 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 	if k.now < t {
 		k.now = t
-	}
-}
-
-// RunBefore executes events with timestamps strictly less than t, leaving
-// the clock at the last dispatched event — unlike RunUntil it never coasts
-// the clock forward, so the kernel's state afterwards is exactly the state
-// an uninterrupted run passes through between two events. It is the
-// run-to-warmup-barrier primitive (docs/DETERMINISM.md).
-func (k *Kernel) RunBefore(t Time) {
-	k.stopped = false
-	for !k.stopped {
-		when, ok := k.peek()
-		if !ok || when >= t {
-			return
-		}
-		k.Step()
 	}
 }
 

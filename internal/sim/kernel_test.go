@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +180,138 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if got := Time(5e9).Seconds(); got != 1 {
 		t.Errorf("Time(5e9).Seconds() = %v, want 1", got)
+	}
+}
+
+// randRecorder is a typed handler that records its dispatches and keeps a
+// randomized self-perpetuating schedule going, exercising same-cycle ties,
+// cascades, and overflow-heap territory.
+type randRecorder struct {
+	k     *Kernel
+	rng   *Rand
+	trace []recEvent
+	left  int
+}
+
+type recEvent struct {
+	when Time
+	data uint64
+}
+
+func (r *randRecorder) OnEvent(now Time, data uint64) {
+	r.trace = append(r.trace, recEvent{now, data})
+	if r.left <= 0 {
+		return
+	}
+	r.left--
+	// A burst of follow-on events across all wheel spans, with deliberate
+	// same-cycle ties.
+	n := 1 + r.rng.Intn(3)
+	for i := 0; i < n; i++ {
+		var delay Time
+		switch r.rng.Intn(5) {
+		case 0:
+			delay = 0
+		case 1:
+			delay = Time(r.rng.Intn(256))
+		case 2:
+			delay = Time(r.rng.Intn(1 << 16))
+		case 3:
+			delay = Time(r.rng.Intn(1 << 24))
+		default:
+			delay = Time(r.rng.Intn(1 << 26)) // past the wheel horizon
+		}
+		r.k.ScheduleEvent(delay, r, r.rng.Uint64()%1000)
+	}
+}
+
+func seedRecorder(k *Kernel, seed uint64, left int) *randRecorder {
+	r := &randRecorder{k: k, rng: NewRand(seed), left: left}
+	for i := 0; i < 8; i++ {
+		k.ScheduleEvent(Time(r.rng.Intn(1<<20)), r, uint64(i))
+	}
+	return r
+}
+
+// TestKernelResetMatchesFresh pins that a Reset kernel behaves exactly like a
+// new one over a randomized schedule.
+func TestKernelResetMatchesFresh(t *testing.T) {
+	dirty := NewKernel()
+	seedRecorder(dirty, 11, 200)
+	for i := 0; i < 500; i++ {
+		dirty.Step()
+	}
+	dirty.Reset()
+	if dirty.Now() != 0 || dirty.Pending() != 0 || dirty.Executed() != 0 {
+		t.Fatalf("Reset left state: now=%d pending=%d executed=%d", dirty.Now(), dirty.Pending(), dirty.Executed())
+	}
+
+	fresh := NewKernel()
+	rd := seedRecorder(dirty, 13, 300)
+	rf := seedRecorder(fresh, 13, 300)
+	dirty.Run()
+	fresh.Run()
+	if !reflect.DeepEqual(rd.trace, rf.trace) {
+		t.Fatal("reset kernel diverges from fresh kernel")
+	}
+}
+
+// burstRecorder records its dispatches; every event whose data is a multiple
+// of 7 spawns a burst of more than three chunks over the next three cycles,
+// so bucket FIFOs are routinely partway through a chunk.
+type burstRecorder struct {
+	k     *Kernel
+	trace []recEvent
+	left  int
+	next  uint64
+}
+
+func (r *burstRecorder) OnEvent(now Time, data uint64) {
+	r.trace = append(r.trace, recEvent{now, data})
+	if r.left <= 0 {
+		return
+	}
+	r.left--
+	n := 1
+	if data%7 == 0 {
+		n = 3*chunkCap + 2
+	}
+	for i := 0; i < n; i++ {
+		r.next++
+		r.k.ScheduleEvent(Time(r.next%3), r, r.next)
+	}
+}
+
+func seedBursts(k *Kernel, left int) *burstRecorder {
+	r := &burstRecorder{k: k, left: left, next: 100}
+	for i := uint64(0); i < 3*chunkCap; i++ {
+		k.ScheduleEvent(Time(i%2), r, i)
+	}
+	k.ScheduleEvent(span1+5, r, 7) // a level-1 resident across the cut
+	return r
+}
+
+// TestKernelResetPartialChunks resets a burst-heavy run at points that leave
+// buckets partway through a chunk, and requires the reset kernel to then
+// behave like a new one.
+func TestKernelResetPartialChunks(t *testing.T) {
+	oracle := NewKernel()
+	or := seedBursts(oracle, 60)
+	oracle.Run()
+	for _, cut := range []int{1, chunkCap / 2, chunkCap + 1, 2*chunkCap + 3, len(or.trace) / 2, len(or.trace) - 1} {
+		k := NewKernel()
+		seedBursts(k, 60)
+		if n := k.RunLimit(uint64(cut)); n != uint64(cut) {
+			t.Fatalf("cut %d: kernel drained after %d events", cut, n)
+		}
+		k.Reset()
+		if k.Pending() != 0 || k.Now() != 0 {
+			t.Fatalf("cut %d: Reset left pending=%d now=%d", cut, k.Pending(), k.Now())
+		}
+		again := seedBursts(k, 60)
+		k.Run()
+		if !reflect.DeepEqual(again.trace, or.trace) {
+			t.Fatalf("cut %d: reset kernel diverges from a fresh one", cut)
+		}
 	}
 }

@@ -180,34 +180,6 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 // Name implements noc.Network.
 func (x *Crossbar) Name() string { return "swmr" }
 
-// Quiescent implements noc.Quiescer: nil only when the crossbar is in its
-// construction state — empty source FIFOs, full credit pools, no waiting
-// sources, no in-flight deliveries, and (when tuned) a virgin receiver
-// arbiter.
-func (x *Crossbar) Quiescent() error {
-	for src := range x.queues {
-		q := &x.queues[src]
-		if !q.msgs.Empty() || q.active {
-			return fmt.Errorf("swmr: source %d queue busy (%d queued, active=%v)", src, q.msgs.Len(), q.active)
-		}
-	}
-	for d := range x.credits {
-		if x.credits[d] != x.cfg.RecvBuffer {
-			return fmt.Errorf("swmr: cluster %d holds %d/%d credits", d, x.credits[d], x.cfg.RecvBuffer)
-		}
-		if !x.creditWait[d].Empty() {
-			return fmt.Errorf("swmr: cluster %d has %d sources waiting on credits", d, x.creditWait[d].Len())
-		}
-	}
-	if n := x.slots.Len(); n != 0 {
-		return fmt.Errorf("swmr: %d messages in flight", n)
-	}
-	if x.arb != nil {
-		return x.arb.Quiescent()
-	}
-	return nil
-}
-
 // Reset implements noc.Resetter: restore the construction state in place,
 // keeping the message pool and grown queue capacity. Delivery callbacks are
 // left installed; a reusing System overwrites them via SetDeliver.

@@ -154,20 +154,6 @@ func intSqrt(n int) int {
 // Clusters returns the endpoint count.
 func (g *Generator) Clusters() int { return g.clusters }
 
-// Clone returns an independent deep copy that continues the same per-cluster
-// streams: the snapshot primitive for generator-backed runs
-// (docs/DETERMINISM.md).
-func (g *Generator) Clone() *Generator {
-	c := *g
-	c.rngs = make([]*sim.Rand, len(g.rngs))
-	for i, r := range g.rngs {
-		c.rngs[i] = r.Clone()
-	}
-	c.next = append([]sim.Time(nil), g.next...)
-	c.thread = append([]int(nil), g.thread...)
-	return &c
-}
-
 // inBurstWindow reports whether t falls inside the burst window of its phase
 // and returns the phase index.
 func (g *Generator) inBurstWindow(t sim.Time) (bool, uint64) {

@@ -150,32 +150,6 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 // Name implements noc.Network.
 func (x *Crossbar) Name() string { return "xbar" }
 
-// Quiescent implements noc.Quiescer: nil only when the crossbar is in its
-// construction state — empty injection FIFOs, full credit pools, no waiting
-// writers, no in-flight deliveries, and a virgin arbiter.
-func (x *Crossbar) Quiescent() error {
-	for src := range x.queues {
-		for dst := range x.queues[src] {
-			q := &x.queues[src][dst]
-			if !q.msgs.Empty() || q.active {
-				return fmt.Errorf("xbar: queue (%d,%d) busy (%d queued, active=%v)", src, dst, q.msgs.Len(), q.active)
-			}
-		}
-	}
-	for d := range x.credits {
-		if x.credits[d] != x.cfg.RecvBuffer {
-			return fmt.Errorf("xbar: cluster %d holds %d/%d credits", d, x.credits[d], x.cfg.RecvBuffer)
-		}
-		if !x.creditWait[d].Empty() {
-			return fmt.Errorf("xbar: cluster %d has %d writers waiting on credits", d, x.creditWait[d].Len())
-		}
-	}
-	if n := x.slots.Len(); n != 0 {
-		return fmt.Errorf("xbar: %d messages in flight", n)
-	}
-	return x.arb.Quiescent()
-}
-
 // Reset implements noc.Resetter: restore the construction state in place,
 // keeping the message pool and grown queue capacity. Delivery callbacks are
 // left installed; a reusing System overwrites them via SetDeliver.
