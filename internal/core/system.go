@@ -83,6 +83,10 @@ type System struct {
 	txnSlots sim.Slots[txn]
 	msgSlots sim.Slots[*noc.Message]
 
+	// polls holds the members of every pending injection-poll run, in
+	// dispatch order (pollEvent, schedulePoll).
+	polls pollRing
+
 	// onMSHRFree, when set, is called with the cluster id whenever that
 	// cluster retires a transaction; the runner uses it to resume issue.
 	onMSHRFree func(cluster int)
@@ -94,10 +98,63 @@ type hub struct {
 	id   int
 	mshr *cache.MSHR
 	// outq holds messages awaiting network injection, per destination, with
-	// one retry timer per destination (outArmed) — unbounded here because
+	// one retry poll per destination (outArmed) — unbounded here because
 	// the MSHR file already bounds the cluster's outstanding work.
 	outq     []sim.Fifo[*noc.Message]
 	outArmed []bool
+}
+
+// A poll word packs one pending injection poll: the refusal memo in the low
+// 32 bits, then the destination and the hub, and pollRunStart on the first
+// member of each run.
+const (
+	pollDstShift  = 32
+	pollHubShift  = 47
+	pollFieldMask = 1<<15 - 1
+	pollRunStart  = 1 << 63
+
+	// maxClusters is the largest machine a poll word can address.
+	maxClusters = pollFieldMask + 1
+)
+
+// pollRing is a FIFO of poll words over a power-of-two buffer. Every
+// pending poll waits on a queued message, so a cell holds at most as many
+// as it has transactions in flight: NewSystem sizes the ring for 4 per hub,
+// which covers small cells, and a busier cell doubles it, at most up to one
+// poll per hub and destination (outArmed).
+type pollRing struct {
+	buf        []uint64
+	head, tail uint32 // free-running; buf index is value & (len(buf)-1)
+}
+
+func newPollRing(clusters int) pollRing {
+	n := 1
+	for n < 4*clusters {
+		n <<= 1
+	}
+	return pollRing{buf: make([]uint64, n)}
+}
+
+func (q *pollRing) empty() bool { return q.head == q.tail }
+
+func (q *pollRing) front() uint64 { return q.buf[q.head&uint32(len(q.buf)-1)] }
+
+func (q *pollRing) pop() uint64 {
+	p := q.buf[q.head&uint32(len(q.buf)-1)]
+	q.head++
+	return p
+}
+
+func (q *pollRing) push(p uint64) {
+	if int(q.tail-q.head) == len(q.buf) {
+		buf := make([]uint64, 2*len(q.buf))
+		for i := range q.buf {
+			buf[i] = q.buf[(q.head+uint32(i))&uint32(len(q.buf)-1)]
+		}
+		q.buf, q.head, q.tail = buf, 0, uint32(len(q.buf))
+	}
+	q.buf[q.tail&uint32(len(q.buf)-1)] = p
+	q.tail++
 }
 
 // Hub kernel events run on the typed fast path via named views of the hub.
@@ -115,22 +172,34 @@ func (e *submitLocalEvent) OnEvent(_ sim.Time, data uint64) {
 	h.submitLocal(data)
 }
 
-// pumpRetryEvent re-drives a back-pressured injection queue. Its data word
-// packs the destination (low 32 bits) with the memo of the refusal that
-// armed it (high 32 bits, see refusalMemo). While the memo still matches,
-// the network would refuse the same head again, so the event only re-arms —
-// the reschedule a refused Send leads to — without touching the queue.
-type pumpRetryEvent hub
+// pollEvent dispatches one run of injection polls: consecutive polls of
+// one timestamp share a single kernel event (schedulePoll), and the handler
+// runs them in order from the front of s.polls. Each member re-drives one
+// hub's back-pressured injection queue for one destination. While its memo
+// still matches (see refusalMemo), the network would refuse the same head
+// again, so the member only re-arms — the reschedule a refused Send leads
+// to — without touching the queue.
+type pollEvent System
 
-func (e *pumpRetryEvent) OnEvent(_ sim.Time, data uint64) {
-	h := (*hub)(e)
-	if memo := uint32(data >> 32); memo != 0 && memo == h.refusalMemo() {
-		h.sys.K.ScheduleEvent(2, e, data)
-		return
+func (e *pollEvent) OnEvent(sim.Time, uint64) {
+	s := (*System)(e)
+	var folded uint64
+	for {
+		p := s.polls.pop()
+		h := s.hubs[p>>pollHubShift&pollFieldMask]
+		if memo := uint32(p); memo != 0 && memo == h.refusalMemo() {
+			s.schedulePoll(p &^ pollRunStart)
+		} else {
+			dst := int(p >> pollDstShift & pollFieldMask)
+			h.outArmed[dst] = false
+			h.pumpOut(dst)
+		}
+		if s.polls.empty() || s.polls.front()&pollRunStart != 0 {
+			break
+		}
+		folded++
 	}
-	dst := int(uint32(data))
-	h.outArmed[dst] = false
-	h.pumpOut(dst)
+	s.K.CountExecuted(folded)
 }
 
 // respondEvent is the memory controller's typed completion for remote
@@ -177,6 +246,10 @@ func NewSystem(cfg config.System) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, &ConfigError{Name: cfg.Name(), Err: err}
 	}
+	if cfg.Clusters > maxClusters {
+		return nil, &ConfigError{Name: cfg.Name(), Err: fmt.Errorf(
+			"core: %s: %d clusters exceeds the supported %d", cfg.Name(), cfg.Clusters, maxClusters)}
+	}
 	k := sim.NewKernel()
 	s := &System{
 		K:       k,
@@ -184,6 +257,7 @@ func NewSystem(cfg config.System) (*System, error) {
 		MCs:     make([]*memory.Controller, cfg.Clusters),
 		hubs:    make([]*hub, cfg.Clusters),
 		Latency: stats.NewHistogram(1 << 17),
+		polls:   newPollRing(cfg.Clusters),
 	}
 	fab, _ := noc.Lookup(cfg.Fabric) // Validate guarantees registration
 	net, err := fab.Build(k, cfg.Params())
@@ -235,6 +309,7 @@ func (s *System) Reset() error {
 	s.WireBytes, s.completed, s.nextID = 0, 0, 0
 	s.txnSlots.Reset()
 	s.msgSlots.Reset()
+	s.polls.head, s.polls.tail = 0, 0
 	s.onMSHRFree = nil
 	return nil
 }
@@ -308,14 +383,28 @@ func (h *hub) send(m *noc.Message) {
 	h.pumpOut(m.Dst)
 }
 
-// armRetry schedules the (single) injection retry timer for dst. It is
-// called right after the network refused the head of outq[dst], so the
-// timer carries that refusal's memo.
+// armRetry arms the (single) injection retry poll for dst. It is called
+// right after the network refused the head of outq[dst], so the poll
+// carries that refusal's memo.
 func (h *hub) armRetry(dst int) {
 	if !h.outArmed[dst] {
 		h.outArmed[dst] = true
-		h.sys.K.ScheduleEvent(2, (*pumpRetryEvent)(h), uint64(dst)|uint64(h.refusalMemo())<<32)
+		h.sys.schedulePoll(uint64(h.id)<<pollHubShift | uint64(dst)<<pollDstShift | uint64(h.refusalMemo()))
 	}
+}
+
+// schedulePoll queues poll p to run 2 cycles from now. It joins the newest
+// run while that run's kernel event is still the tail of its bucket, so the
+// poll holds exactly the FIFO position an event of its own would take, and
+// otherwise starts a run with a new kernel event. Runs dispatch in the order
+// they were created, so their members sit back to back in s.polls.
+func (s *System) schedulePoll(p uint64) {
+	at := s.K.Now() + 2
+	if !s.K.TailIs(at, (*pollEvent)(s)) {
+		p |= pollRunStart
+		s.K.AtEvent(at, (*pollEvent)(s), 0)
+	}
+	s.polls.push(p)
 }
 
 // refusalMemo identifies this hub's injection state for the refusal memo:
@@ -326,7 +415,7 @@ func (h *hub) armRetry(dst int) {
 func (h *hub) refusalMemo() uint32 { return uint32(h.sys.Net.InjectEpoch(h.id)) + 1 }
 
 // pumpOut injects as many queued messages for dst as the network accepts,
-// then arms a single retry timer on back pressure.
+// then arms a single retry poll on back pressure.
 func (h *hub) pumpOut(dst int) {
 	q := &h.outq[dst]
 	for !q.Empty() {

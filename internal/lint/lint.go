@@ -49,7 +49,7 @@ func Names() map[string]bool {
 // legitimate operational state there.
 var simPackages = map[string]bool{
 	"sim": true, "core": true, "noc": true, "xbar": true, "mesh": true,
-	"swmr": true, "bus": true, "netif": true, "memory": true, "cohsim": true,
+	"swmr": true, "bus": true, "memory": true, "cohsim": true,
 	"coherence": true, "arbiter": true, "stats": true, "trace": true,
 	"traffic": true, "photonic": true, "power": true,
 }

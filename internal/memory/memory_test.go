@@ -251,6 +251,11 @@ func TestInvalidRequestPanics(t *testing.T) {
 	c.Submit(&Request{ID: 1, ReqBytes: 0})
 }
 
+// funcEvent adapts a test closure to sim.Handler for NotifySpaceEvent.
+type funcEvent func()
+
+func (f funcEvent) OnEvent(sim.Time, uint64) { f() }
+
 func TestNotifySpace(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := OCMConfig()
@@ -262,12 +267,12 @@ func TestNotifySpace(t *testing.T) {
 	c.Submit(&Request{ID: 1, Addr: 0, ReqBytes: 16, RspBytes: 72})
 	// Queue is full: the callback must fire only after the retirement.
 	fired := false
-	c.NotifySpace(func() {
+	c.NotifySpaceEvent(funcEvent(func() {
 		fired = true
 		if c.QueueLen() >= cfg.QueueDepth {
-			t.Error("NotifySpace fired while the queue was still full")
+			t.Error("NotifySpaceEvent fired while the queue was still full")
 		}
-	})
+	}), 0)
 	if fired {
 		t.Fatal("callback fired synchronously on a full queue")
 	}
@@ -277,10 +282,10 @@ func TestNotifySpace(t *testing.T) {
 	}
 	// With space available the callback fires on the next event.
 	fired = false
-	c.NotifySpace(func() { fired = true })
+	c.NotifySpaceEvent(funcEvent(func() { fired = true }), 0)
 	k.Run()
 	if !fired {
-		t.Fatal("immediate NotifySpace never fired")
+		t.Fatal("immediate NotifySpaceEvent never fired")
 	}
 }
 
@@ -291,10 +296,10 @@ func TestNotifySpaceFIFO(t *testing.T) {
 	c := NewController(k, cfg, 0)
 	var order []int
 	submitAndWait := func(tag int) {
-		c.NotifySpace(func() {
+		c.NotifySpaceEvent(funcEvent(func() {
 			order = append(order, tag)
 			c.Submit(&Request{ID: uint64(tag), Addr: uint64(tag) << 12, ReqBytes: 16, RspBytes: 72})
-		})
+		}), 0)
 	}
 	c.Submit(&Request{ID: 99, Addr: 0, ReqBytes: 16, RspBytes: 72})
 	submitAndWait(1)

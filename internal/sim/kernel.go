@@ -180,11 +180,32 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending returns the number of scheduled, not-yet-executed events.
+// Pending returns the number of scheduled, not-yet-executed kernel events; a
+// coalesced run is one.
 func (k *Kernel) Pending() int { return k.pending }
 
-// Executed returns the number of events dispatched so far.
+// Executed returns the number of events dispatched so far, counting each
+// member of a coalesced run (CountExecuted) as one event.
 func (k *Kernel) Executed() uint64 { return k.executed }
+
+// TailIs reports whether the last event appended to the level-0 bucket for
+// time t has handler h. A component that coalesces runs of same-timestamp
+// events uses it to fold a new member into its run event: while that event
+// is still its bucket's tail, the member holds exactly the FIFO position an
+// event of its own would take. TailIs reports false when t lies outside the
+// level-0 window or the bucket is empty.
+func (k *Kernel) TailIs(t Time, h Handler) bool {
+	if t-k.base >= span0 {
+		return false
+	}
+	f := &k.levels[0].buckets[int(t)&wheelMask]
+	return f.tail != nil && f.tail.ev[f.w-1].h == h
+}
+
+// CountExecuted adds n to Executed: a handler whose one dispatch runs a
+// coalesced run of n+1 logical events reports the n it folded in, so
+// Executed keeps counting logical events.
+func (k *Kernel) CountExecuted(n uint64) { k.executed += n }
 
 // Schedule runs fn after delay cycles (possibly zero, meaning "later this
 // cycle", after already-queued events for the current time). This is the

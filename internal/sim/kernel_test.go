@@ -315,3 +315,64 @@ func TestKernelResetPartialChunks(t *testing.T) {
 		}
 	}
 }
+
+// tailEvent is a distinct, pointer-identified handler for TestKernelTailIs.
+type tailEvent struct{ ran int }
+
+func (e *tailEvent) OnEvent(Time, uint64) { e.ran++ }
+
+// TestKernelTailIs pins the coalescing query: it names the last event
+// appended to a level-0 bucket, and reports false for a displaced tail, for
+// a timestamp outside the level-0 window, for a drained bucket, and after
+// Reset. CountExecuted folds coalesced events into Executed.
+func TestKernelTailIs(t *testing.T) {
+	k := NewKernel()
+	a, b := &tailEvent{}, &tailEvent{}
+	if k.TailIs(5, a) {
+		t.Fatal("empty bucket reports a tail")
+	}
+	k.ScheduleEvent(5, a, 0)
+	if !k.TailIs(5, a) || k.TailIs(5, b) || k.TailIs(6, a) {
+		t.Fatal("TailIs does not name the one event in bucket 5")
+	}
+	k.ScheduleEvent(5, b, 0)
+	if k.TailIs(5, a) || !k.TailIs(5, b) {
+		t.Fatal("a later append did not displace the tail")
+	}
+	// Fill a bucket past one chunk so its tail lives in a later chunk.
+	for i := 0; i < chunkCap; i++ {
+		k.ScheduleEvent(7, b, 0)
+	}
+	k.ScheduleEvent(7, a, 0)
+	if !k.TailIs(7, a) {
+		t.Fatal("TailIs misses the tail of a multi-chunk bucket")
+	}
+	// span0 is the first timestamp past the level-0 window at base 0; the
+	// event lands in level 1.
+	k.ScheduleEvent(span0, a, 0)
+	if k.TailIs(span0, a) {
+		t.Fatal("TailIs reports a tail outside the level-0 window")
+	}
+	if k.TailIs(span0-1, a) || k.TailIs(span0-1, b) {
+		t.Fatal("the empty last bucket of the window reports a tail")
+	}
+	k.RunUntil(5)
+	if k.TailIs(5, b) || k.TailIs(5, a) {
+		t.Fatal("a drained bucket reports a tail")
+	}
+	if k.Executed() != 2 {
+		t.Fatalf("Executed = %d after two dispatches, want 2", k.Executed())
+	}
+	k.CountExecuted(3)
+	if k.Executed() != 5 {
+		t.Fatalf("Executed = %d after CountExecuted(3), want 5", k.Executed())
+	}
+	k.Reset()
+	if k.TailIs(7, a) || k.Executed() != 0 {
+		t.Fatal("Reset kept a bucket tail or the executed count")
+	}
+	k.ScheduleEvent(7, a, 0)
+	if !k.TailIs(7, a) {
+		t.Fatal("a reset kernel does not report a new tail")
+	}
+}
