@@ -8,13 +8,12 @@ WORKDIR /src
 COPY go.mod ./
 COPY . .
 RUN CGO_ENABLED=0 go build -trimpath -ldflags='-s -w' -o /out/corona-serve ./cmd/corona-serve \
- && CGO_ENABLED=0 go build -trimpath -ldflags='-s -w' -o /out/corona-sweep ./cmd/corona-sweep \
- && CGO_ENABLED=0 go build -trimpath -ldflags='-s -w' -o /out/corona-bench ./cmd/corona-bench
+ && CGO_ENABLED=0 go build -trimpath -ldflags='-s -w' -o /out/corona-sweep ./cmd/corona-sweep
 
 FROM alpine:3.20
 RUN adduser -D -u 10001 corona \
  && mkdir -p /data && chown corona /data
-COPY --from=build /out/corona-serve /out/corona-sweep /out/corona-bench /usr/local/bin/
+COPY --from=build /out/corona-serve /out/corona-sweep /usr/local/bin/
 USER corona
 # Flags read CORONA_* env defaults (flag wins); containers bind all
 # interfaces so the fleet and the host can reach them.

@@ -197,31 +197,16 @@ func (k *seedKernel) RunLimit(n uint64) {
 	}
 }
 
-// BenchmarkKernel compares scheduler paths on the same self-perpetuating
-// workload; events/s is the headline metric, allocs/op the zero-allocation
-// check (typed path: 0 steady-state allocs; closure paths: one closure per
-// event plus queue growth).
+// BenchmarkKernel compares the wheel kernel with the seed's heap scheduler on
+// the same self-perpetuating workload; events/s is the headline metric,
+// allocs/op the zero-allocation check (typed: 0 steady-state allocs;
+// seed-heap: one closure per event plus queue growth).
 func BenchmarkKernel(b *testing.B) {
 	b.Run("typed", func(b *testing.B) {
 		k := sim.NewKernel()
 		h := &benchHandler{k: k}
 		for i := 0; i < kernelChains; i++ {
 			k.ScheduleEvent(sim.Time(i&15)+1, h, uint64(i)*7919)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		k.RunLimit(uint64(b.N))
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
-	b.Run("closure", func(b *testing.B) {
-		k := sim.NewKernel()
-		var step func(data uint64)
-		step = func(data uint64) {
-			next := kernelNextData(data)
-			k.Schedule(kernelDelay(data), func() { step(next) })
-		}
-		for i := 0; i < kernelChains; i++ {
-			step(uint64(i) * 7919)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -7,7 +7,6 @@
 //	corona-sweep [-config scenario.json] [-requests N] [-seed S]
 //	             [-workers W] [-cache DIR] [-fig 8|9|10|11|all] [-v]
 //	             [-cpuprofile FILE] [-memprofile FILE]
-//	             [-bench-out FILE.json]
 //
 // With -config, the matrix comes from a JSON scenario file instead: any
 // set of machines (presets like "XBar/OCM" or declarative fabric + params
@@ -37,15 +36,11 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the sweep (CPU over the
 // whole run, heap at exit) for inspection with `go tool pprof`; see
-// docs/PERFORMANCE.md for the workflow. -bench-out writes a machine-readable
-// JSON perf record (wall time, cells, kernel events, events/s, allocations)
-// for tracking the simulator's performance trajectory across commits —
-// BENCH_5.json at the repository root is a checked-in example.
+// docs/PERFORMANCE.md for the workflow.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -75,7 +70,6 @@ func run() (code int) {
 	verbose := flag.Bool("v", false, "print per-cell progress")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the sweep")
-	benchOut := flag.String("bench-out", "", "write a machine-readable perf record of the sweep to this JSON file")
 	flag.Parse()
 
 	// Ctrl-C / SIGTERM cancel the sweep's context; the engine drains, keeps
@@ -127,8 +121,6 @@ func run() (code int) {
 	}
 
 	client := core.NewClient(core.WithWorkers(*workers), core.WithCacheDir(*cacheDir))
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	job, err := client.Submit(ctx, s)
 	if err != nil {
@@ -163,21 +155,8 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "corona-sweep: %v\n", err)
 		return 1
 	}
-	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "sweep of %d cells x %d requests took %v\n",
-		total, s.Requests, elapsed.Round(time.Millisecond))
-	// The perf record is a side channel: write it after the tables below, so
-	// an unwritable -bench-out path can never discard a finished sweep's
-	// primary output.
-	defer func() {
-		if *benchOut == "" {
-			return
-		}
-		if err := writeBenchRecord(*benchOut, s, *workers, elapsed, memBefore); err != nil {
-			fmt.Fprintf(os.Stderr, "corona-sweep: -bench-out: %v\n", err)
-			code = 1
-		}
-	}()
+		total, s.Requests, time.Since(start).Round(time.Millisecond))
 
 	show := func(name, title string, tab fmt.Stringer) {
 		if *fig != "all" && *fig != name {
@@ -204,66 +183,6 @@ func run() (code int) {
 		}
 	}
 	return 0
-}
-
-// benchRecord is the machine-readable perf record -bench-out emits: enough
-// to track the simulator's throughput and allocation trajectory across
-// commits (BENCH_5.json in the repository root is one of these, produced at
-// the PR that introduced the flag).
-type benchRecord struct {
-	Schema int `json:"schema"`
-	// Shape of the run.
-	Cells    int    `json:"cells"`
-	Requests int    `json:"requests"`
-	Workers  int    `json:"workers"`
-	Seed     uint64 `json:"seed"`
-	// Measured results.
-	WallSeconds   float64 `json:"wall_seconds"`
-	KernelEvents  uint64  `json:"kernel_events"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	Allocs        uint64  `json:"allocs"`
-	AllocsPerCell float64 `json:"allocs_per_cell"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	GoVersion     string  `json:"go_version"`
-}
-
-// writeBenchRecord snapshots the finished sweep's performance into path.
-func writeBenchRecord(path string, s *core.Sweep, workers int, elapsed time.Duration, before runtime.MemStats) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	var events uint64
-	for _, row := range s.Results {
-		for _, cell := range row {
-			events += cell.KernelEvents
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cells := len(s.Configs) * len(s.Workloads)
-	rec := benchRecord{
-		Schema:       3, // 3: dropped the warmup field (2 added it)
-		Cells:        cells,
-		Requests:     s.Requests,
-		Workers:      workers,
-		Seed:         s.Seed,
-		WallSeconds:  elapsed.Seconds(),
-		KernelEvents: events,
-		Allocs:       after.Mallocs - before.Mallocs,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		GoVersion:    runtime.Version(),
-	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		rec.EventsPerSec = float64(events) / sec
-	}
-	if cells > 0 {
-		rec.AllocsPerCell = float64(rec.Allocs) / float64(cells)
-	}
-	raw, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // writeHeapProfile snapshots the heap (after a settling GC, so the profile

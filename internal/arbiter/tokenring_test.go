@@ -7,6 +7,16 @@ import (
 	"corona/internal/sim"
 )
 
+// funcEvent adapts a func() to sim.Handler for tests that schedule closures.
+type funcEvent func()
+
+func (f funcEvent) OnEvent(sim.Time, uint64) { f() }
+
+// releaseEvent releases channel 0's token held by the cluster in the data word.
+type releaseEvent TokenRing
+
+func (e *releaseEvent) OnEvent(_ sim.Time, cluster uint64) { (*TokenRing)(e).Release(0, int(cluster)) }
+
 func newRing(t *testing.T) (*sim.Kernel, *TokenRing) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -125,18 +135,14 @@ func TestRoundRobinFairnessUnderContention(t *testing.T) {
 	// stay small because the token moves directly between neighbours.
 	k, tr := newRing(t)
 	served := map[int]int{}
-	var current int
 	var grants int
 	var request func(cluster int)
 	request = func(cluster int) {
 		tr.Request(0, cluster, func() {
 			served[cluster]++
 			grants++
-			current = cluster
-			// Hold for 2 cycles (a message), then release and re-request.
-			k.Schedule(2, func() {
-				tr.Release(0, current)
-			})
+			// Hold for 2 cycles (a message), then release.
+			k.ScheduleEvent(2, (*releaseEvent)(tr), uint64(cluster))
 		})
 	}
 	for cl := 0; cl < 64; cl++ {
@@ -164,12 +170,12 @@ func TestHighContentionUtilization(t *testing.T) {
 	rerequest = func(cluster int) {
 		tr.Request(0, cluster, func() {
 			grants++
-			k.Schedule(holdCycles, func() {
+			k.ScheduleEvent(holdCycles, funcEvent(func() {
 				tr.Release(0, cluster)
 				if grants < holds {
 					rerequest(cluster)
 				}
-			})
+			}), 0)
 		})
 	}
 	for cl := 0; cl < 64; cl++ {
@@ -242,19 +248,19 @@ func TestTokenRingSafetyLiveness(t *testing.T) {
 			grantCount[cl] = 0
 			hold := sim.Time(rng.Intn(10) + 1)
 			delay := sim.Time(rng.Intn(50))
-			k.Schedule(delay, func() {
+			k.ScheduleEvent(delay, funcEvent(func() {
 				tr.Request(7, cl, func() {
 					if holding {
 						ok = false
 					}
 					holding = true
 					grantCount[cl]++
-					k.Schedule(hold, func() {
+					k.ScheduleEvent(hold, funcEvent(func() {
 						holding = false
 						tr.Release(7, cl)
-					})
+					}), 0)
 				})
-			})
+			}), 0)
 		}
 		if k.RunLimit(1_000_000) >= 1_000_000 {
 			return false // livelock

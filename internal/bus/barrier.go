@@ -21,6 +21,7 @@ type Barrier struct {
 
 	arrived  []int // per-cluster count of observed arrivals (this generation)
 	released []func()
+	pending  []*noc.Message // arrival pulse the cluster's full broadcast FIFO refused
 	waiting  []bool
 
 	// Releases counts completed barrier episodes (any cluster's local
@@ -41,6 +42,7 @@ func NewBarrier(b *Bus, n int) *Barrier {
 		k: b.k, b: b, n: n,
 		arrived:  make([]int, b.Clusters()),
 		released: make([]func(), b.Clusters()),
+		pending:  make([]*noc.Message, b.Clusters()),
 		waiting:  make([]bool, b.Clusters()),
 	}
 	for c := 0; c < b.Clusters(); c++ {
@@ -53,7 +55,7 @@ func NewBarrier(b *Bus, n int) *Barrier {
 // Arrive announces cluster's arrival at the barrier; release runs at that
 // cluster once it has snooped all n arrivals.
 func (br *Barrier) Arrive(cluster int, release func()) {
-	if br.waiting[cluster] {
+	if br.waiting[cluster] || br.pending[cluster] != nil {
 		panic(fmt.Sprintf("bus: cluster %d arrived twice at the barrier", cluster))
 	}
 	br.waiting[cluster] = true
@@ -61,14 +63,21 @@ func (br *Barrier) Arrive(cluster int, release func()) {
 	m := br.b.Acquire()
 	m.ID, m.Src, m.Dst = br.gen, cluster, -1
 	m.Size, m.Kind = 1, noc.KindCoherence
-	var try func()
-	try = func() {
-		if !br.b.Broadcast(m) {
-			//lint:allow schedulepath cold backpressure retry; the recursive closure exists regardless and fires at most once per bus stall
-			br.k.Schedule(2, try)
-		}
+	br.pending[cluster] = m
+	(*retryEvent)(br).OnEvent(br.k.Now(), uint64(cluster))
+}
+
+// retryEvent broadcasts the pending arrival pulse of the cluster in the data
+// word, retrying every 2 cycles while that cluster's broadcast FIFO is full.
+type retryEvent Barrier
+
+func (e *retryEvent) OnEvent(_ sim.Time, data uint64) {
+	br := (*Barrier)(e)
+	if !br.b.Broadcast(br.pending[data]) {
+		br.k.ScheduleEvent(2, e, data)
+		return
 	}
-	try()
+	br.pending[data] = nil
 }
 
 // snoop counts arrivals at each cluster and releases it when complete.

@@ -3,8 +3,14 @@ package bus
 import (
 	"testing"
 
+	"corona/internal/noc"
 	"corona/internal/sim"
 )
+
+// funcEvent adapts a func() to sim.Handler for tests that schedule closures.
+type funcEvent func()
+
+func (f funcEvent) OnEvent(sim.Time, uint64) { f() }
 
 func TestBarrierReleasesAllAfterLastArrival(t *testing.T) {
 	k := sim.NewKernel()
@@ -20,12 +26,12 @@ func TestBarrierReleasesAllAfterLastArrival(t *testing.T) {
 		if at > lastArrival {
 			lastArrival = at
 		}
-		k.At(at, func() {
+		k.AtEvent(at, funcEvent(func() {
 			br.Arrive(c, func() {
 				released[c] = k.Now()
 				releasedCount++
 			})
-		})
+		}), 0)
 	}
 	k.Run()
 	if releasedCount != 64 {
@@ -66,6 +72,39 @@ func TestBarrierLatencyIsBusBound(t *testing.T) {
 	}
 }
 
+// TestBarrierBroadcastRetry fills cluster 3's one-deep broadcast FIFO
+// before it arrives, so its arrival pulse is refused and retried every 2
+// cycles until the FIFO drains. The release cycles are pinned exactly;
+// without the retry the barrier never releases.
+func TestBarrierBroadcastRetry(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.InjectQueue = 1
+	b := New(k, cfg)
+	br := NewBarrier(b, 64)
+	if !b.Broadcast(&noc.Message{ID: 1, Src: 3, Dst: -1, Size: 16, Kind: noc.KindInvalidate}) {
+		t.Fatal("pre-filling broadcast refused")
+	}
+	released := make([]sim.Time, 64)
+	for c := 0; c < 64; c++ {
+		c := c
+		br.Arrive(c, func() { released[c] = k.Now() })
+	}
+	if br.pending[3] == nil {
+		t.Fatal("cluster 3's arrival pulse was not refused")
+	}
+	k.Run()
+	for c, at := range released {
+		// Clusters snoop the last pulse in coil order, 8 per cycle.
+		if want := sim.Time(72 + c/8); at != want {
+			t.Errorf("cluster %d released at %d, want %d", c, at, want)
+		}
+	}
+	if br.Releases != 1 {
+		t.Fatalf("Releases = %d, want 1", br.Releases)
+	}
+}
+
 func TestBarrierReusableAcrossGenerations(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, DefaultConfig())
@@ -97,6 +136,35 @@ func TestBarrierDoubleArrivalPanics(t *testing.T) {
 	}()
 	br.Arrive(5, nil)
 	_ = k
+}
+
+// TestBarrierArrivalWhilePulsePendingPanics covers a barrier smaller than
+// the bus: cluster 5 is released by cluster 1's pulse while its own pulse
+// still waits behind a full FIFO, and arriving again then is a double
+// arrival, not a second pending pulse.
+func TestBarrierArrivalWhilePulsePendingPanics(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.InjectQueue = 1
+	b := New(k, cfg)
+	br := NewBarrier(b, 1)
+	br.Arrive(1, nil)
+	// Cluster 3 holds the bus token for 100 cycles after cluster 1's pulse,
+	// so cluster 5's pre-filled FIFO stays full.
+	b.Broadcast(&noc.Message{ID: 1, Src: 3, Dst: -1, Size: 1600, Kind: noc.KindInvalidate})
+	b.Broadcast(&noc.Message{ID: 2, Src: 5, Dst: -1, Size: 16, Kind: noc.KindInvalidate})
+	br.Arrive(5, nil)
+	k.RunUntil(50)
+	if br.waiting[5] || br.pending[5] == nil {
+		t.Fatalf("at cycle 50 cluster 5 waiting=%v, pulse pending=%v; want released with its pulse pending",
+			br.waiting[5], br.pending[5] != nil)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("arrival with a pulse still pending did not panic")
+		}
+	}()
+	br.Arrive(5, nil)
 }
 
 func TestBarrierSizeValidation(t *testing.T) {

@@ -135,7 +135,7 @@ func New(cfg Config) *System {
 // back-pressure retry, bus injection, serving the next line waiter — run on
 // the kernel's typed fast path via named views of the System. The protocol's
 // continuation chains (the `at` callbacks threaded through message payloads)
-// stay on the closure compatibility path.
+// park in atSlots and run from hopEvent.
 
 // localHitEvent commits a transaction that its own cache already satisfies,
 // after the hub look-up latency.
@@ -176,8 +176,7 @@ func (e *busSendEvent) OnEvent(_ sim.Time, data uint64) {
 }
 
 // hopEvent runs an arrival continuation parked in atSlots after a fixed
-// latency: hub-local hops and memory-access delays ride it instead of the
-// allocating closure-compat Schedule path.
+// latency: hub-local hops and memory-access delays ride it.
 type hopEvent System
 
 func (e *hopEvent) OnEvent(_ sim.Time, data uint64) {

@@ -136,6 +136,14 @@ func TestLineSerialization(t *testing.T) {
 	}
 }
 
+// accessEvent issues an Access packed in the data word as
+// line<<8 | node<<1 | write.
+type accessEvent System
+
+func (e *accessEvent) OnEvent(_ sim.Time, d uint64) {
+	(*System)(e).Access(int(d>>1&0x7f), d>>8, d&1 == 1, nil)
+}
+
 // Property: any interleaving of timed reads and writes completes without
 // deadlock and preserves the MOESI invariants.
 func TestTimedProtocolProperty(t *testing.T) {
@@ -149,7 +157,11 @@ func TestTimedProtocolProperty(t *testing.T) {
 			line := lines[rng.Intn(len(lines))]
 			write := rng.Intn(3) == 0
 			delay := sim.Time(rng.Intn(40))
-			s.K.Schedule(delay, func() { s.Access(node, line, write, nil) })
+			d := line<<8 | uint64(node)<<1
+			if write {
+				d |= 1
+			}
+			s.K.ScheduleEvent(delay, (*accessEvent)(s), d)
 		}
 		// Drive manually: Access calls are scheduled, so Completed advances
 		// as the kernel drains.

@@ -7,8 +7,14 @@ import (
 	"time"
 
 	"corona/internal/config"
+	"corona/internal/sim"
 	"corona/internal/trace"
 )
+
+// cancelEvent cancels a cell's context at a simulated time.
+type cancelEvent context.CancelFunc
+
+func (c cancelEvent) OnEvent(sim.Time, uint64) { c() }
 
 // TestResetSystemMatchesFresh is the oracle for pooled reuse: a machine left
 // mid-run by a canceled cell — messages, credits, controller bookings, and
@@ -44,7 +50,7 @@ func TestResetSystemMatchesFresh(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			sys.K.Schedule(4000, cancel)
+			sys.K.ScheduleEvent(4000, cancelEvent(cancel), 0)
 			var ce *CanceledError
 			if _, err := r.Run(ctx); !errors.As(err, &ce) {
 				t.Fatalf("dirty cell: got %v, want a *CanceledError", err)

@@ -320,12 +320,6 @@ func (s *System) Completed() int { return s.completed }
 // SetMSHRFreeHook installs the runner's issue-resume callback.
 func (s *System) SetMSHRFreeHook(fn func(cluster int)) { s.onMSHRFree = fn }
 
-// MSHRFree reports whether cluster can accept another miss.
-func (s *System) MSHRFree(cluster int) bool {
-	h := s.hubs[cluster]
-	return h.mshr.Len() < h.mshr.Cap()
-}
-
 // Issue injects one L2 miss at the current simulation time. It returns false
 // when the cluster's MSHR file is full (the caller must retry after a
 // retirement). Merged secondary misses return true without generating

@@ -275,6 +275,25 @@ func TestDeliveryCompletenessProperty(t *testing.T) {
 	}
 }
 
+// pumper sends a 64-byte response from the cluster in the data word to a
+// random other cluster every 2 cycles, whether or not the mesh accepts it.
+type pumper struct {
+	k   *sim.Kernel
+	m   *Mesh
+	rng *sim.Rand
+	id  uint64
+}
+
+func (p *pumper) OnEvent(_ sim.Time, src uint64) {
+	p.id++
+	dst := p.rng.Intn(63)
+	if dst >= int(src) {
+		dst++
+	}
+	p.m.Send(msg(p.id, int(src), dst, 64, noc.KindResponse))
+	p.k.ScheduleEvent(2, p, src)
+}
+
 func TestMeshVsXBarShapedBandwidth(t *testing.T) {
 	// Saturate the bisection with uniform random traffic: HMesh should move
 	// roughly twice the bytes LMesh does in the same horizon.
@@ -289,20 +308,9 @@ func TestMeshVsXBarShapedBandwidth(t *testing.T) {
 				m.Consume(c, msg)
 			})
 		}
-		rng := sim.NewRand(17)
-		var pump func(src int)
-		var id uint64
-		pump = func(src int) {
-			id++
-			dst := rng.Intn(63)
-			if dst >= src {
-				dst++
-			}
-			m.Send(msg(id, src, dst, 64, noc.KindResponse))
-			k.Schedule(2, func() { pump(src) })
-		}
+		p := &pumper{k: k, m: m, rng: sim.NewRand(17)}
 		for c := 0; c < 64; c++ {
-			pump(c)
+			p.OnEvent(0, uint64(c))
 		}
 		k.RunUntil(4000)
 		k.Stop()

@@ -12,11 +12,10 @@
 // fixed-size chunks drawn from a per-kernel free list: a level-0 bucket
 // holds exactly one timestamp, so dispatch reads its events sequentially
 // from one chunk after another, and steady-state scheduling allocates
-// nothing. Both Schedule and Step are O(1) for the near-future events that
-// dominate cycle-accurate models. Components on the hot path use the typed
-// ScheduleEvent/Handler path; Schedule(delay, func()) wraps the closure in a
-// Handler adapter and shares the same queues. The layout, the ordering
-// guarantee, and its measured cost are documented in docs/PERFORMANCE.md.
+// nothing. Both ScheduleEvent and Step are O(1) for the near-future events
+// that dominate cycle-accurate models. Every event is a typed Handler plus a
+// data word. The layout, the ordering guarantee, and its measured cost are
+// documented in docs/PERFORMANCE.md.
 package sim
 
 import (
@@ -62,12 +61,6 @@ type Handler interface {
 	// scheduled with.
 	OnEvent(now Time, data uint64)
 }
-
-// closureEvent adapts a func() to Handler for the Schedule/At path. A func
-// value is pointer-shaped, so storing one in a Handler does not allocate.
-type closureEvent func()
-
-func (f closureEvent) OnEvent(Time, uint64) { f() }
 
 // event is one scheduled event.
 type event struct {
@@ -207,31 +200,16 @@ func (k *Kernel) TailIs(t Time, h Handler) bool {
 // Executed keeps counting logical events.
 func (k *Kernel) CountExecuted(n uint64) { k.executed += n }
 
-// Schedule runs fn after delay cycles (possibly zero, meaning "later this
-// cycle", after already-queued events for the current time). This is the
-// closure compatibility path; hot code should use ScheduleEvent.
-func (k *Kernel) Schedule(delay Time, fn func()) {
-	k.At(k.now+delay, fn)
-}
-
-// At runs fn at absolute time t. Scheduling in the past is a programming
-// error and panics: silent time travel corrupts causality in queue models.
-func (k *Kernel) At(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: At with nil func")
-	}
-	k.AtEvent(t, closureEvent(fn), 0)
-}
-
-// ScheduleEvent runs h.OnEvent(now, data) after delay cycles: the typed,
-// zero-allocation fast path. Ordering is identical to Schedule — one shared
-// sequence counter breaks same-cycle ties across both paths.
+// ScheduleEvent runs h.OnEvent(now, data) after delay cycles (possibly zero,
+// meaning "later this cycle", after already-queued events for the current
+// time). Same-cycle events run in scheduling order.
 func (k *Kernel) ScheduleEvent(delay Time, h Handler, data uint64) {
 	k.AtEvent(k.now+delay, h, data)
 }
 
-// AtEvent runs h.OnEvent(t, data) at absolute time t; it panics on a nil
-// handler or a past timestamp.
+// AtEvent runs h.OnEvent(t, data) at absolute time t. It panics on a nil
+// handler or a past timestamp: silent time travel corrupts causality in
+// queue models.
 func (k *Kernel) AtEvent(t Time, h Handler, data uint64) {
 	if h == nil || t < k.now {
 		k.badEvent(t, h)

@@ -6,13 +6,18 @@ import (
 	"testing/quick"
 )
 
+// funcEvent adapts a func() to Handler for tests that schedule closures.
+type funcEvent func()
+
+func (f funcEvent) OnEvent(Time, uint64) { f() }
+
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	k.Schedule(10, func() { got = append(got, 1) })
-	k.Schedule(5, func() { got = append(got, 0) })
-	k.Schedule(10, func() { got = append(got, 2) }) // same time: FIFO by seq
-	k.Schedule(20, func() { got = append(got, 3) })
+	k.ScheduleEvent(10, funcEvent(func() { got = append(got, 1) }), 0)
+	k.ScheduleEvent(5, funcEvent(func() { got = append(got, 0) }), 0)
+	k.ScheduleEvent(10, funcEvent(func() { got = append(got, 2) }), 0) // same time: FIFO by seq
+	k.ScheduleEvent(20, funcEvent(func() { got = append(got, 3) }), 0)
 	k.Run()
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {
@@ -31,11 +36,11 @@ func TestKernelOrdering(t *testing.T) {
 func TestKernelZeroDelay(t *testing.T) {
 	k := NewKernel()
 	order := []string{}
-	k.Schedule(0, func() {
+	k.ScheduleEvent(0, funcEvent(func() {
 		order = append(order, "a")
-		k.Schedule(0, func() { order = append(order, "c") })
-	})
-	k.Schedule(0, func() { order = append(order, "b") })
+		k.ScheduleEvent(0, funcEvent(func() { order = append(order, "c") }), 0)
+	}), 0)
+	k.ScheduleEvent(0, funcEvent(func() { order = append(order, "b") }), 0)
 	k.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v, want [a b c]", order)
@@ -49,10 +54,10 @@ func TestKernelNestedScheduling(t *testing.T) {
 	rec = func(depth int) {
 		hits++
 		if depth < 10 {
-			k.Schedule(1, func() { rec(depth + 1) })
+			k.ScheduleEvent(1, funcEvent(func() { rec(depth + 1) }), 0)
 		}
 	}
-	k.Schedule(0, func() { rec(0) })
+	k.ScheduleEvent(0, funcEvent(func() { rec(0) }), 0)
 	k.Run()
 	if hits != 11 {
 		t.Fatalf("hits = %d, want 11", hits)
@@ -64,14 +69,14 @@ func TestKernelNestedScheduling(t *testing.T) {
 
 func TestKernelPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {
+	k.ScheduleEvent(10, funcEvent(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
-	})
+		k.AtEvent(5, funcEvent(func() {}), 0)
+	}), 0)
 	k.Run()
 }
 
@@ -79,7 +84,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	var count int
 	for i := Time(1); i <= 100; i++ {
-		k.At(i, func() { count++ })
+		k.AtEvent(i, funcEvent(func() { count++ }), 0)
 	}
 	k.RunUntil(50)
 	if count != 50 {
@@ -101,12 +106,12 @@ func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	var count int
 	for i := Time(1); i <= 10; i++ {
-		k.At(i, func() {
+		k.AtEvent(i, funcEvent(func() {
 			count++
 			if count == 3 {
 				k.Stop()
 			}
-		})
+		}), 0)
 	}
 	k.Run()
 	if count != 3 {
@@ -121,7 +126,7 @@ func TestKernelStop(t *testing.T) {
 func TestKernelRunLimit(t *testing.T) {
 	k := NewKernel()
 	for i := Time(0); i < 10; i++ {
-		k.At(i, func() {})
+		k.AtEvent(i, funcEvent(func() {}), 0)
 	}
 	if n := k.RunLimit(4); n != 4 {
 		t.Fatalf("RunLimit ran %d, want 4", n)
@@ -144,7 +149,7 @@ func TestKernelOrderProperty(t *testing.T) {
 		for i, d := range delays {
 			d := Time(d)
 			i := i
-			k.At(d, func() { got = append(got, rec{d, i}) })
+			k.AtEvent(d, funcEvent(func() { got = append(got, rec{d, i}) }), 0)
 		}
 		k.Run()
 		if len(got) != len(delays) {

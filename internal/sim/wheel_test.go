@@ -103,8 +103,7 @@ func burstChildren(id, budget uint64) []Time {
 }
 
 // diffDriver runs the wheel side of the differential test: every dispatched
-// event records (when, id) and schedules its children, alternating between
-// the typed and closure paths so both funnel through the ordering machinery.
+// event records (when, id) and schedules its children.
 type diffDriver struct {
 	k      *Kernel
 	got    []refEvent
@@ -122,14 +121,8 @@ func (d *diffDriver) OnEvent(now Time, id uint64) {
 	}
 	for _, delay := range children(id, d.budget) {
 		d.budget--
-		cid := d.nextID
+		d.k.ScheduleEvent(delay, d, d.nextID)
 		d.nextID++
-		if cid%3 == 0 {
-			k := d.k
-			k.Schedule(delay, func() { d.OnEvent(k.Now(), cid) })
-		} else {
-			d.k.ScheduleEvent(delay, d, cid)
-		}
 	}
 }
 

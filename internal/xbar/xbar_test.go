@@ -271,6 +271,23 @@ func TestDeliveryCompleteness(t *testing.T) {
 	}
 }
 
+// pumper sends a 64-byte line along the (src<<8 | dst) pair in its data word:
+// again next cycle when the crossbar accepts it, in 2 cycles when it refuses.
+type pumper struct {
+	k  *sim.Kernel
+	x  *Crossbar
+	id uint64
+}
+
+func (p *pumper) OnEvent(_ sim.Time, pair uint64) {
+	p.id++
+	if p.x.Send(msg(p.id, int(pair>>8), int(pair&0xff), 64)) {
+		p.k.ScheduleEvent(1, p, pair)
+	} else {
+		p.k.ScheduleEvent(2, p, pair)
+	}
+}
+
 func TestAggregateBandwidth(t *testing.T) {
 	// Saturating all 64 channels simultaneously should sustain ~64 B/cycle
 	// per channel: with 63 writers per channel sending back-to-back lines the
@@ -290,20 +307,11 @@ func TestAggregateBandwidth(t *testing.T) {
 	// Keep the network saturated via retrying senders: every cluster writes
 	// every channel, so the token hops between adjacent requesters and the
 	// hand-off cost is sub-cycle.
-	var pump func(src, dst int)
-	var id uint64
-	pump = func(src, dst int) {
-		id++
-		if x.Send(msg(id, src, dst, 64)) {
-			k.Schedule(1, func() { pump(src, dst) })
-		} else {
-			k.Schedule(2, func() { pump(src, dst) })
-		}
-	}
+	p := &pumper{k: k, x: x}
 	for c := 0; c < 64; c++ {
 		for s := 0; s < 64; s++ {
 			if s != c {
-				pump(s, c)
+				p.OnEvent(0, uint64(s)<<8|uint64(c))
 			}
 		}
 	}
