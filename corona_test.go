@@ -192,6 +192,7 @@ type idealNet struct {
 	k       *sim.Kernel
 	n       int
 	deliver []noc.DeliverFunc
+	epochs  []uint64 // never refuses, so never moves
 	slots   sim.Slots[*noc.Message]
 	stats   noc.Stats
 }
@@ -211,7 +212,7 @@ func (x *idealNet) Clusters() int                              { return x.n }
 func (x *idealNet) Stats() noc.Stats                           { return x.stats }
 func (x *idealNet) SetDeliver(cluster int, fn noc.DeliverFunc) { x.deliver[cluster] = fn }
 func (x *idealNet) Consume(_ int, m *noc.Message)              { x.Release(m) }
-func (x *idealNet) InjectEpoch(int) uint64                     { return 0 }
+func (x *idealNet) InjectEpochs() []uint64                     { return x.epochs }
 func (x *idealNet) Send(m *noc.Message) bool {
 	x.k.ScheduleEvent(1, (*idealDeliver)(x), x.slots.Put(m))
 	return true
@@ -229,7 +230,8 @@ func TestRegisterFabricEndToEnd(t *testing.T) {
 			Display:     "Ideal",
 			Description: "zero-contention single-cycle interconnect (upper bound)",
 			Build: func(k *sim.Kernel, p FabricParams) (Network, error) {
-				return &idealNet{k: k, n: p.Clusters, deliver: make([]noc.DeliverFunc, p.Clusters)}, nil
+				return &idealNet{k: k, n: p.Clusters, deliver: make([]noc.DeliverFunc, p.Clusters),
+					epochs: make([]uint64, p.Clusters)}, nil
 			},
 		})
 	}

@@ -125,3 +125,46 @@ func TestLoadScenarioMissingFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// FuzzParseScenario feeds arbitrary bytes to ParseScenario. Whatever the
+// bytes, it returns either a scenario that holds up (at least one config,
+// each valid and uniquely named, at least one workload, a positive request
+// count) or a *ConfigError, and never panics. The seeds are the checked-in
+// custom-fabric example, a preset-only body, and malformed bodies.
+func FuzzParseScenario(f *testing.F) {
+	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "custom-fabric", "scenario.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Add([]byte(`{"configs": [{"preset": "HMesh/ECM"}]}`))
+	f.Add([]byte(`{"configs": [{"fabric": "hmesh", "params": {"width": 4, "height": 4}, "clusters": 16}], "requests": -1}`))
+	f.Add([]byte(`{"configs": [}`))
+	f.Add([]byte(`{"configs": [{"preset": "XBar/OCM", "fabric": "swmr"}], "seed": -3}`))
+	f.Add([]byte(`{"configs": null, "workloads": [7]}`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("rejection %q is not a *ConfigError", err)
+			}
+			return
+		}
+		if len(sc.Configs) == 0 || len(sc.Workloads) == 0 || sc.Requests <= 0 {
+			t.Fatalf("accepted an empty scenario: %d configs, %d workloads, %d requests",
+				len(sc.Configs), len(sc.Workloads), sc.Requests)
+		}
+		names := map[string]bool{}
+		for _, cfg := range sc.Configs {
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("accepted config %s fails Validate: %v", cfg.Name(), err)
+			}
+			if names[cfg.Name()] {
+				t.Fatalf("accepted duplicate config name %q", cfg.Name())
+			}
+			names[cfg.Name()] = true
+		}
+	})
+}

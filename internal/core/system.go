@@ -86,6 +86,9 @@ type System struct {
 	// polls holds the members of every pending injection-poll run, in
 	// dispatch order (pollEvent, schedulePoll).
 	polls pollRing
+	// epochs is the network's live per-source injection epochs
+	// (noc.Network.InjectEpochs), read by the refusal memo.
+	epochs []uint64
 
 	// onMSHRFree, when set, is called with the cluster id whenever that
 	// cluster retires a transaction; the runner uses it to resume issue.
@@ -179,17 +182,29 @@ func (e *submitLocalEvent) OnEvent(_ sim.Time, data uint64) {
 // still matches (see refusalMemo), the network would refuse the same head
 // again, so the member only re-arms — the reschedule a refused Send leads
 // to — without touching the queue.
+//
+// A re-arm leaves a pollEvent as the tail of the bucket two cycles ahead,
+// and re-arming schedules nothing else, so a member that re-arms right
+// after another joins that run directly, whichever wheel level holds it.
 type pollEvent System
 
 func (e *pollEvent) OnEvent(sim.Time, uint64) {
 	s := (*System)(e)
 	var folded uint64
+	rearmed := false // the previous member re-armed
 	for {
 		p := s.polls.pop()
-		h := s.hubs[p>>pollHubShift&pollFieldMask]
-		if memo := uint32(p); memo != 0 && memo == h.refusalMemo() {
-			s.schedulePoll(p &^ pollRunStart)
+		hub := int(p >> pollHubShift & pollFieldMask)
+		if memo := uint32(p); memo != 0 && memo == s.refusalMemo(hub) {
+			if rearmed {
+				s.polls.push(p &^ pollRunStart)
+			} else {
+				s.schedulePoll(p &^ pollRunStart)
+				rearmed = true
+			}
 		} else {
+			rearmed = false
+			h := s.hubs[hub]
 			dst := int(p >> pollDstShift & pollFieldMask)
 			h.outArmed[dst] = false
 			h.pumpOut(dst)
@@ -264,10 +279,14 @@ func NewSystem(cfg config.System) (*System, error) {
 	if err != nil {
 		return nil, &ConfigError{Name: cfg.Name(), Err: fmt.Errorf("core: %s: %w", cfg.Name(), err)}
 	}
-	s.fabric, s.Net = fab, net
+	s.fabric, s.Net, s.epochs = fab, net, net.InjectEpochs()
 	if s.Net.Clusters() != cfg.Clusters {
 		return nil, &ConfigError{Name: cfg.Name(), Err: fmt.Errorf(
 			"core: %s: network has %d endpoints, config %d", cfg.Name(), s.Net.Clusters(), cfg.Clusters)}
+	}
+	if len(s.epochs) != cfg.Clusters {
+		return nil, &ConfigError{Name: cfg.Name(), Err: fmt.Errorf(
+			"core: %s: network has %d injection epochs, want one per cluster (%d)", cfg.Name(), len(s.epochs), cfg.Clusters)}
 	}
 	mcfg := cfg.MemConfig()
 	for c := 0; c < cfg.Clusters; c++ {
@@ -383,7 +402,7 @@ func (h *hub) send(m *noc.Message) {
 func (h *hub) armRetry(dst int) {
 	if !h.outArmed[dst] {
 		h.outArmed[dst] = true
-		h.sys.schedulePoll(uint64(h.id)<<pollHubShift | uint64(dst)<<pollDstShift | uint64(h.refusalMemo()))
+		h.sys.schedulePoll(uint64(h.id)<<pollHubShift | uint64(dst)<<pollDstShift | uint64(h.sys.refusalMemo(h.id)))
 	}
 }
 
@@ -401,12 +420,12 @@ func (s *System) schedulePoll(p uint64) {
 	s.polls.push(p)
 }
 
-// refusalMemo identifies this hub's injection state for the refusal memo:
-// the network's InjectEpoch(id)+1, in 32 bits (zero, after a wrap, means no
-// memo). A head the network refused keeps being refused until the epoch
-// moves, and truncating is safe because a false match would need 2^32
-// injection slots to free between two polls two cycles apart.
-func (h *hub) refusalMemo() uint32 { return uint32(h.sys.Net.InjectEpoch(h.id)) + 1 }
+// refusalMemo identifies a hub's injection state for the refusal memo: the
+// network's injection epoch for the hub plus one, in 32 bits (zero, after a
+// wrap, means no memo). A head the network refused keeps being refused
+// until the epoch moves, and truncating is safe because a false match would
+// need 2^32 injection slots to free between two polls two cycles apart.
+func (s *System) refusalMemo(hub int) uint32 { return uint32(s.epochs[hub]) + 1 }
 
 // pumpOut injects as many queued messages for dst as the network accepts,
 // then arms a single retry poll on back pressure.

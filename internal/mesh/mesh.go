@@ -120,12 +120,13 @@ type Mesh struct {
 	// InjectQueue, laid out cluster-major (cluster*numClasses + class).
 	injectCount []int
 	// epochs counts injection slots freed per cluster, over both classes
-	// (InjectEpoch).
+	// (InjectEpochs).
 	epochs []uint64
 
-	// slots parks in-flight packets for the typed hop/eject events; pktFree
-	// recycles retired packets (keeping their routed-path buffers) so the
-	// steady-state Send→eject cycle allocates neither packets nor paths.
+	// slots parks in-flight packets for the typed hop, tail and eject
+	// events; pktFree recycles retired packets (keeping their routed-path
+	// buffers) so the steady-state Send→eject cycle allocates neither
+	// packets nor paths.
 	slots   sim.Slots[*packet]
 	pktFree []*packet
 
@@ -141,13 +142,34 @@ var _ noc.Network = (*Mesh)(nil)
 // so the per-hop pipeline — the busiest scheduler client in the mesh
 // configurations — allocates nothing in steady state.
 
-// packRef packs an output-port reference (and optionally a class) into a
-// handler data word: dir in the low 3 bits, router above it, class at bit 20.
+// refBits is the width of a packed port reference: dir in the low 3 bits,
+// router in the 16 above it (New caps meshes at 1<<16 routers).
+const (
+	refBits = 3 + 16
+	refMask = 1<<refBits - 1
+)
+
+// packRef packs an output-port reference into the low refBits of a handler
+// data word.
 func packRef(ref portRef) uint64 { return uint64(ref.router)<<3 | uint64(ref.d) }
 
 func unpackRef(data uint64) portRef {
-	return portRef{router: int(data >> 3 & 0x1ffff), d: dir(data & 7)}
+	return portRef{router: int(data >> 3 & (refMask >> 3)), d: dir(data & 7)}
 }
+
+// A tail event's data word: the credit target's port reference, or the
+// source cluster when tailInject is set, in the low refBits; the class;
+// the flags; the granted port's reference (tailWake); and the packet's
+// slot index (tailHop).
+const (
+	tailClassShift = refBits
+	tailInject     = 1 << (refBits + 1)
+	tailWake       = 1 << (refBits + 2)
+	tailHop        = 1 << (refBits + 3)
+	tailRefShift   = refBits + 4
+	tailSlotShift  = tailRefShift + refBits
+	maxTailSlot    = 1<<(64-tailSlotShift) - 1
+)
 
 // port returns the output port at (router, d) in the flat array.
 func (m *Mesh) port(router int, d dir) *outPort {
@@ -158,8 +180,10 @@ func (m *Mesh) port(router int, d dir) *outPort {
 type wakeEvent Mesh
 
 func (e *wakeEvent) OnEvent(now sim.Time, data uint64) {
-	m := (*Mesh)(e)
-	ref := unpackRef(data)
+	(*Mesh)(e).wakeUp(now, unpackRef(data))
+}
+
+func (m *Mesh) wakeUp(now sim.Time, ref portRef) {
 	p := m.port(ref.router, ref.d)
 	if p.wakeAt == now {
 		p.wakeSet = false
@@ -167,34 +191,46 @@ func (e *wakeEvent) OnEvent(now sim.Time, data uint64) {
 	m.tryGrant(ref)
 }
 
-// creditEvent returns an input-buffer credit to the upstream port once the
-// packet's tail has left the router.
-type creditEvent Mesh
+// tailEvent runs everything due when a granted packet's tail leaves its
+// port, in the order separate events would have run: it returns the
+// upstream input-buffer credit (or frees the source's injection slot at
+// stage 0), then advances the head when it reaches the next router at the
+// same cycle (tailHop), then wakes the port as its link frees (tailWake).
+// grant schedules nothing else in between, so the folded parts hold the
+// FIFO positions their own events would have taken.
+type tailEvent Mesh
 
-func (e *creditEvent) OnEvent(_ sim.Time, data uint64) {
+func (e *tailEvent) OnEvent(now sim.Time, data uint64) {
 	m := (*Mesh)(e)
-	ref := unpackRef(data)
-	class := int(data >> 20 & 1)
-	m.port(ref.router, ref.d).credits[class]++
-	m.tryGrant(ref)
-}
-
-// injectDoneEvent frees the source cluster's injection-FIFO slot.
-type injectDoneEvent Mesh
-
-func (e *injectDoneEvent) OnEvent(_ sim.Time, data uint64) {
-	m := (*Mesh)(e)
-	src := int(data & 0xffff)
-	m.injectCount[src*numClasses+int(data>>20&1)]--
-	m.epochs[src]++
+	class := int(data >> tailClassShift & 1)
+	if data&tailInject != 0 {
+		src := int(data & refMask)
+		m.injectCount[src*numClasses+class]--
+		m.epochs[src]++
+	} else {
+		up := unpackRef(data)
+		m.port(up.router, up.d).credits[class]++
+		m.tryGrant(up)
+	}
+	var folded uint64
+	if data&tailHop != 0 {
+		m.hop(data >> tailSlotShift)
+		folded++
+	}
+	if data&tailWake != 0 {
+		m.wakeUp(now, unpackRef(data>>tailRefShift))
+		folded++
+	}
+	m.k.CountExecuted(folded)
 }
 
 // hopEvent advances a packet's head into the next router (cut-through).
 type hopEvent Mesh
 
-func (e *hopEvent) OnEvent(_ sim.Time, data uint64) {
-	m := (*Mesh)(e)
-	p := m.slots.Take(data)
+func (e *hopEvent) OnEvent(_ sim.Time, data uint64) { (*Mesh)(e).hop(data) }
+
+func (m *Mesh) hop(slot uint64) {
+	p := m.slots.Take(slot)
 	p.stage++
 	next := p.path[p.stage]
 	np := m.port(next.router, next.d)
@@ -246,9 +282,9 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 	}
 	n := cfg.Width * cfg.Height
 	if n > 1<<16 {
-		// Event data words carry router/cluster ids in 16-bit fields
-		// (injectDoneEvent) and 17-bit fields (packRef); beyond the
-		// narrowest, ids would silently alias.
+		// Event data words carry router and cluster ids in 16-bit
+		// fields (packRef, tailEvent); beyond them, ids would silently
+		// alias.
 		panic(fmt.Sprintf("mesh: %dx%d exceeds the %d-router event encoding limit",
 			cfg.Width, cfg.Height, 1<<16))
 	}
@@ -386,9 +422,9 @@ func (m *Mesh) Send(msg *noc.Message) bool {
 	return true
 }
 
-// InjectEpoch implements noc.Network: a cluster's injection slot (of either
+// InjectEpochs implements noc.Network: a cluster's injection slot (of either
 // class) frees when the packet's tail leaves the first link.
-func (m *Mesh) InjectEpoch(src int) uint64 { return m.epochs[src] }
+func (m *Mesh) InjectEpochs() []uint64 { return m.epochs }
 
 // Consume implements noc.Network: the hub drained msg, freeing its slot in
 // the ejection buffer of msg's virtual network and recycling the message.
@@ -411,7 +447,9 @@ func (m *Mesh) tryGrant(ref portRef) {
 	port := m.port(ref.router, ref.d)
 	now := m.k.Now()
 	if port.busyUntil > now {
-		m.wake(ref, port.busyUntil)
+		if armWake(port, port.busyUntil) {
+			m.k.AtEvent(port.busyUntil, (*wakeEvent)(m), packRef(ref))
+		}
 		return
 	}
 	// Round-robin over classes, skipping empty queues and exhausted credits.
@@ -426,46 +464,57 @@ func (m *Mesh) tryGrant(ref portRef) {
 	}
 }
 
-// wake schedules a deferred tryGrant, deduplicating redundant wake-ups. The
-// wake event compares the port's wakeAt against its own firing time, which
-// is exactly the `at` it was scheduled for.
-func (m *Mesh) wake(ref portRef, at sim.Time) {
-	port := m.port(ref.router, ref.d)
+// armWake records a deferred tryGrant of port at time at and reports
+// whether the caller must schedule it: a pending wake at or before at
+// already covers it. The wake compares the port's wakeAt against its own
+// firing time, which is exactly the at it was armed for.
+func armWake(port *outPort, at sim.Time) bool {
 	if port.wakeSet && port.wakeAt <= at {
-		return
+		return false
 	}
 	port.wakeSet = true
 	port.wakeAt = at
-	m.k.AtEvent(at, (*wakeEvent)(m), packRef(ref))
+	return true
 }
 
 func (m *Mesh) grant(ref portRef, port *outPort, p *packet) {
-	now := m.k.Now()
 	s := m.serialization(p.m.Size)
-	port.busyUntil = now + s
+	port.busyUntil = m.k.Now() + s
 	port.credits[p.class]--
 	if ref.d != dirEject {
 		m.LinkBusyCycles += uint64(s)
 	}
 
-	// The upstream input-buffer slot (previous link's credit) frees when the
-	// packet's tail leaves this router.
+	// The upstream input-buffer slot (previous link's credit), or at stage
+	// 0 the source's injection slot, frees when the packet's tail leaves
+	// this router, and the link frees with it: one tail event does both.
+	tail := uint64(p.class) << tailClassShift
 	if p.stage > 0 {
-		prev := p.path[p.stage-1]
-		m.k.ScheduleEvent(s, (*creditEvent)(m), packRef(prev)|uint64(p.class)<<20)
+		tail |= packRef(p.path[p.stage-1])
 	} else {
-		m.k.ScheduleEvent(s, (*injectDoneEvent)(m), uint64(p.m.Src)|uint64(p.class)<<20)
+		tail |= tailInject | uint64(p.m.Src)
 	}
+	if ref.d != dirEject && s == m.cfg.HopLatency {
+		// The head reaches the next router as the tail leaves: the hop
+		// folds into the tail event too.
+		slot := m.slots.Put(p)
+		if slot > maxTailSlot {
+			panic(fmt.Sprintf("mesh: %d packets in flight exceed the tail event's slot field", slot+1))
+		}
+		tail |= tailHop | slot<<tailSlotShift
+	}
+	if armWake(port, port.busyUntil) {
+		tail |= tailWake | packRef(ref)<<tailRefShift
+	}
+	m.k.ScheduleEvent(s, (*tailEvent)(m), tail)
 
 	if ref.d == dirEject {
 		// Tail reaches the hub after head latency plus serialization.
 		m.k.ScheduleEvent(m.cfg.HopLatency+s, (*ejectEvent)(m), m.slots.Put(p))
-	} else {
+	} else if tail&tailHop == 0 {
 		// Head arrives at the next router after HopLatency (cut-through).
 		m.k.ScheduleEvent(m.cfg.HopLatency, (*hopEvent)(m), m.slots.Put(p))
 	}
-	// The link frees after the tail passes.
-	m.wake(ref, now+s)
 }
 
 // Utilization returns mean link occupancy over elapsed cycles across all

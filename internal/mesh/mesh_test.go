@@ -275,6 +275,111 @@ func TestDeliveryCompletenessProperty(t *testing.T) {
 	}
 }
 
+// pinSender injects message i of its table at the cycle it was scheduled
+// for, retrying every cycle while the mesh refuses it.
+type pinSender struct {
+	k    *sim.Kernel
+	m    *Mesh
+	msgs []*noc.Message
+}
+
+func (s *pinSender) OnEvent(_ sim.Time, i uint64) {
+	if !s.m.Send(s.msgs[i]) {
+		s.k.ScheduleEvent(1, s, i)
+	}
+}
+
+// TestPipelinePinned replays a fixed, contended pattern on HMesh and LMesh
+// and requires every message's delivery cycle and the kernel's Executed
+// count recorded before grant's credit, hop and wake events were fused into
+// one tail event. Thirty-two sources send 256 requests, responses and
+// writebacks (16, 40, 72 and 80 bytes) to one hot destination in 4 cycles,
+// which reaches every tail shape: stage-0 injection plus wake, credit plus
+// hop plus wake (s == HopLatency: 72 and 80 bytes on HMesh, 40 on LMesh),
+// and grants whose wake a pending one covers. The ejection backlog also
+// makes the order of the folded parts visible: running the wake before the
+// hop changes delivery cycles on both meshes.
+func TestPipelinePinned(t *testing.T) {
+	cases := []struct {
+		cfg      Config
+		executed uint64
+		at       []sim.Time
+	}{
+		{HMeshConfig(), 4096, []sim.Time{
+			702, 76, 31, 90, 595, 283, 382, 695, 244, 11, 35, 358, 766, 206, 129, 347,
+			236, 113, 192, 757, 571, 46, 21, 188, 724, 565, 304, 543, 98, 41, 143, 548,
+			713, 224, 139, 155, 392, 323, 560, 703, 287, 16, 71, 406, 767, 279, 164, 369,
+			252, 353, 471, 624, 589, 138, 51, 383, 530, 668, 416, 575, 117, 40, 241, 564,
+			718, 199, 108, 179, 436, 579, 696, 524, 309, 34, 203, 607, 606, 519, 260, 417,
+			293, 134, 535, 636, 633, 83, 26, 397, 578, 717, 403, 422, 151, 116, 407, 716,
+			494, 333, 146, 193, 611, 428, 708, 552, 387, 47, 82, 629, 632, 601, 231, 270,
+			341, 282, 678, 761, 402, 103, 50, 413, 726, 452, 557, 462, 159, 135, 230, 733,
+			538, 433, 185, 128, 657, 484, 746, 715, 292, 61, 142, 662, 773, 364, 377, 278,
+			359, 437, 318, 772, 432, 221, 77, 220, 744, 574, 619, 615, 122, 169, 286, 745,
+			725, 328, 265, 154, 672, 637, 594, 723, 312, 87, 225, 412, 779, 466, 467, 463,
+			298, 503, 506, 774, 663, 184, 95, 274, 755, 728, 442, 647, 158, 275, 459, 584,
+			738, 372, 313, 215, 458, 684, 618, 727, 423, 56, 257, 470, 780, 661, 346, 481,
+			336, 561, 690, 652, 677, 214, 123, 453, 600, 754, 514, 669, 189, 174, 511, 614,
+			739, 525, 198, 249, 498, 714, 756, 570, 447, 86, 299, 670, 642, 689, 386, 495,
+			429, 352, 701, 660, 679, 271, 66, 489, 610, 760, 671, 476, 211, 202, 549, 747,
+		}},
+		{LMeshConfig(), 4096, []sim.Time{
+			1282, 114, 50, 199, 1089, 414, 674, 1270, 437, 12, 61, 652, 1412, 353, 153, 632,
+			430, 146, 288, 1398, 1034, 77, 31, 346, 1340, 941, 405, 982, 184, 79, 330, 1010,
+			1314, 489, 249, 297, 748, 713, 946, 1294, 536, 21, 194, 696, 1424, 654, 273, 684,
+			504, 665, 587, 1148, 1060, 236, 105, 691, 972, 1228, 689, 1078, 201, 88, 499, 1065,
+			1322, 304, 162, 319, 784, 1111, 1067, 991, 562, 66, 366, 1125, 1109, 908, 567, 750,
+			547, 364, 1001, 1174, 1150, 116, 59, 739, 1032, 1320, 698, 795, 264, 151, 779, 1324,
+			883, 514, 302, 355, 1139, 456, 1292, 1025, 724, 68, 40, 1169, 1137, 1118, 396, 475,
+			625, 552, 1214, 1400, 759, 220, 103, 797, 1368, 806, 1020, 853, 290, 238, 210, 1352,
+			953, 786, 341, 229, 1203, 846, 1336, 1318, 545, 98, 254, 1216, 1428, 615, 606, 519,
+			643, 841, 722, 1422, 839, 421, 127, 394, 1380, 1050, 1132, 1100, 247, 283, 534, 1370,
+			1338, 641, 466, 295, 1232, 1246, 1087, 1334, 585, 164, 432, 770, 1438, 777, 848, 834,
+			578, 927, 932, 1426, 1212, 339, 179, 482, 1386, 1364, 825, 1184, 309, 477, 855, 1098,
+			1362, 703, 580, 407, 864, 1280, 1130, 1342, 772, 125, 529, 832, 1440, 1210, 663, 874,
+			630, 1027, 1260, 1193, 1242, 419, 231, 827, 1076, 1396, 939, 1218, 348, 328, 963, 1123,
+			1366, 948, 375, 447, 898, 1316, 1382, 1043, 816, 169, 569, 1244, 1159, 1258, 729, 934,
+			761, 596, 1304, 1208, 1248, 484, 136, 893, 1116, 1402, 1230, 917, 385, 412, 1045, 1384,
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.cfg.Name, func(t *testing.T) {
+			k := sim.NewKernel()
+			m := New(k, c.cfg)
+			at := make([]sim.Time, len(c.at))
+			for cl := 0; cl < m.Clusters(); cl++ {
+				m.SetDeliver(cl, func(msg *noc.Message) {
+					at[msg.ID] = k.Now()
+					m.Consume(cl, msg)
+				})
+			}
+			s := &pinSender{k: k, m: m}
+			for i := range c.at {
+				kind, size := noc.KindRequest, noc.RequestBytes
+				switch i % 5 {
+				case 1:
+					kind, size = noc.KindResponse, noc.ResponseBytes
+				case 2:
+					kind, size = noc.KindWriteback, noc.WritebackBytes
+				case 3:
+					kind, size = noc.KindResponse, 40
+				}
+				s.msgs = append(s.msgs, msg(uint64(i), i*5%32*2, 27, size, kind))
+				k.AtEvent(sim.Time(i/64), s, uint64(i))
+			}
+			k.Run()
+			for i, want := range c.at {
+				if at[i] != want {
+					t.Errorf("message %d delivered at cycle %d, want %d", i, at[i], want)
+				}
+			}
+			if got := k.Executed(); got != c.executed {
+				t.Errorf("Executed() = %d, want %d", got, c.executed)
+			}
+		})
+	}
+}
+
 // pumper sends a 64-byte response from the cluster in the data word to a
 // random other cluster every 2 cycles, whether or not the mesh accepts it.
 type pumper struct {

@@ -11,10 +11,12 @@ import (
 )
 
 // TestInjectEpochContract holds every registered fabric (plus SWMR with
-// tuned receivers) to the InjectEpoch contract the hub's refusal memo relies
-// on: after Send refuses a message from src, Send keeps refusing it while
-// InjectEpoch(src) is unchanged; the first accept after a refusal follows an
-// epoch change; the epoch never decreases; and Reset zeroes every epoch.
+// tuned receivers) to the InjectEpochs contract the hub's refusal memo
+// relies on: the slice has one entry per cluster; after Send refuses a
+// message from src, Send keeps refusing it while epochs[src] is unchanged;
+// the first accept after a refusal follows an epoch change; the epoch never
+// decreases; and Reset zeroes every epoch in the same backing array, which
+// the hub keeps for the network's lifetime.
 func TestInjectEpochContract(t *testing.T) {
 	type variant struct {
 		name   string
@@ -44,9 +46,13 @@ func TestInjectEpochContract(t *testing.T) {
 			for c := 0; c < net.Clusters(); c++ {
 				net.SetDeliver(c, func(m *noc.Message) { net.Consume(c, m) })
 			}
+			epochs := net.InjectEpochs()
+			if len(epochs) != net.Clusters() {
+				t.Fatalf("InjectEpochs has %d entries, want Clusters() = %d", len(epochs), net.Clusters())
+			}
 			for c := 0; c < net.Clusters(); c++ {
-				if e := net.InjectEpoch(c); e != 0 {
-					t.Fatalf("fresh network: InjectEpoch(%d) = %d, want 0", c, e)
+				if e := epochs[c]; e != 0 {
+					t.Fatalf("fresh network: epochs[%d] = %d, want 0", c, e)
 				}
 			}
 
@@ -67,7 +73,7 @@ func TestInjectEpochContract(t *testing.T) {
 			type source struct {
 				src     int
 				head    *noc.Message // refused, awaiting retry
-				refused uint64       // InjectEpoch(src) at the head's refusal
+				refused uint64       // epochs[src] at the head's refusal
 				last    uint64       // last epoch seen, for monotonicity
 				accepts int          // accepts following a refusal
 			}
@@ -76,7 +82,7 @@ func TestInjectEpochContract(t *testing.T) {
 				for i := 0; i < 1000; i++ {
 					m := next(s.src)
 					if !net.Send(m) {
-						s.head, s.refused = m, net.InjectEpoch(s.src)
+						s.head, s.refused = m, epochs[s.src]
 						return
 					}
 				}
@@ -98,7 +104,7 @@ func TestInjectEpochContract(t *testing.T) {
 					if s.head == nil {
 						continue
 					}
-					e := net.InjectEpoch(s.src)
+					e := epochs[s.src]
 					if e < s.last {
 						t.Fatalf("source %d: epoch fell from %d to %d", s.src, s.last, e)
 					}
@@ -118,9 +124,9 @@ func TestInjectEpochContract(t *testing.T) {
 				}
 			}
 			for _, s := range sources {
-				if s.accepts < 40 || net.InjectEpoch(s.src) == 0 {
+				if s.accepts < 40 || epochs[s.src] == 0 {
 					t.Fatalf("source %d: %d accepts after refusal, epoch %d; the network never drained its injection queues",
-						s.src, s.accepts, net.InjectEpoch(s.src))
+						s.src, s.accepts, epochs[s.src])
 				}
 			}
 
@@ -130,9 +136,13 @@ func TestInjectEpochContract(t *testing.T) {
 			}
 			k.Reset()
 			r.Reset()
+			after := net.InjectEpochs()
+			if len(after) != len(epochs) || &after[0] != &epochs[0] {
+				t.Fatal("Reset replaced the InjectEpochs backing array; the hub reads the one it took at construction")
+			}
 			for c := 0; c < net.Clusters(); c++ {
-				if e := net.InjectEpoch(c); e != 0 {
-					t.Fatalf("after Reset: InjectEpoch(%d) = %d, want 0", c, e)
+				if e := epochs[c]; e != 0 {
+					t.Fatalf("after Reset: epochs[%d] = %d, want 0", c, e)
 				}
 			}
 		})

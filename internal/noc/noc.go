@@ -156,12 +156,15 @@ type Network interface {
 	// Send injects msg. It returns false when the source's injection queue is
 	// full; the caller must retry later (back pressure).
 	Send(msg *Message) bool
-	// InjectEpoch returns the number of injection slots freed at src so far:
-	// it rises every time a message leaves one of src's injection queues,
-	// and Reset returns it to zero. A Send that src refused keeps being
-	// refused while InjectEpoch(src) is unchanged, so a sender may skip the
-	// retry until the epoch moves. A fabric that never refuses returns 0.
-	InjectEpoch(src int) uint64
+	// InjectEpochs returns the per-source injection epochs, one entry per
+	// cluster: entry src counts the injection slots freed at src so far,
+	// rising every time a message leaves one of src's injection queues. A
+	// Send that src refused keeps being refused while its entry is
+	// unchanged, so a sender may skip the retry until the epoch moves. The
+	// slice is live: the network increments it in place, never reallocates
+	// it, and Reset zeroes it in place, so a caller may keep it for the
+	// network's lifetime. A fabric that never refuses returns zeros.
+	InjectEpochs() []uint64
 	// SetDeliver installs the delivery callback for a destination cluster.
 	SetDeliver(cluster int, fn DeliverFunc)
 	// Consume returns one receive-buffer credit at cluster after the hub has

@@ -84,7 +84,7 @@ type Crossbar struct {
 
 	credits    []int           // per destination receive-buffer pool
 	creditWait []sim.Fifo[int] // per destination: sources waiting, FIFO
-	// epochs counts injection slots freed per source (InjectEpoch).
+	// epochs counts injection slots freed per source (InjectEpochs).
 	epochs []uint64
 
 	// slots parks in-flight messages for the typed delivery event.
@@ -235,9 +235,9 @@ func (x *Crossbar) Send(m *noc.Message) bool {
 	return true
 }
 
-// InjectEpoch implements noc.Network: a slot of src's channel FIFO frees
+// InjectEpochs implements noc.Network: a slot of src's channel FIFO frees
 // when the head message's tail leaves the channel (releaseEvent).
-func (x *Crossbar) InjectEpoch(src int) uint64 { return x.epochs[src] }
+func (x *Crossbar) InjectEpochs() []uint64 { return x.epochs }
 
 // Consume implements noc.Network: the hub drained one message from
 // cluster's receive buffer, freeing a credit and recycling the message.

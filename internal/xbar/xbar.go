@@ -63,7 +63,7 @@ type Crossbar struct {
 
 	credits    []int           // per destination channel
 	creditWait []sim.Fifo[int] // per destination: src clusters waiting, FIFO
-	// epochs counts injection slots freed per source (InjectEpoch).
+	// epochs counts injection slots freed per source (InjectEpochs).
 	epochs []uint64
 
 	// slots parks in-flight messages for the typed delivery event.
@@ -209,9 +209,9 @@ func (x *Crossbar) Send(m *noc.Message) bool {
 	return true
 }
 
-// InjectEpoch implements noc.Network: a slot of one of src's (src,dst)
+// InjectEpochs implements noc.Network: a slot of one of src's (src,dst)
 // injection FIFOs frees when its head message transmits.
-func (x *Crossbar) InjectEpoch(src int) uint64 { return x.epochs[src] }
+func (x *Crossbar) InjectEpochs() []uint64 { return x.epochs }
 
 // Consume implements noc.Network: the hub drained one message from cluster's
 // receive buffer, freeing a credit and recycling the message. The crossbar
