@@ -10,9 +10,7 @@
 //	             [-queue N] [-runners R] [-drain DUR]
 //	             [-store DIR] [-log text|json]
 //	             [-mode worker|coordinator] [-peers URL,URL,...]
-//	             [-heartbeat DUR] [-dead-after N]
-//	             [-breaker-threshold N] [-breaker-cooldown DUR]
-//	             [-speculation F] [-speculation-after DUR]
+//	             [-heartbeat DUR] [-dead-after N] [-speculation-after DUR]
 //
 // API (see docs/API.md for a curl walkthrough):
 //
@@ -28,18 +26,19 @@
 //	GET    /metrics              Prometheus text-format operational metrics
 //
 // -mode coordinator turns the daemon into a fleet coordinator: it executes
-// nothing locally, instead splitting each campaign's cell matrix into
-// contiguous shards, dispatching them to the -peers worker daemons (same
-// binary, default mode), merging the shard streams into one index-ordered
-// result stream byte-identical to a single-node run, and retrying failed
-// shards on surviving workers. A coordinator also self-heals: it heartbeats
-// every worker's /healthz on the -heartbeat cadence (suspect after one
-// failure, dead after -dead-after, rejoining automatically), opens a
-// per-worker circuit breaker after -breaker-threshold consecutive dispatch
-// failures (half-open probe after -breaker-cooldown), speculatively
-// re-dispatches straggling shards (-speculation, -speculation-after), and
-// sheds campaigns with 503 + a drain-rate Retry-After when every live
-// worker's queue is full — see docs/OPERATIONS.md "Fleet self-healing".
+// nothing locally. Each campaign's cells go into one cell queue, and one
+// dispatch loop per -peers worker daemon (same binary, default mode) leases
+// batches of them as sub-jobs — first one contiguous shard per worker —
+// whose streams merge into one index-ordered result stream byte-identical
+// to a single-node run. A failed lease's undelivered cells go back to the
+// queue for the other workers. A coordinator also self-heals: it heartbeats
+// every worker's /healthz on the -heartbeat cadence, and a worker that
+// misses -dead-after beats in a row (failed heartbeats and transport/5xx
+// dispatch failures alike) is out of dispatch until a live heartbeat;
+// idle loops speculatively copy leases that straggle past
+// -speculation-after; and campaigns are shed with 503 + a drain-rate
+// Retry-After when every live worker's queue is full — see
+// docs/OPERATIONS.md "Fleet self-healing".
 // Every flag also reads a CORONA_* environment variable (flag wins) so
 // containerized fleets configure via env — see docker-compose.yml.
 //
@@ -112,16 +111,6 @@ func envDur(key string, def time.Duration) time.Duration {
 	return def
 }
 
-func envFloat(key string, def float64) float64 {
-	if v := os.Getenv(key); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
-		}
-		fmt.Fprintf(os.Stderr, "corona-serve: ignoring %s=%q: not a number\n", key, v)
-	}
-	return def
-}
-
 func run() int {
 	addr := flag.String("addr", envStr("CORONA_ADDR", "127.0.0.1:8451"), "listen address")
 	workers := flag.Int("workers", envInt("CORONA_WORKERS", 0), "per-job worker pool size; 0 = GOMAXPROCS, 1 = sequential")
@@ -134,11 +123,8 @@ func run() int {
 	mode := flag.String("mode", envStr("CORONA_MODE", "worker"), "worker executes jobs locally; coordinator shards them across -peers")
 	peers := flag.String("peers", envStr("CORONA_PEERS", ""), "comma-separated worker base URLs (coordinator mode), e.g. http://w1:8451,http://w2:8451")
 	heartbeat := flag.Duration("heartbeat", envDur("CORONA_HEARTBEAT", 0), "coordinator worker-heartbeat cadence (0 = 1s default)")
-	deadAfter := flag.Int("dead-after", envInt("CORONA_DEAD_AFTER", 0), "consecutive failed heartbeats before a worker is declared dead (0 = 3 default)")
-	brThreshold := flag.Int("breaker-threshold", envInt("CORONA_BREAKER_THRESHOLD", 0), "consecutive dispatch failures that open a worker's circuit breaker (0 = 3 default)")
-	brCooldown := flag.Duration("breaker-cooldown", envDur("CORONA_BREAKER_COOLDOWN", 0), "open-breaker cooldown before a half-open probe (0 = 5s default)")
-	specFactor := flag.Float64("speculation", envFloat("CORONA_SPECULATION", 0), "straggler threshold: speculate when a shard's cells/sec falls below this fraction of the fleet median (0 = 0.25 default)")
-	specAfter := flag.Duration("speculation-after", envDur("CORONA_SPECULATION_AFTER", 0), "minimum shard age before it can be judged a straggler (0 = 2s default)")
+	deadAfter := flag.Int("dead-after", envInt("CORONA_DEAD_AFTER", 0), "consecutive missed beats (failed heartbeats or dispatches) before a worker is declared dead (0 = 3 default)")
+	specAfter := flag.Duration("speculation-after", envDur("CORONA_SPECULATION_AFTER", 0), "minimum lease age before it can be judged a straggler (0 = 2s default)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -206,9 +192,6 @@ func run() int {
 		Tuning: server.FleetTuning{
 			HeartbeatInterval: *heartbeat,
 			DeadAfter:         *deadAfter,
-			BreakerThreshold:  *brThreshold,
-			BreakerCooldown:   *brCooldown,
-			SpeculationFactor: *specFactor,
 			SpeculationAfter:  *specAfter,
 		},
 	})

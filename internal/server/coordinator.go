@@ -1,69 +1,71 @@
 package server
 
 // Fleet coordination: a Server built with Options.Peers does not simulate
-// anything itself. Each submitted campaign's cell matrix is split into
-// contiguous index shards — one per worker — and every shard is dispatched
-// to a worker daemon as a shard sub-job: the campaign's own scenario body
-// with a "cells" selector riding it, executed by the worker through
-// core.Subset. Because every cell is independently seeded (core.CellSeed),
-// a cell computes the identical Result on any node, so the coordinator can
-// merge shard streams back into one index-ordered result stream that is
-// byte-identical (after index sort) to a single-node run of the same
-// scenario — the property the fleet determinism suite pins.
+// anything itself. Each submitted campaign's needed cells go into one
+// per-campaign cell queue, and one dispatch loop per worker leases batches
+// of cells from it. A lease is dispatched to its worker daemon as a
+// sub-job: the campaign's own scenario body with a "cells" selector riding
+// it, executed by the worker through core.Subset. Because every cell is
+// independently seeded (core.CellSeed), a cell computes the identical
+// Result on any node, so the coordinator can merge sub-job streams back
+// into one index-ordered result stream that is byte-identical (after index
+// sort) to a single-node run of the same scenario — the property the fleet
+// determinism suite pins.
 //
-// The availability layer on top of that protocol has four parts:
+// The queue's rules are the whole availability layer:
 //
-//   - Health registry (health.go): heartbeats classify every worker
-//     healthy/suspect/dead/recovered; dead workers are skipped by dispatch
-//     and speculation until a heartbeat brings them back.
-//   - Circuit breakers (breaker.go): consecutive transport/5xx dispatch
-//     failures open a worker's breaker so shards route around a peer that
-//     answers the wire but fails sub-jobs; a half-open probe (or a live
-//     heartbeat) closes it.
-//   - Straggler speculation: a shard delivering cells far below the fleet's
-//     median rate gets its undelivered cells speculatively re-dispatched to
-//     a healthy peer; first result wins per cell, enforced inside
-//     fleetMerge, so a duplicate delivery can never reach the stream.
+//   - First leases: loop k's first lease is contiguous shard k of
+//     splitShards, so a healthy campaign sends one sub-job per worker.
+//   - Retry: a lease ends when its sub-job stream ends, and its undelivered
+//     cells go back to the queue for another worker's loop to take: the
+//     worker that failed a cell takes it again only while no other worker
+//     is dispatchable. A cell may be dispatched maxDispatches times before
+//     its campaign fails.
+//   - Speculation: a loop with nothing to lease re-leases the undelivered
+//     cells of a straggling lease, at most one copy in flight per lease.
+//     First result wins per cell inside fleetMerge, so the race never
+//     reaches the stream.
+//   - Health (health.go): heartbeats and breaker-worthy dispatch failures
+//     drive one per-worker state machine, and loops skip dead workers —
+//     unless every worker is dead, so a wholly-down fleet fails the
+//     campaign through the budget instead of hanging it.
 //   - Deadline propagation: a campaign with a timeout hands every sub-job
 //     the remaining budget, so workers abandon orphaned work themselves
 //     even if the coordinator dies before canceling it.
 //
-// Failure handling rides the durability substrate: the worker client
-// retries 503 backpressure and transient transport errors with backoff, and
-// when a shard sub-job still dies — the worker crashed, was restarted, or
-// failed the sub-job — the coordinator re-dispatches exactly the cells it
-// has not yet received to the next dispatchable worker, up to a bounded
-// number of attempts. Received cells are never re-run, and determinism
-// makes retried or speculated cells indistinguishable from first-try ones.
-// With a Store configured the coordinator journals merged cells like any
-// daemon, so a restarted coordinator re-dispatches only the missing ones.
+// The worker client retries 503 backpressure and transient transport errors
+// with backoff; the queue sees only a lease's final outcome. Received cells
+// are never re-run, and determinism makes retried or speculated cells
+// indistinguishable from first-try ones. With a Store configured the
+// coordinator journals merged cells like any daemon, so a restarted
+// coordinator re-dispatches only the missing ones.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"corona/internal/core"
 )
 
-// maxShardAttempts bounds how many sub-job dispatches one shard may consume
+// maxDispatches bounds how many sub-job dispatches one cell may consume
 // before its campaign fails: enough to walk the whole fleet twice (every
 // worker gets a second chance after transient trouble), never fewer than 4
-// so tiny fleets still ride out a worker restart.
-func (s *Server) maxShardAttempts() int {
-	if n := 2 * len(s.workers); n > 4 {
-		return n
-	}
-	return 4
+// so tiny fleets still ride out a worker restart. Speculative copies do not
+// count.
+func (s *Server) maxDispatches() int {
+	return max(2*len(s.workers), 4)
 }
 
-// runFleetJob executes one campaign by scattering its cells across the
-// worker fleet and merging the shard streams. Its lifecycle mirrors
-// runJob's exactly — same states, same journal semantics, same shutdown
-// behavior — only the execution engine differs.
+// runFleetJob executes one campaign by leasing its cells to the worker
+// fleet and merging the sub-job streams. Its lifecycle mirrors runJob's
+// exactly — same states, same journal semantics, same shutdown behavior —
+// only the execution engine differs.
 func (s *Server) runFleetJob(j *job) {
 	defer s.containPanic(j)
 	ctx, cancel, from, ok := s.startJob(j)
@@ -80,7 +82,7 @@ func (s *Server) runFleetJob(j *job) {
 
 	var err error
 	if needed := s.neededCells(j); len(needed) > 0 {
-		err = s.dispatchShards(ctx, j, needed)
+		err = s.runQueue(ctx, j, needed)
 	}
 	s.finishJob(j, err, started)
 }
@@ -105,77 +107,354 @@ func (s *Server) neededCells(j *job) []int {
 			needed = append(needed, i)
 		}
 	}
-	sort.Ints(needed)
+	slices.Sort(needed)
 	return needed
 }
 
-// dispatchShards splits the needed cells into one contiguous shard per
-// worker and runs every shard dispatcher concurrently, with the straggler
-// monitor watching their delivery rates; the first definitive shard failure
-// cancels the rest of the campaign.
-func (s *Server) dispatchShards(ctx context.Context, j *job, needed []int) error {
-	shards := splitShards(needed, len(s.workers))
-	m := &fleetMerge{
-		s:     s,
-		j:     j,
-		order: needed,
-		pend:  make(map[int]core.CellResult),
-		seen:  make(map[int]bool),
+// cellQueue is one campaign's dispatch state, shared by its per-worker
+// dispatch loops. A delivery takes mu before the merge's lock, so a cell's
+// acceptance and the queue's bookkeeping of it happen as one step.
+type cellQueue struct {
+	s    *Server
+	m    *fleetMerge
+	ctx  context.Context // the campaign's run context
+	stop context.CancelFunc
+
+	mu       sync.Mutex
+	first    [][]int         // loop k's first lease; nil once taken or handed back
+	pending  []int           // cells waiting for a lease, ascending
+	batch    int             // most cells one lease takes from pending
+	every    time.Duration   // how often an idle loop looks for a straggler
+	tries    map[int]int     // non-speculative dispatches per cell
+	failedOn map[int]*worker // the worker whose lease of a pending cell last failed
+	leases   []*lease        // every lease of the campaign
+	left     int             // needed cells not yet merged
+	err      error           // the budget failure that ended the campaign
+	changed  chan struct{}   // closed (and replaced) when cells are requeued
+}
+
+// lease is one batch of cells dispatched to one worker as a sub-job.
+type lease struct {
+	w       *worker
+	cells   []int  // ascending
+	done    []bool // done[i]: cells[i] was merged, through any lease
+	got     int    // cells this lease's own stream delivered
+	of      *lease // for a speculative copy, the lease it copies
+	copied  bool   // a speculative copy of this lease is in flight
+	started time.Time
+	ended   time.Time // zero while the sub-job stream is open
+
+	ctx    context.Context // canceled once every cell is merged
+	cancel context.CancelFunc
+}
+
+// rate is the lease's delivery rate in cells/sec: over its whole life once
+// ended, over the elapsed window while open.
+func (l *lease) rate(now time.Time) float64 {
+	end := l.ended
+	if end.IsZero() {
+		end = now
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	runs := make([]*shardRun, len(shards))
-	for k := range shards {
-		runs[k] = newShardRun(runCtx, j, m, k, shards[k])
+	if dt := end.Sub(l.started).Seconds(); dt > 0 {
+		return float64(l.got) / dt
 	}
-	// Speculation goroutines outlive individual shard dispatchers, so they
-	// get their own WaitGroup, drained only after runCtx is canceled.
-	var specWG sync.WaitGroup
-	if len(s.workers) > 1 && len(runs) > 1 {
-		specWG.Add(1)
-		go s.speculationMonitor(runCtx, runs, &specWG)
-	}
-	errs := make([]error, len(runs))
-	var wg sync.WaitGroup
-	for k := range runs {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			if err := s.runShard(runs[k]); err != nil {
-				errs[k] = err
-				cancel()
-			}
-		}(k)
-	}
-	wg.Wait()
-	cancel()
-	specWG.Wait()
-	// A real failure outranks the cancellations it caused in the sibling
-	// shards; with none, the outer context's verdict (deadline, user
-	// cancel, shutdown) is the story.
-	for _, err := range errs {
-		if err != nil && !isCancellation(err) {
-			return err
+	return 0
+}
+
+// undelivered returns the lease's cells not yet merged, ascending.
+func (l *lease) undelivered() []int {
+	var out []int
+	for i, c := range l.cells {
+		if !l.done[i] {
+			out = append(out, c)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	return out
+}
+
+// runQueue drives the needed cells through one cell queue with a dispatch
+// loop per worker, and returns once every cell is merged, a cell has spent
+// the dispatch budget, or ctx ends.
+func (s *Server) runQueue(ctx context.Context, j *job, needed []int) error {
+	q := &cellQueue{
+		s: s,
+		m: &fleetMerge{s: s, j: j, order: needed,
+			pend: make(map[int]core.CellResult), seen: make(map[int]bool)},
+		first:    make([][]int, len(s.workers)),
+		batch:    (len(needed) + len(s.workers) - 1) / len(s.workers),
+		every:    max(s.tuning.SpeculationAfter/8, time.Millisecond),
+		tries:    make(map[int]int, len(needed)),
+		failedOn: make(map[int]*worker),
+		left:     len(needed),
+		changed:  make(chan struct{}),
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	copy(q.first, splitShards(needed, len(s.workers)))
+	q.ctx, q.stop = context.WithCancel(ctx)
+	defer q.stop()
+	var wg sync.WaitGroup
+	for k, w := range s.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q.loop(k, w)
+		}()
+	}
+	wg.Wait()
+	switch {
+	case q.left == 0:
+		return nil
+	case q.err != nil:
+		return q.err
+	}
+	return ctx.Err()
+}
+
+// loop is worker w's dispatch loop until the campaign ends: take a lease,
+// dispatch it, release it. A loop whose worker is out of dispatch hands its
+// first lease back to the queue; with nothing to take, a loop waits for
+// requeued cells or its next check. After a failed lease it waits one
+// check before leasing again, so a worker that fails fast does not spin.
+func (q *cellQueue) loop(k int, w *worker) {
+	tick := time.NewTicker(q.every)
+	defer tick.Stop()
+	for {
+		q.mu.Lock()
+		if q.ctx.Err() != nil {
+			q.mu.Unlock()
+			return
+		}
+		var l *lease
+		if q.s.dispatchable(w) {
+			l = q.take(k, w)
+		} else if q.first[k] != nil {
+			q.requeue(q.first[k])
+			q.first[k] = nil
+		}
+		changed := q.changed
+		q.mu.Unlock()
+		wait := tick.C
+		if l != nil {
+			if !q.release(l, q.dispatch(l)) {
+				continue
+			}
+			changed, wait = nil, time.After(q.every)
+		}
+		select {
+		case <-q.ctx.Done():
+		case <-changed:
+		case <-wait:
+		}
+	}
+}
+
+// take leases loop k's next batch, in order of preference: its first
+// lease, pending cells, or a speculative copy of a straggler. Nil when
+// there is nothing to take. Callers hold q.mu.
+func (q *cellQueue) take(k int, w *worker) *lease {
+	now := time.Now()
+	l := &lease{w: w, started: now}
+	if l.cells, q.first[k] = q.first[k], nil; l.cells == nil {
+		l.cells = q.fromPending(w)
+	}
+	if l.cells == nil {
+		if l.of = q.straggler(now); l.of == nil {
+			return nil
+		}
+		l.of.copied = true
+		l.cells = l.of.undelivered()
+		q.s.fleet.specs.Add(1)
+		q.s.log.Info("straggler speculation", "job", q.m.j.id, "worker", w.name,
+			"cells", len(l.cells))
+	} else {
+		retry := false
+		for _, c := range l.cells {
+			retry = retry || q.tries[c] > 0
+			q.tries[c]++
+		}
+		if retry {
+			q.s.fleet.retries.Add(1)
+		}
+	}
+	l.done = make([]bool, len(l.cells))
+	l.ctx, l.cancel = context.WithCancel(q.ctx)
+	q.leases = append(q.leases, l)
+	return l
+}
+
+// fromPending removes up to one batch of pending cells for w's loop, or
+// returns nil. While another worker is dispatchable, w skips the cells its
+// own lease last failed, so a retry goes to a different worker. Callers
+// hold q.mu.
+func (q *cellQueue) fromPending(w *worker) []int {
+	avoid := slices.ContainsFunc(q.s.workers, func(o *worker) bool {
+		return o != w && q.s.dispatchable(o)
+	})
+	var cells, rest []int
+	for _, c := range q.pending {
+		if len(cells) < q.batch && !(avoid && q.failedOn[c] == w) {
+			cells = append(cells, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	q.pending = rest
+	return cells
+}
+
+// straggler returns an open, unfinished lease with no copy in flight that
+// is at least SpeculationAfter old and delivers below a quarter of the
+// median cells/s, or nil. The median is over the campaign's first-hand
+// leases that are open or whose cells are all merged: a failed lease's
+// cells live on in a later lease, and copies only echo their original.
+// Callers hold q.mu.
+func (q *cellQueue) straggler(now time.Time) *lease {
+	var rates []float64
+	for _, l := range q.leases {
+		if l.of == nil && (l.ended.IsZero() || !slices.Contains(l.done, false)) {
+			rates = append(rates, l.rate(now))
+		}
+	}
+	med := median(rates)
+	if med <= 0 {
+		return nil
+	}
+	for _, l := range q.leases {
+		if l.ended.IsZero() && l.of == nil && !l.copied && slices.Contains(l.done, false) &&
+			now.Sub(l.started) >= q.s.tuning.SpeculationAfter && l.rate(now) < 0.25*med {
+			return l
 		}
 	}
 	return nil
+}
+
+// requeue returns cells to the pending set and wakes idle loops. Callers
+// hold q.mu.
+func (q *cellQueue) requeue(cells []int) {
+	q.pending = slices.Concat(q.pending, cells)
+	slices.Sort(q.pending)
+	close(q.changed)
+	q.changed = make(chan struct{})
+}
+
+// dispatch runs lease l on its worker as one sub-job, streaming its cells
+// into the merge. It returns why the lease ended: the lease context's error
+// once every cell is merged or the campaign is over, else the failure.
+func (q *cellQueue) dispatch(l *lease) error {
+	s, j, w := q.s, q.m.j, l.w
+	body, err := shardBody(j.raw, l.cells, remainingTimeout(l.ctx))
+	if err != nil {
+		return fmt.Errorf("building sub-job body: %w", err)
+	}
+	s.fleet.noteDispatch(w.name)
+	failed := func(err error) error {
+		s.log.Warn("lease dispatch failed", "job", j.id, "worker", w.name, "err", err)
+		if breakerWorthy(err) {
+			s.missedBeat(w, err)
+		}
+		return err
+	}
+	sub, err := w.client.Submit(l.ctx, body)
+	if err != nil {
+		return failed(fmt.Errorf("worker %s: submit: %w", w.name, err))
+	}
+	s.log.Info("lease dispatched", "job", j.id, "worker", w.name, "sub_job", sub.ID,
+		"cells", len(l.cells), "speculative", l.of != nil)
+	streamErr := w.client.Stream(l.ctx, sub.ID, func(cell core.CellResult) error {
+		q.deliver(l, cell)
+		return nil
+	})
+	if l.ctx.Err() != nil {
+		// Every cell landed (possibly through another lease), or the
+		// campaign is over: stop the worker's sub-job rather than letting
+		// it burn cycles.
+		stopCtx, stop := context.WithTimeout(context.Background(), 2*time.Second)
+		w.client.Cancel(stopCtx, sub.ID)
+		stop()
+		return l.ctx.Err()
+	}
+	if streamErr != nil {
+		return failed(fmt.Errorf("worker %s: stream of %s: %w", w.name, sub.ID, streamErr))
+	}
+	// The stream ended cleanly with cells missing: the sub-job failed or was
+	// canceled on the worker. The worker answered coherently throughout, so
+	// this does not count against its health.
+	v, err := w.client.Status(l.ctx, sub.ID)
+	if err == nil {
+		err = fmt.Errorf("ended %s: %s", v.Status, v.Error)
+	}
+	err = fmt.Errorf("worker %s: sub-job %s: %w", w.name, sub.ID, err)
+	s.log.Warn("lease sub-job incomplete", "job", j.id, "worker", w.name, "err", err)
+	return err
+}
+
+// deliver hands one streamed cell of lease l to the merge, where the first
+// result per cell wins. An accepted cell is marked merged in every lease
+// holding it; a lease with nothing left is canceled, which stops its
+// stream, and the last cell ends the campaign's loops.
+func (q *cellQueue) deliver(l *lease, cell core.CellResult) {
+	if _, ok := slices.BinarySearch(l.cells, cell.Index); !ok {
+		return // not a cell this lease asked for
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	l.got++
+	if !q.m.add(cell) {
+		return
+	}
+	if i, ok := slices.BinarySearch(q.pending, cell.Index); ok {
+		q.pending = slices.Delete(q.pending, i, i+1)
+	}
+	for _, o := range q.leases {
+		if i, ok := slices.BinarySearch(o.cells, cell.Index); ok && !o.done[i] {
+			if o.done[i] = true; !slices.Contains(o.done, false) {
+				o.cancel()
+			}
+		}
+	}
+	if q.left--; q.left == 0 {
+		q.stop()
+	}
+}
+
+// release ends lease l, which ended for reason err, and reports whether it
+// failed: cells undelivered while the campaign runs. A failed copy's cells
+// stay with the lease it copied, which may then be copied again. A failed
+// lease's cells go back to the queue, marked as failed on its worker,
+// unless one of them has spent the dispatch budget, which fails the
+// campaign.
+func (q *cellQueue) release(l *lease, err error) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	l.ended = time.Now()
+	l.cancel()
+	back := l.undelivered()
+	if len(back) == 0 || q.ctx.Err() != nil {
+		return false
+	}
+	if l.of != nil {
+		l.of.copied = false
+		return true
+	}
+	for _, c := range back {
+		if q.tries[c] >= q.s.maxDispatches() {
+			q.err = fmt.Errorf("%d of %d cells undone after %d dispatches: %w",
+				q.left, len(q.m.order), q.tries[c], err)
+			q.stop()
+			return false
+		}
+	}
+	for _, c := range back {
+		q.failedOn[c] = l.w
+	}
+	q.requeue(back)
+	return true
 }
 
 // splitShards chunks the (ascending) indices into at most n contiguous,
 // near-equal runs — the static sharding a fleet inherits from the sweep
 // engine: which worker owns a cell affects wall-clock only, never results.
 func splitShards(indices []int, n int) [][]int {
-	if n > len(indices) {
-		n = len(indices)
-	}
+	n = min(n, len(indices))
 	shards := make([][]int, 0, n)
 	for k := 0; k < n; k++ {
 		lo, hi := k*len(indices)/n, (k+1)*len(indices)/n
@@ -184,366 +463,17 @@ func splitShards(indices []int, n int) [][]int {
 	return shards
 }
 
-// shardRun is the shared state of one shard's campaign: the primary
-// dispatcher (runShard) and any speculative re-dispatch deliver through it,
-// it tracks which cells have landed, and its context is canceled the moment
-// the last cell arrives so whichever stream is still running stops.
-type shardRun struct {
-	s     *Server
-	j     *job
-	m     *fleetMerge
-	k     int
-	cells []int
-	in    map[int]bool
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu          sync.Mutex
-	got         map[int]bool
-	started     time.Time
-	finished    time.Time // zero until the last cell lands
-	curWorker   string    // worker the primary dispatcher is streaming from
-	speculating bool      // a speculation goroutine is in flight
-}
-
-func newShardRun(ctx context.Context, j *job, m *fleetMerge, k int, cells []int) *shardRun {
-	in := make(map[int]bool, len(cells))
-	for _, i := range cells {
-		in[i] = true
-	}
-	sh := &shardRun{
-		s:       m.s,
-		j:       j,
-		m:       m,
-		k:       k,
-		cells:   cells,
-		in:      in,
-		got:     make(map[int]bool, len(cells)),
-		started: time.Now(),
-	}
-	sh.ctx, sh.cancel = context.WithCancel(ctx)
-	return sh
-}
-
-// deliver accepts one cell from any stream serving this shard — primary or
-// speculative — deduplicating within the shard before handing it to the
-// merge (which enforces first-result-wins once more, globally). Completing
-// the shard cancels its context, stopping whichever stream is still open.
-func (sh *shardRun) deliver(cell core.CellResult) {
-	sh.mu.Lock()
-	if !sh.in[cell.Index] || sh.got[cell.Index] {
-		sh.mu.Unlock()
-		return
-	}
-	sh.got[cell.Index] = true
-	done := len(sh.got) == len(sh.cells)
-	if done {
-		sh.finished = time.Now()
-	}
-	sh.mu.Unlock()
-	sh.m.add(cell)
-	if done {
-		sh.cancel()
-	}
-}
-
-// complete reports whether every cell of the shard has been delivered.
-func (sh *shardRun) complete() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.got) == len(sh.cells)
-}
-
-// missing returns the shard cells not yet delivered, ascending.
-func (sh *shardRun) missing() []int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	missing := make([]int, 0, len(sh.cells)-len(sh.got))
-	for _, i := range sh.cells {
-		if !sh.got[i] {
-			missing = append(missing, i)
-		}
-	}
-	return missing
-}
-
-// rate is the shard's observed delivery rate in cells/sec — over its whole
-// life once finished, over the elapsed window while running.
-func (sh *shardRun) rate(now time.Time) float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	end := sh.finished
-	if end.IsZero() {
-		end = now
-	}
-	dt := end.Sub(sh.started).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(len(sh.got)) / dt
-}
-
-func (sh *shardRun) setWorker(name string) {
-	sh.mu.Lock()
-	sh.curWorker = name
-	sh.mu.Unlock()
-}
-
-// claimSpeculation atomically decides whether this shard is a straggler
-// right now and, if so, claims the (single) speculation slot. The caller
-// must release it with releaseSpeculation when the speculative dispatch
-// ends, successful or not.
-func (sh *shardRun) claimSpeculation(now time.Time, medianRate float64, t FleetTuning) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.speculating || len(sh.got) == len(sh.cells) {
-		return false
-	}
-	if now.Sub(sh.started) < t.SpeculationAfter {
-		return false
-	}
-	dt := now.Sub(sh.started).Seconds()
-	if dt <= 0 {
-		return false
-	}
-	if float64(len(sh.got))/dt >= t.SpeculationFactor*medianRate {
-		return false
-	}
-	sh.speculating = true
-	return true
-}
-
-func (sh *shardRun) releaseSpeculation() {
-	sh.mu.Lock()
-	sh.speculating = false
-	sh.mu.Unlock()
-}
-
-// nextWorker picks the next dispatch target at or after cursor: the first
-// worker the health registry calls live whose breaker admits traffic. When
-// every worker is dead or breaker-open the plain round-robin choice is
-// returned anyway — the client's own backoff paces the desperation, and a
-// fleet that is wholly down should fail the campaign through the attempt
-// budget, not hang it.
-func (s *Server) nextWorker(cursor int) (*worker, int) {
-	n := len(s.workers)
-	now := time.Now()
-	for i := 0; i < n; i++ {
-		w := s.workers[(cursor+i)%n]
-		if w.live() && w.br.allow(now) {
-			return w, (cursor + i + 1) % n
-		}
-	}
-	return s.workers[cursor%n], (cursor + 1) % n
-}
-
-// runShard drives one shard to completion: dispatch the missing cells to a
-// worker as a sub-job, stream its results into the merge, and — when the
-// worker dies or the sub-job ends without delivering everything — move the
-// remainder to the next dispatchable worker within the attempt budget.
-// Speculative deliveries count: a shard whose straggling sub-job is
-// out-raced by a speculation completes here with a canceled stream.
-func (s *Server) runShard(sh *shardRun) error {
-	j := sh.j
-	cursor := sh.k % len(s.workers)
-	var lastErr error
-	for attempt := 0; !sh.complete(); attempt++ {
-		if err := sh.ctx.Err(); err != nil {
-			if sh.complete() {
-				return nil
-			}
-			return err
-		}
-		if attempt >= s.maxShardAttempts() {
-			missing := sh.missing()
-			return fmt.Errorf("shard %d: %d of %d cells undone after %d dispatches: %w",
-				sh.k, len(missing), len(sh.cells), attempt, lastErr)
-		}
-		if attempt > 0 {
-			s.fleet.noteRetry()
-		}
-		missing := sh.missing()
-		var w *worker
-		w, cursor = s.nextWorker(cursor)
-		sh.setWorker(w.name)
-		body, err := shardBody(j.raw, missing, remainingTimeout(sh.ctx))
-		if err != nil {
-			return fmt.Errorf("shard %d: building sub-job body: %w", sh.k, err)
-		}
-		s.fleet.noteDispatch(w.name)
-		sub, err := w.client.Submit(sh.ctx, body)
-		if err != nil {
-			if breakerWorthy(err) {
-				w.br.recordFailure(time.Now())
-			}
-			lastErr = fmt.Errorf("worker %s: submit: %w", w.name, err)
-			s.log.Warn("shard dispatch failed", "job", j.id, "shard", sh.k,
-				"worker", w.name, "attempt", attempt+1, "err", err)
-			continue
-		}
-		s.log.Info("shard dispatched", "job", j.id, "shard", sh.k, "worker", w.name,
-			"sub_job", sub.ID, "cells", len(missing), "attempt", attempt+1)
-		streamErr := w.client.Stream(sh.ctx, sub.ID, func(cell core.CellResult) error {
-			sh.deliver(cell)
-			return nil
-		})
-		if sh.ctx.Err() != nil {
-			// The shard is over — complete (possibly via speculation), or the
-			// campaign was canceled: stop the worker's sub-job rather than
-			// letting it burn cycles.
-			stopCtx, stop := context.WithTimeout(context.Background(), 2*time.Second)
-			w.client.Cancel(stopCtx, sub.ID)
-			stop()
-			if sh.complete() {
-				w.br.recordSuccess()
-				return nil
-			}
-			return sh.ctx.Err()
-		}
-		if streamErr != nil {
-			if breakerWorthy(streamErr) {
-				w.br.recordFailure(time.Now())
-			}
-			lastErr = fmt.Errorf("worker %s: stream of %s: %w", w.name, sub.ID, streamErr)
-			s.log.Warn("shard stream broke; retrying missing cells", "job", j.id,
-				"shard", sh.k, "worker", w.name, "done", len(sh.cells)-len(sh.missing()),
-				"of", len(sh.cells), "err", streamErr)
-			continue
-		}
-		if sh.complete() {
-			w.br.recordSuccess()
-			break
-		}
-		// The stream ended cleanly but cells are missing: the sub-job failed
-		// or was canceled on the worker. Record its verdict and retry. The
-		// worker answered coherently throughout, so this is not breaker-worthy.
-		if v, verr := w.client.Status(sh.ctx, sub.ID); verr != nil {
-			lastErr = fmt.Errorf("worker %s: sub-job %s status: %w", w.name, sub.ID, verr)
-		} else {
-			lastErr = fmt.Errorf("worker %s: sub-job %s ended %s: %s", w.name, sub.ID, v.Status, v.Error)
-		}
-		s.log.Warn("shard sub-job incomplete; retrying missing cells", "job", j.id,
-			"shard", sh.k, "worker", w.name, "done", len(sh.cells)-len(sh.missing()),
-			"of", len(sh.cells), "err", lastErr)
-	}
-	return nil
-}
-
-// speculationMonitor watches every shard's delivery rate on a fixed cadence
-// and re-dispatches stragglers: a shard old enough to judge whose rate has
-// fallen below SpeculationFactor x the fleet median gets its undelivered
-// cells sent to another worker. First result wins per cell; determinism
-// makes the race unobservable in the merged stream.
-func (s *Server) speculationMonitor(ctx context.Context, runs []*shardRun, wg *sync.WaitGroup) {
-	defer wg.Done()
-	t := time.NewTicker(s.tuning.SpeculationInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		rates := make([]float64, len(runs))
-		for i, sh := range runs {
-			rates[i] = sh.rate(now)
-		}
-		med := median(rates)
-		if med <= 0 {
-			continue
-		}
-		for _, sh := range runs {
-			if sh.claimSpeculation(now, med, s.tuning) {
-				wg.Add(1)
-				go s.speculate(sh, wg)
-			}
-		}
-	}
-}
-
 // median of a rate sample; the input slice is sorted in place.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sort.Float64s(xs)
-	mid := len(xs) / 2
-	if len(xs)%2 == 1 {
-		return xs[mid]
-	}
-	return (xs[mid-1] + xs[mid]) / 2
-}
-
-// speculationTarget picks the worker a straggling shard's cells are
-// re-dispatched to: a live worker with a closed breaker, not the one the
-// straggler is already streaming from, preferring the shallowest reported
-// queue. Nil when no such worker exists — speculation is strictly
-// best-effort and never falls back to a degraded peer.
-func (s *Server) speculationTarget(exclude string) *worker {
-	var best *worker
-	bestDepth := int(^uint(0) >> 1)
-	for _, w := range s.workers {
-		if w.name == exclude || !w.live() || w.br.isOpen() {
-			continue
-		}
-		w.mu.Lock()
-		depth := w.queueDepth
-		w.mu.Unlock()
-		if best == nil || depth < bestDepth {
-			best, bestDepth = w, depth
-		}
-	}
-	return best
-}
-
-// speculate runs one speculative dispatch for a straggling shard: submit the
-// undelivered cells to a healthy peer and stream whatever it produces into
-// the shard (first result wins). Any failure just releases the speculation
-// slot — the primary dispatcher still owns correctness, so the monitor may
-// try again on a later tick.
-func (s *Server) speculate(sh *shardRun, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer sh.releaseSpeculation()
-	missing := sh.missing()
-	if len(missing) == 0 {
-		return
-	}
-	sh.mu.Lock()
-	exclude := sh.curWorker
-	sh.mu.Unlock()
-	w := s.speculationTarget(exclude)
-	if w == nil {
-		return
-	}
-	body, err := shardBody(sh.j.raw, missing, remainingTimeout(sh.ctx))
-	if err != nil {
-		return
-	}
-	s.fleet.noteDispatch(w.name)
-	s.fleet.noteSpeculation()
-	sub, err := w.client.Submit(sh.ctx, body)
-	if err != nil {
-		s.log.Warn("speculative dispatch failed", "job", sh.j.id, "shard", sh.k,
-			"worker", w.name, "err", err)
-		return
-	}
-	s.log.Info("straggler speculation dispatched", "job", sh.j.id, "shard", sh.k,
-		"slow_worker", exclude, "worker", w.name, "sub_job", sub.ID, "cells", len(missing))
-	w.client.Stream(sh.ctx, sub.ID, func(cell core.CellResult) error {
-		sh.deliver(cell)
-		return nil
-	})
-	// Whether the speculation won, lost, or broke, the sub-job must not
-	// outlive it.
-	stopCtx, stop := context.WithTimeout(context.Background(), 2*time.Second)
-	w.client.Cancel(stopCtx, sub.ID)
-	stop()
+	slices.Sort(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }
 
 // remainingTimeout converts the run context's deadline into the "timeout"
-// value a shard sub-job should carry: the budget left right now, so a
+// value a sub-job should carry: the budget left right now, so a
 // worker abandons orphaned work on its own schedule even if the coordinator
 // never gets to cancel it. Zero (no deadline) omits the field.
 func remainingTimeout(ctx context.Context) time.Duration {
@@ -551,11 +481,7 @@ func remainingTimeout(ctx context.Context) time.Duration {
 	if !ok {
 		return 0
 	}
-	rem := time.Until(dl).Round(time.Millisecond)
-	if rem < time.Millisecond {
-		rem = time.Millisecond
-	}
-	return rem
+	return max(time.Until(dl).Round(time.Millisecond), time.Millisecond)
 }
 
 // shardBody rewrites the campaign's scenario body into a worker sub-job:
@@ -584,25 +510,18 @@ func shardBody(raw json.RawMessage, cells []int, timeout time.Duration) ([]byte,
 	return json.Marshal(m)
 }
 
-// cellSelector compresses a sorted index list into the range form when it
-// is one contiguous run — the common case for a first dispatch; retries of
-// a partially-delivered shard fall back to the explicit list.
+// cellSelector compresses an ascending, duplicate-free index list into the
+// range form when it is one contiguous run — the common case for a first
+// lease; a re-lease with gaps falls back to the explicit list.
 func cellSelector(cells []int) *cellRange {
-	contiguous := len(cells) > 0
-	for i := 1; i < len(cells); i++ {
-		if cells[i] != cells[i-1]+1 {
-			contiguous = false
-			break
-		}
-	}
-	if contiguous {
-		lo, hi := cells[0], cells[len(cells)-1]+1
+	if n := len(cells); n > 0 && cells[n-1]-cells[0] == n-1 {
+		lo, hi := cells[0], cells[n-1]+1
 		return &cellRange{Lo: &lo, Hi: &hi}
 	}
 	return &cellRange{List: cells}
 }
 
-// fleetMerge reassembles shard streams into the job's cell list in strictly
+// fleetMerge reassembles sub-job streams into the job's cell list in strictly
 // ascending index order: a cell arriving out of order parks in pend until
 // every lower needed index has been released. Index order makes the
 // coordinator's stream deterministic — byte-identical across fleet sizes,
@@ -619,8 +538,8 @@ type fleetMerge struct {
 }
 
 // add accepts a cell under first-result-wins semantics — the speculation
-// race's same-index duplicate is dropped here, authoritatively, whatever
-// the shard-level dedup upstream saw — then releases the longest
+// race's same-index duplicate is dropped here, the only dedup on the
+// delivery path — then releases the longest
 // now-contiguous prefix to the job (observers wake per cell, the journal
 // gets every release exactly once). Releasing under m.mu keeps two
 // deliverers' batches from interleaving in the job's stream. Reports
@@ -650,13 +569,14 @@ func (m *fleetMerge) add(cell core.CellResult) bool {
 	return true
 }
 
-// fleetMetrics counts shard dispatches per worker, shard retries, and
-// straggler speculations, for the coordinator's /metrics export.
+// fleetMetrics counts sub-job dispatches per worker, re-leases of cells
+// already dispatched, and straggler speculations, for the coordinator's
+// /metrics export.
 type fleetMetrics struct {
 	mu         sync.Mutex
 	dispatched map[string]uint64
-	retries    uint64
-	specs      uint64
+	retries    atomic.Uint64
+	specs      atomic.Uint64
 }
 
 func (f *fleetMetrics) noteDispatch(worker string) {
@@ -668,25 +588,9 @@ func (f *fleetMetrics) noteDispatch(worker string) {
 	f.mu.Unlock()
 }
 
-func (f *fleetMetrics) noteRetry() {
-	f.mu.Lock()
-	f.retries++
-	f.mu.Unlock()
-}
-
-func (f *fleetMetrics) noteSpeculation() {
-	f.mu.Lock()
-	f.specs++
-	f.mu.Unlock()
-}
-
 // snapshot copies the counters for a scrape.
 func (f *fleetMetrics) snapshot() (dispatched map[string]uint64, retries, specs uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	dispatched = make(map[string]uint64, len(f.dispatched))
-	for w, n := range f.dispatched {
-		dispatched[w] = n
-	}
-	return dispatched, f.retries, f.specs
+	return maps.Clone(f.dispatched), f.retries.Load(), f.specs.Load()
 }

@@ -165,10 +165,33 @@ func TestFleetRetriesDeadWorker(t *testing.T) {
 	// The dead worker's shard is visible in the per-worker dispatch counts:
 	// both workers were tried, only one could serve.
 	mx := scrapeMetrics(t, coord)
-	for _, name := range s.peerNames {
-		if !strings.Contains(mx, fmt.Sprintf("corona_fleet_shards_dispatched_total{worker=%q}", name)) {
-			t.Errorf("/metrics misses dispatch counter for worker %s", name)
+	for _, w := range s.workers {
+		if !strings.Contains(mx, fmt.Sprintf("corona_fleet_shards_dispatched_total{worker=%q}", w.name)) {
+			t.Errorf("/metrics misses dispatch counter for worker %s", w.name)
 		}
+	}
+}
+
+// TestFleetWhollyDownFailsThroughBudget closes every worker's listener
+// before the campaign starts: dispatch must keep going to dead workers, so
+// the campaign lands "failed" with the dispatch-budget error within a
+// bounded time instead of hanging on a fleet that has no one to serve it.
+func TestFleetWhollyDownFailsThroughBudget(t *testing.T) {
+	_, coord, workers := newFleet(t, 2, Options{}, Options{})
+	for _, w := range workers {
+		w.Close()
+	}
+	start := time.Now()
+	v, resp := postScenario(t, coord, fleetScenario)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	got := waitStatus(t, coord, v.ID, statusFailed)
+	if !strings.Contains(got.Error, "undone after") || !strings.Contains(got.Error, "dispatches") {
+		t.Errorf("wholly-down campaign failed with %q, want the dispatch-budget error", got.Error)
+	}
+	if took := time.Since(start); took > 15*time.Second {
+		t.Errorf("wholly-down campaign took %v to fail, want a bounded failure", took)
 	}
 }
 
@@ -256,6 +279,35 @@ func TestSplitShards(t *testing.T) {
 	}
 }
 
+// TestFleetStragglerMedian pins the straggler rule's median: it spans the
+// first-hand leases that are open or whose cells are all merged, so failed
+// leases (0 cells/s, their cells re-leased) cannot drag it to zero, and a
+// lease with a copy in flight is not copied again.
+func TestFleetStragglerMedian(t *testing.T) {
+	now := time.Unix(1000, 0)
+	q := &cellQueue{s: &Server{tuning: FleetTuning{SpeculationAfter: time.Second}}}
+	at := func(secsAgo float64) time.Time {
+		return now.Add(-time.Duration(secsAgo * float64(time.Second)))
+	}
+	fast := &lease{cells: []int{0, 1, 2, 3}, done: []bool{true, true, true, true}, got: 4,
+		started: at(2), ended: at(1)} // 4 cells/s
+	q.leases = append(q.leases, fast)
+	for c := 4; c < 7; c++ {
+		q.leases = append(q.leases, &lease{cells: []int{c}, done: []bool{false},
+			started: at(3), ended: at(2.9)}) // failed: 0 cells/s
+	}
+	slow := &lease{cells: []int{7, 8, 9, 10}, done: []bool{true, false, false, false}, got: 1,
+		started: at(10)} // open, 0.1 cells/s
+	q.leases = append(q.leases, slow)
+	if got := q.straggler(now); got != slow {
+		t.Fatalf("straggler = %+v, want the 0.1 cells/s lease (median over it and the 4 cells/s one)", got)
+	}
+	slow.copied = true
+	if got := q.straggler(now); got != nil {
+		t.Errorf("straggler = %+v with its copy in flight, want nil", got)
+	}
+}
+
 // TestCellSelector pins the wire form: contiguous runs compress to a range,
 // gapped retries fall back to the explicit list.
 func TestCellSelector(t *testing.T) {
@@ -265,6 +317,54 @@ func TestCellSelector(t *testing.T) {
 	if sel := cellSelector([]int{1, 3, 4}); sel.Lo != nil || !slices.Equal(sel.List, []int{1, 3, 4}) {
 		t.Errorf("gapped selector = %+v", sel)
 	}
+}
+
+// FuzzCellSelector fuzzes the "cells" submission selector: for any body,
+// parseExtras either errors or returns in-range, duplicate-free indices,
+// and every accepted subset survives the coordinator's wire round trip —
+// the selector cellSelector builds from it resolves to the same indices.
+func FuzzCellSelector(f *testing.F) {
+	for _, body := range []string{
+		fleetScenario,
+		strings.Replace(fleetScenario, `"requests"`, `"cells": {"list": [0, 2, 5]}, "requests"`, 1),
+		`{"cells": {"lo": 0, "hi": 3}}`,
+		`{"cells": {"lo": 3, "hi": 6}, "timeout": "10m"}`,
+		`{"cells": {"list": [5, 1, 3]}}`,
+		`{"cells": {"list": [6]}}`,
+		`{"cells": {"list": [1, 1]}}`,
+		`{"cells": {"list": []}}`,
+		`{"cells": {"list": [0.5]}}`,
+		`{"cells": {"lo": 3, "hi": 1}}`,
+		`{"cells": {"lo": -1, "hi": 2}}`,
+		`{"cells": {"lo": 0, "hi": 7}}`,
+		`{"cells": {"lo": 0}}`,
+		`{"cells": {"lo": 0, "hi": 2, "list": [1]}}`,
+		`{"cells": 5}`,
+		`{"cells": null, "timeout": "-1s"}`,
+		`not json`,
+	} {
+		f.Add([]byte(body), uint16(6))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, total uint16) {
+		_, subset, err := parseExtras(body, int(total))
+		if err != nil || subset == nil {
+			return
+		}
+		seen := make(map[int]bool, len(subset))
+		for _, i := range subset {
+			if i < 0 || i >= int(total) || seen[i] {
+				t.Fatalf("parseExtras accepted index %d (out of range or duplicated) from %q for %d cells",
+					i, body, total)
+			}
+			seen[i] = true
+		}
+		sorted := slices.Clone(subset)
+		slices.Sort(sorted)
+		back, err := cellSelector(sorted).resolve(int(total))
+		if err != nil || !slices.Equal(back, sorted) {
+			t.Fatalf("selector round trip of %v = %v, %v", sorted, back, err)
+		}
+	})
 }
 
 // TestFleetSpeedup is the scaling acceptance gate: the paper-shaped

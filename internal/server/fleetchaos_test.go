@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,74 +358,159 @@ func TestWorkerHealthLifecycle(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndRecloses is the breaker integration gate: persistent
-// dispatch failures to one worker open its breaker (visible in /healthz and
-// /metrics) and route its shards to the healthy peer; after the fault clears
-// and the cooldown elapses, the half-open probe of the next campaign closes
-// it. Heartbeats are effectively disabled so the breaker — not the health
-// registry — is what heals.
-func TestBreakerOpensAndRecloses(t *testing.T) {
+// TestFleetFailingWorkerLeavesDispatch is the breaker integration gate: a
+// worker that answers /healthz but fails every POST /v1/jobs with a 5xx
+// leaves dispatch through its own failures (visible as dead with breaker
+// "open" in /healthz and /metrics) while the campaign merges byte-identical
+// on its peer. Once the worker is fixed, its next live heartbeat returns it
+// to dispatch and it serves a later campaign. Heartbeats are effectively
+// disabled so dispatch failures, not probes, are what take it out.
+func TestFleetFailingWorkerLeavesDispatch(t *testing.T) {
 	want := singleNodeReference(t, fleetScenario)
-	defer faultinject.Disarm()
-	s, coord, _ := chaosFleet(t, 2, []int{0}, faultinject.ProxyOptions{}, FleetTuning{
-		HeartbeatInterval: time.Hour, // isolate the breaker from the health path
-		BreakerThreshold:  1,
-		BreakerCooldown:   300 * time.Millisecond,
+	_, backend := newTestServer(t, Options{})
+	var broken atomic.Bool
+	var served atomic.Int64
+	broken.Store(true)
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			if broken.Load() {
+				writeError(w, http.StatusInternalServerError, "sub-jobs broken on purpose")
+				return
+			}
+			served.Add(1)
+		}
+		backend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(failing.Close)
+	_, peer := newTestServer(t, Options{})
+	s, coord := newTestServer(t, Options{
+		Peers:  []*Client{fastPeer(failing.URL), fastPeer(peer.URL)},
+		Tuning: FleetTuning{HeartbeatInterval: time.Hour, DeadAfter: 1},
 	})
-	proxiedName := s.workers[0].name
+	failingName := s.workers[0].name
 
-	if err := faultinject.Arm("faultinject.proxy.accept:error:p=1:seed=1"); err != nil {
-		t.Fatal(err)
-	}
 	v, resp := postScenario(t, coord, fleetScenario)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
 	waitStatus(t, coord, v.ID, statusDone)
 	if got := sortedNDJSON(t, coord, v.ID); !slices.Equal(got, want) {
-		t.Error("merged NDJSON with a breaker-open worker differs from a single-node run")
+		t.Error("merged NDJSON with a failing worker differs from a single-node run")
 	}
-	var breakerState string
 	for _, w := range coordHealth(t, coord).Workers {
-		if w.Name == proxiedName {
-			breakerState = w.Breaker
+		if w.Name == failingName && (w.State != workerDead || w.Breaker != "open") {
+			t.Fatalf("failing worker = %s / breaker %q, want dead / open", w.State, w.Breaker)
 		}
 	}
-	if breakerState != "open" {
-		t.Fatalf("partitioned worker breaker = %q, want open", breakerState)
-	}
 	if !strings.Contains(scrapeMetrics(t, coord),
-		fmt.Sprintf("corona_fleet_breaker_open{worker=%q} 1", proxiedName)) {
-		t.Error("/metrics does not report the open breaker")
+		fmt.Sprintf("corona_fleet_breaker_open{worker=%q} 1", failingName)) {
+		t.Error("/metrics does not report the failing worker out of dispatch")
 	}
 
-	// Fault gone, cooldown elapsed: the next campaign's dispatch is the
-	// half-open probe, and its success must close the breaker.
-	faultinject.Disarm()
-	time.Sleep(400 * time.Millisecond)
+	// Fixed, and one live heartbeat later back in dispatch.
+	broken.Store(false)
+	s.heartbeat(s.workers[0])
+	if h := waitWorkerState(t, coord, failingName, workerRecovered); h.Breaker != "closed" {
+		t.Fatalf("recovered worker breaker = %q, want closed", h.Breaker)
+	}
 	v2, resp := postScenario(t, coord, fleetScenario)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-recovery submit: HTTP %d", resp.StatusCode)
+		t.Fatalf("post-fix submit: HTTP %d", resp.StatusCode)
 	}
 	waitStatus(t, coord, v2.ID, statusDone)
 	if got := sortedNDJSON(t, coord, v2.ID); !slices.Equal(got, want) {
-		t.Error("merged NDJSON after breaker reclose differs from a single-node run")
+		t.Error("merged NDJSON after the worker was fixed differs from a single-node run")
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		closed := false
-		for _, w := range coordHealth(t, coord).Workers {
-			if w.Name == proxiedName && w.Breaker == "closed" {
-				closed = true
+	if served.Load() == 0 {
+		t.Error("fixed worker served no sub-job of the later campaign")
+	}
+}
+
+// TestFleetFailedCellsRetryOnAnotherWorker runs a worker that fails every
+// POST /v1/jobs with a 500 beside a peer whose result streams start late,
+// under the default tuning. A heartbeat can clear the failing worker's
+// missed beats between its failures, so health alone does not keep it from
+// its own returned cells: the retry must wait for the peer instead of
+// spending the cells' dispatch budget on the worker that just failed them.
+func TestFleetFailedCellsRetryOnAnotherWorker(t *testing.T) {
+	want := singleNodeReference(t, fleetScenario)
+	_, backend := newTestServer(t, Options{})
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			writeError(w, http.StatusInternalServerError, "sub-jobs broken on purpose")
+			return
+		}
+		backend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(failing.Close)
+	_, peerBackend := newTestServer(t, Options{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			select {
+			case <-time.After(1500 * time.Millisecond):
+			case <-r.Context().Done():
+				return
 			}
 		}
-		if closed {
-			break
+		peerBackend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+	_, coord := newTestServer(t, Options{Peers: []*Client{fastPeer(failing.URL), fastPeer(slow.URL)}})
+
+	v, resp := postScenario(t, coord, fleetScenario)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitStatus(t, coord, v.ID, statusDone)
+	if got := sortedNDJSON(t, coord, v.ID); !slices.Equal(got, want) {
+		t.Error("merged NDJSON with a failing worker and a slow peer differs from a single-node run")
+	}
+}
+
+// TestFleetSpeculatesAgainAfterFailedCopy stalls one worker's result stream
+// outright and fails the first speculative copy of its lease. The lease must
+// be copied again, and the second copy must finish the campaign
+// byte-identical.
+func TestFleetSpeculatesAgainAfterFailedCopy(t *testing.T) {
+	want := singleNodeReference(t, fleetScenario)
+	_, stallBackend := newTestServer(t, Options{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			<-r.Context().Done()
+			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never reclosed; healthz: %+v", coordHealth(t, coord).Workers)
+		stallBackend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(stalled.Close)
+	_, backend := newTestServer(t, Options{})
+	var submits atomic.Int64
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Submit 1 is the worker's first lease; submit 2 is the first copy.
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && submits.Add(1) == 2 {
+			writeError(w, http.StatusInternalServerError, "first copy broken on purpose")
+			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		backend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	s, coord := newTestServer(t, Options{
+		Peers: []*Client{fastPeer(stalled.URL), fastPeer(flaky.URL)},
+		Tuning: FleetTuning{
+			HeartbeatInterval: 50 * time.Millisecond,
+			SpeculationAfter:  100 * time.Millisecond,
+		},
+	})
+
+	v, resp := postScenario(t, coord, fleetScenario)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitStatus(t, coord, v.ID, statusDone)
+	if got := sortedNDJSON(t, coord, v.ID); !slices.Equal(got, want) {
+		t.Error("merged NDJSON after a failed speculative copy differs from a single-node run")
+	}
+	if _, _, specs := s.fleet.snapshot(); specs < 2 {
+		t.Errorf("speculations = %d, want >= 2 (the first copy failed)", specs)
 	}
 }
 
@@ -486,11 +572,9 @@ func TestFleetStragglerSpeculation(t *testing.T) {
 	s, coord, _ := chaosFleet(t, 3, []int{0},
 		faultinject.ProxyOptions{DripBytes: 64, DripEvery: 25 * time.Millisecond},
 		FleetTuning{
-			HeartbeatInterval:   50 * time.Millisecond,
-			HeartbeatTimeout:    time.Second,
-			SpeculationFactor:   0.5,
-			SpeculationAfter:    100 * time.Millisecond,
-			SpeculationInterval: 20 * time.Millisecond,
+			HeartbeatInterval: 50 * time.Millisecond,
+			HeartbeatTimeout:  time.Second,
+			SpeculationAfter:  100 * time.Millisecond,
 		})
 	if err := faultinject.Arm("faultinject.proxy.drip:error:p=1:seed=1"); err != nil {
 		t.Fatal(err)

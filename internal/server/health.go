@@ -1,24 +1,29 @@
 package server
 
-// Worker health registry: a coordinator heartbeats every worker's /healthz
-// on a fixed cadence and drives a per-worker state machine —
+// Worker health registry: one per-worker state machine, driven by the
+// coordinator's heartbeats on /healthz and by breaker-worthy dispatch
+// failures, each of which counts as a missed beat —
 //
-//	healthy --(1 failed heartbeat)--> suspect
-//	suspect --(DeadAfter consecutive failures)--> dead
+//	healthy --(1 missed beat)--> suspect
+//	suspect --(DeadAfter consecutive missed beats)--> dead
 //	dead    --(1 live heartbeat)--> recovered --(next live heartbeat)--> healthy
 //
-// Dead workers are excluded from shard dispatch and speculation; recovered
-// ones rejoin automatically, no operator action required. The same heartbeat
-// carries the worker's queue depth and capacity, which feed the
-// coordinator's admission control (fleetAdmission): when every live worker's
-// queue is full the coordinator sheds new campaigns with 503 and a
-// Retry-After computed from the fleet's observed drain rate, instead of
-// accepting work it can only stall on.
+// Dead workers are out of dispatch: their loops lease no cells (see
+// coordinator.go) until a live heartbeat brings them back, no operator
+// action required. A worker that answers /healthz but fails every sub-job
+// still leaves dispatch through its failures, and its next live heartbeat
+// gives it another try. The same heartbeat carries the worker's queue
+// depth and capacity, which feed the coordinator's admission control
+// (fleetAdmission): when every live worker's queue is full the coordinator
+// sheds new campaigns with 503 and a Retry-After computed from the fleet's
+// observed drain rate, instead of accepting work it can only stall on.
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -42,24 +47,14 @@ type FleetTuning struct {
 	// HeartbeatTimeout bounds one heartbeat probe (a single attempt, no
 	// retries). Default: HeartbeatInterval.
 	HeartbeatTimeout time.Duration
-	// DeadAfter is how many consecutive failed heartbeats declare a worker
-	// dead (the first failure already marks it suspect). Default 3.
+	// DeadAfter is how many consecutive missed beats — failed heartbeats
+	// or transport/5xx dispatch failures — declare a worker dead (the first
+	// already marks it suspect). Default 3.
 	DeadAfter int
-	// BreakerThreshold is how many consecutive transport/5xx dispatch
-	// failures open a worker's circuit breaker. Default 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses dispatch before
-	// admitting a half-open probe. Default 5s.
-	BreakerCooldown time.Duration
-	// SpeculationFactor triggers straggler speculation: a shard whose
-	// observed cells/sec falls below factor x the fleet median gets its
-	// undelivered cells speculatively re-dispatched. Default 0.25.
-	SpeculationFactor float64
-	// SpeculationAfter is the minimum shard age before it can be judged a
-	// straggler — rates over tiny windows are noise. Default 2s.
+	// SpeculationAfter is the minimum lease age before it can be judged a
+	// straggler — rates over tiny windows are noise. Idle dispatch loops
+	// look for stragglers every SpeculationAfter/8. Default 2s.
 	SpeculationAfter time.Duration
-	// SpeculationInterval is the straggler-check cadence. Default 250ms.
-	SpeculationInterval time.Duration
 }
 
 // withDefaults fills every unset field.
@@ -73,20 +68,8 @@ func (t FleetTuning) withDefaults() FleetTuning {
 	if t.DeadAfter <= 0 {
 		t.DeadAfter = 3
 	}
-	if t.BreakerThreshold <= 0 {
-		t.BreakerThreshold = 3
-	}
-	if t.BreakerCooldown <= 0 {
-		t.BreakerCooldown = 5 * time.Second
-	}
-	if t.SpeculationFactor <= 0 {
-		t.SpeculationFactor = 0.25
-	}
 	if t.SpeculationAfter <= 0 {
 		t.SpeculationAfter = 2 * time.Second
-	}
-	if t.SpeculationInterval <= 0 {
-		t.SpeculationInterval = 250 * time.Millisecond
 	}
 	return t
 }
@@ -98,13 +81,11 @@ var heartbeatTransport http.RoundTripper = &http.Transport{DisableKeepAlives: tr
 
 // worker is one fleet peer plus everything the availability layer knows
 // about it: the retrying dispatch client, a single-attempt heartbeat client,
-// the health state machine, the last-reported queue figures, and the circuit
-// breaker.
+// the health state machine, and the last-reported queue figures.
 type worker struct {
 	client *Client // dispatch client (backoff retries)
 	hb     *Client // heartbeat client: one attempt, no keep-alive
 	name   string
-	br     *breaker
 
 	mu          sync.Mutex
 	state       string
@@ -114,37 +95,46 @@ type worker struct {
 	hasQueue    bool // at least one heartbeat has reported queue figures
 }
 
-func newWorker(c *Client, t FleetTuning) *worker {
+func newWorker(c *Client) *worker {
 	return &worker{
 		client: c,
 		hb: NewClient(c.BaseURL(), WithRetries(0),
 			WithHTTPClient(&http.Client{Transport: heartbeatTransport})),
 		name:  c.BaseURL(),
-		br:    newBreaker(t.BreakerThreshold, t.BreakerCooldown),
 		state: workerHealthy, // optimistic until the first heartbeat says otherwise
 	}
 }
 
-// snapshot copies the health fields for /healthz and /metrics.
+// snapshot copies the health fields for /healthz and /metrics. Breaker
+// is "open" while the worker is out of dispatch (dead), else "closed".
 func (w *worker) snapshot() WorkerHealth {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	v := WorkerHealth{
 		Name:          w.name,
 		State:         w.state,
+		Breaker:       "closed",
 		QueueDepth:    w.queueDepth,
 		QueueCapacity: w.queueCap,
 	}
-	w.mu.Unlock()
-	v.Breaker = w.br.current()
+	if w.state == workerDead {
+		v.Breaker = "open"
+	}
 	return v
 }
 
-// live reports whether the worker is dispatch-eligible as far as the health
-// registry is concerned (the breaker has its own veto in nextWorker).
+// live reports whether the worker is in dispatch: anything but dead.
 func (w *worker) live() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.state != workerDead
+}
+
+// dispatchable reports whether w's loop may lease cells: w is live, or no
+// worker is — a wholly-down fleet keeps dispatching so its campaigns fail
+// through the dispatch budget instead of hanging.
+func (s *Server) dispatchable(w *worker) bool {
+	return w.live() || !slices.ContainsFunc(s.workers, (*worker).live)
 }
 
 // heartbeatLoop polls one worker until the server closes.
@@ -167,51 +157,58 @@ func (s *Server) heartbeat(w *worker) {
 	ctx, cancel := context.WithTimeout(s.ctx, s.tuning.HeartbeatTimeout)
 	hv, err := w.hb.Health(ctx)
 	cancel()
-
-	w.mu.Lock()
-	prev := w.state
 	if err != nil {
-		w.consecFails++
-		if w.consecFails >= s.tuning.DeadAfter {
-			w.state = workerDead
-		} else {
-			w.state = workerSuspect
-		}
-	} else {
-		w.consecFails = 0
-		if prev == workerDead {
-			w.state = workerRecovered
-		} else {
-			w.state = workerHealthy
-		}
-		w.queueDepth, w.queueCap, w.hasQueue = hv.QueueDepth, hv.QueueCapacity, true
-	}
-	cur := w.state
-	w.mu.Unlock()
-
-	if err == nil && w.br.isOpen() {
-		// A live /healthz is as good as a half-open probe: the worker
-		// answers again, so dispatch may resume without waiting for the
-		// next cooldown window.
-		w.br.recordSuccess()
-		s.log.Info("worker breaker closed by live heartbeat", "worker", w.name)
-	}
-	if cur == prev {
+		s.missedBeat(w, err)
 		return
 	}
-	switch cur {
-	case workerSuspect, workerDead:
-		s.log.Warn("worker health degraded", "worker", w.name,
-			"state", cur, "consecutive_failures", s.consecFailsOf(w), "err", err)
-	default:
+	w.mu.Lock()
+	prev := w.state
+	w.consecFails = 0
+	if prev == workerDead {
+		w.state = workerRecovered
+	} else {
+		w.state = workerHealthy
+	}
+	w.queueDepth, w.queueCap, w.hasQueue = hv.QueueDepth, hv.QueueCapacity, true
+	cur := w.state
+	w.mu.Unlock()
+	if cur != prev {
 		s.log.Info("worker rejoined the fleet", "worker", w.name, "state", cur)
 	}
 }
 
-func (s *Server) consecFailsOf(w *worker) int {
+// missedBeat counts one failed heartbeat or breaker-worthy dispatch failure
+// against w: suspect at once, dead after DeadAfter in a row.
+func (s *Server) missedBeat(w *worker, err error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.consecFails
+	prev := w.state
+	w.consecFails++
+	if w.consecFails >= s.tuning.DeadAfter {
+		w.state = workerDead
+	} else {
+		w.state = workerSuspect
+	}
+	cur, fails := w.state, w.consecFails
+	w.mu.Unlock()
+	if cur != prev {
+		s.log.Warn("worker health degraded", "worker", w.name,
+			"state", cur, "consecutive_failures", fails, "err", err)
+	}
+}
+
+// breakerWorthy reports whether a dispatch failure indicts the worker: a
+// transport-level error (refused, reset, a dropped response) or a 5xx
+// answer. A context cancellation is the campaign's own signal and a 4xx is
+// the coordinator's own mistake; neither says anything about worker health.
+func breakerWorthy(err error) bool {
+	if err == nil || !transientError(err) {
+		return false
+	}
+	var ae *APIError
+	if errors.As(err, &ae) {
+		return ae.Status >= 500
+	}
+	return true
 }
 
 // fleetAdmission is the coordinator's overload control: a campaign is

@@ -8,77 +8,6 @@ import (
 	"time"
 )
 
-// TestBreakerCycle walks the full closed → open → half-open → closed state
-// machine with explicit clock values, no sleeping: the transitions are pure
-// functions of (state, now).
-func TestBreakerCycle(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	b := newBreaker(3, time.Second)
-
-	if !b.allow(t0) || b.isOpen() || b.current() != "closed" {
-		t.Fatal("fresh breaker is not closed and allowing")
-	}
-	// Two failures stay under the threshold.
-	b.recordFailure(t0)
-	b.recordFailure(t0)
-	if !b.allow(t0) || b.isOpen() {
-		t.Fatal("breaker opened below its threshold")
-	}
-	// A success resets the streak entirely.
-	b.recordSuccess()
-	b.recordFailure(t0)
-	b.recordFailure(t0)
-	if b.isOpen() {
-		t.Fatal("failure streak survived a success")
-	}
-	// The third consecutive failure opens it.
-	b.recordFailure(t0)
-	if !b.isOpen() || b.current() != "open" {
-		t.Fatalf("breaker state after threshold = %s, want open", b.current())
-	}
-	if b.allow(t0.Add(999 * time.Millisecond)) {
-		t.Fatal("open breaker allowed dispatch inside the cooldown")
-	}
-	// Cooldown elapsed: the next caller is the half-open probe; its
-	// followers are refused.
-	t1 := t0.Add(time.Second)
-	if !b.allow(t1) {
-		t.Fatal("cooldown elapsed but the probe was refused")
-	}
-	if b.current() != "half_open" {
-		t.Fatalf("state after probe admission = %s, want half_open", b.current())
-	}
-	if b.allow(t1.Add(10 * time.Millisecond)) {
-		t.Fatal("second caller admitted while a probe is outstanding")
-	}
-	// A probe that never reports back is replaced after another cooldown —
-	// the wedge guard.
-	t2 := t1.Add(time.Second)
-	if !b.allow(t2) {
-		t.Fatal("stale probe was never replaced")
-	}
-	// The probe fails: re-open immediately.
-	b.recordFailure(t2)
-	if b.current() != "open" {
-		t.Fatalf("state after failed probe = %s, want open", b.current())
-	}
-	// Next probe succeeds: closed, streak cleared.
-	t3 := t2.Add(time.Second)
-	if !b.allow(t3) {
-		t.Fatal("second cooldown elapsed but the probe was refused")
-	}
-	b.recordSuccess()
-	if b.isOpen() || b.current() != "closed" {
-		t.Fatalf("state after successful probe = %s, want closed", b.current())
-	}
-	// And the failure counter restarted from zero.
-	b.recordFailure(t3)
-	b.recordFailure(t3)
-	if b.isOpen() {
-		t.Fatal("failure streak leaked across the close")
-	}
-}
-
 // TestBreakerWorthy pins the failure classifier: transport errors and 5xx
 // indict the worker; context cancellations and 4xx do not.
 func TestBreakerWorthy(t *testing.T) {

@@ -78,7 +78,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("corona_uptime_seconds", "Seconds since the daemon started.", now.Sub(s.started).Seconds())
 
 	if len(s.workers) > 0 {
-		gauge("corona_fleet_workers", "Worker daemons this coordinator dispatches shards to.", float64(len(s.workers)))
+		gauge("corona_fleet_workers", "Worker daemons this coordinator leases cells to.", float64(len(s.workers)))
 		dispatched, retries, specs := s.fleet.snapshot()
 		// Sorted worker order keeps scrapes byte-stable across restarts.
 		byName := make(map[string]WorkerHealth, len(s.workers))
@@ -88,11 +88,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			names = append(names, wk.name)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(&b, "# HELP corona_fleet_shards_dispatched_total Shard sub-jobs dispatched, by worker.\n# TYPE corona_fleet_shards_dispatched_total counter\n")
+		fmt.Fprintf(&b, "# HELP corona_fleet_shards_dispatched_total Lease sub-jobs dispatched (first, retried and speculative), by worker.\n# TYPE corona_fleet_shards_dispatched_total counter\n")
 		for _, wk := range names {
 			fmt.Fprintf(&b, "corona_fleet_shards_dispatched_total{worker=%q} %d\n", wk, dispatched[wk])
 		}
-		fmt.Fprintf(&b, "# HELP corona_fleet_worker_healthy 1 while the health registry considers the worker dispatchable (healthy or recovered), 0 when suspect or dead.\n# TYPE corona_fleet_worker_healthy gauge\n")
+		fmt.Fprintf(&b, "# HELP corona_fleet_worker_healthy 1 while the worker is healthy or recovered, 0 when suspect or dead.\n# TYPE corona_fleet_worker_healthy gauge\n")
 		for _, wk := range names {
 			up := 0
 			if st := byName[wk].State; st == workerHealthy || st == workerRecovered {
@@ -100,7 +100,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 			fmt.Fprintf(&b, "corona_fleet_worker_healthy{worker=%q} %d\n", wk, up)
 		}
-		fmt.Fprintf(&b, "# HELP corona_fleet_breaker_open 1 while the worker's circuit breaker restricts dispatch (open or half-open), 0 when closed.\n# TYPE corona_fleet_breaker_open gauge\n")
+		fmt.Fprintf(&b, "# HELP corona_fleet_breaker_open 1 while the worker is out of dispatch (dead), 0 otherwise.\n# TYPE corona_fleet_breaker_open gauge\n")
 		for _, wk := range names {
 			open := 0
 			if byName[wk].Breaker != "closed" {
@@ -108,8 +108,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 			fmt.Fprintf(&b, "corona_fleet_breaker_open{worker=%q} %d\n", wk, open)
 		}
-		counter("corona_fleet_shard_retries_total", "Shard dispatches beyond the first attempt (worker failures ridden out).", float64(retries))
-		counter("corona_fleet_speculations_total", "Straggler speculations: undelivered shard cells re-dispatched to a faster worker.", float64(specs))
+		counter("corona_fleet_shard_retries_total", "Leases of cells already dispatched once (worker failures ridden out).", float64(retries))
+		counter("corona_fleet_speculations_total", "Straggler speculations: an idle worker copying a slow lease's undelivered cells.", float64(specs))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

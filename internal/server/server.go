@@ -93,15 +93,15 @@ type Options struct {
 	Store *store.Store
 	// Logger receives structured job-lifecycle logs. Nil uses slog.Default().
 	Logger *slog.Logger
-	// Peers turns the daemon into a fleet coordinator: submitted campaigns
-	// are split into contiguous cell shards, dispatched to these worker
-	// daemons as shard sub-jobs, merged into one index-ordered stream, and
-	// retried on surviving workers when a worker fails. Empty (the default)
-	// executes jobs locally through Client.
+	// Peers turns the daemon into a fleet coordinator: each submitted
+	// campaign's cells go into one cell queue that a dispatch loop per
+	// worker daemon leases from in sub-jobs, merged into one index-ordered
+	// stream; a failed lease's cells go back to the queue for the other
+	// workers. Empty (the default) executes jobs locally through Client.
 	Peers []*Client
 	// Tuning parameterizes the coordinator's availability layer (heartbeat
-	// cadence, breaker thresholds, straggler speculation). Zero fields take
-	// the documented defaults; ignored without Peers.
+	// cadence and timeout, missed beats to dead, straggler age). Zero
+	// fields take the documented defaults; ignored without Peers.
 	Tuning FleetTuning
 }
 
@@ -117,12 +117,10 @@ type Server struct {
 	log     *slog.Logger
 
 	// Fleet coordination (empty on a plain daemon): the workers (each a
-	// dispatch client plus its health state and circuit breaker), their
-	// display names, the availability tuning, the dispatch/retry/speculation
-	// counters /metrics exports, and the job-completion ring feeding the
-	// drain-rate Retry-After estimator.
+	// dispatch client plus its health state), the availability tuning, the
+	// dispatch/retry/speculation counters /metrics exports, and the
+	// job-completion ring feeding the drain-rate Retry-After estimator.
 	workers   []*worker
-	peerNames []string
 	tuning    FleetTuning
 	fleet     fleetMetrics
 	doneMu    sync.Mutex
@@ -180,8 +178,7 @@ func New(opts Options) *Server {
 		jobs:    make(map[string]*job),
 	}
 	for _, p := range opts.Peers {
-		s.workers = append(s.workers, newWorker(p, s.tuning))
-		s.peerNames = append(s.peerNames, p.BaseURL())
+		s.workers = append(s.workers, newWorker(p))
 	}
 	resumed := s.restoreJobs()
 	// Resumed jobs get dedicated queue slots so a full restart never
@@ -693,9 +690,9 @@ type HealthView struct {
 }
 
 // WorkerHealth is one worker's row in a coordinator's /healthz: the health
-// state machine's verdict (healthy/suspect/dead/recovered), the circuit
-// breaker's state (closed/open/half_open), and the queue figures its last
-// live heartbeat reported.
+// state machine's verdict (healthy/suspect/dead/recovered), Breaker "open"
+// while that verdict keeps the worker out of dispatch and "closed"
+// otherwise, and the queue figures its last live heartbeat reported.
 type WorkerHealth struct {
 	Name          string `json:"name"`
 	State         string `json:"state"`
