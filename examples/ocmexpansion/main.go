@@ -20,15 +20,20 @@ import (
 	"corona/internal/sim"
 )
 
+// doneAt records a transaction's completion time; it is the controller's
+// typed completion handler.
+type doneAt sim.Time
+
+func (d *doneAt) OnEvent(now sim.Time, _ uint64) { *d = doneAt(now) }
+
 // measure returns the isolated read latency for a controller configuration.
 func measure(cfg memory.Config) sim.Time {
 	k := sim.NewKernel()
 	c := memory.NewController(k, cfg, 0)
-	var done sim.Time
-	c.Submit(&memory.Request{ID: 1, Addr: 0, ReqBytes: 16, RspBytes: 72,
-		Done: func() { done = k.Now() }})
+	var done doneAt
+	c.Submit(&memory.Request{ID: 1, Addr: 0, ReqBytes: 16, RspBytes: 72, DoneHandler: &done})
 	k.Run()
-	return done
+	return sim.Time(done)
 }
 
 func main() {

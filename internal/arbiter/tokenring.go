@@ -22,13 +22,9 @@ import (
 	"corona/internal/sim"
 )
 
-// GrantFunc is invoked when a cluster's request for a channel is granted.
-type GrantFunc func()
-
-// GrantHandler is the typed counterpart of GrantFunc: components on the
-// kernel's zero-allocation fast path implement it (usually on the component
-// struct itself) and request with RequestEvent, avoiding a closure per
-// arbitration.
+// GrantHandler is told when a cluster's request for a channel is granted.
+// Components implement it (usually on the component struct itself) and
+// request with RequestEvent, so no closure is allocated per arbitration.
 type GrantHandler interface {
 	// Granted reports that cluster now holds channel's token.
 	Granted(channel, cluster int)
@@ -36,7 +32,6 @@ type GrantHandler interface {
 
 type waiter struct {
 	cluster int
-	grant   GrantFunc
 	h       GrantHandler
 }
 
@@ -143,21 +138,11 @@ func (c *tokenChannel) posAt(now sim.Time, n, speed int) int {
 	return int((uint64(c.freePos) + elapsed*uint64(speed)) % uint64(n))
 }
 
-// Request asks for channel on behalf of cluster; grant runs when the token is
-// diverted. Multiple outstanding requests from distinct clusters are fine; a
-// cluster must not request a channel it already holds or has pending.
-func (t *TokenRing) Request(channel, cluster int, grant GrantFunc) {
-	t.request(channel, waiter{cluster: cluster, grant: grant})
-}
-
-// RequestEvent is Request on the typed fast path: h.Granted(channel, cluster)
-// runs when the token is diverted, with no closure allocated.
+// RequestEvent asks for channel on behalf of cluster; h.Granted(channel,
+// cluster) runs when the token is diverted. Multiple outstanding requests
+// from distinct clusters are fine; a cluster must not request a channel it
+// already holds or has pending.
 func (t *TokenRing) RequestEvent(channel, cluster int, h GrantHandler) {
-	t.request(channel, waiter{cluster: cluster, h: h})
-}
-
-func (t *TokenRing) request(channel int, w waiter) {
-	cluster := w.cluster
 	if channel < 0 || channel >= len(t.chans) || cluster < 0 || cluster >= t.n {
 		panic(fmt.Sprintf("arbiter: request channel=%d cluster=%d out of range", channel, cluster))
 	}
@@ -170,7 +155,7 @@ func (t *TokenRing) request(channel int, w waiter) {
 			panic(fmt.Sprintf("arbiter: cluster %d duplicate request for channel %d", cluster, channel))
 		}
 	}
-	c.pending = append(c.pending, w)
+	c.pending = append(c.pending, waiter{cluster: cluster, h: h})
 	if c.holder < 0 {
 		t.commit(channel)
 	}
@@ -197,8 +182,9 @@ func (t *TokenRing) Release(channel, cluster int) {
 
 // commit (re)schedules the grant for the pending requester the free token
 // reaches first. Called whenever the pending set changes while the token is
-// free. A later Request can pre-empt an in-flight commitment only if the new
-// requester intercepts the token earlier — exactly what the optics do.
+// free. A later RequestEvent can pre-empt an in-flight commitment only if
+// the new requester intercepts the token earlier — exactly what the optics
+// do.
 func (t *TokenRing) commit(channel int) {
 	c := &t.chans[channel]
 	now := t.k.Now()
@@ -278,9 +264,5 @@ func (g *grantEvent) OnEvent(_ sim.Time, data uint64) {
 	}
 	t.Grants++
 	t.WaitCycles += uint64(c.commitWait)
-	if w.h != nil {
-		w.h.Granted(channel, c.holder)
-	} else {
-		w.grant()
-	}
+	w.h.Granted(channel, c.holder)
 }

@@ -12,6 +12,12 @@ type funcEvent func()
 
 func (f funcEvent) OnEvent(sim.Time, uint64) { f() }
 
+// grantFunc adapts a func() to GrantHandler for tests that request with
+// closures.
+type grantFunc func()
+
+func (f grantFunc) Granted(int, int) { f() }
+
 // releaseEvent releases channel 0's token held by the cluster in the data word.
 type releaseEvent TokenRing
 
@@ -37,7 +43,7 @@ func TestUncontestedGrantWithinRevolution(t *testing.T) {
 		k, tr := newRing(t)
 		var grantedAt sim.Time
 		granted := false
-		tr.Request(5, cluster, func() { granted = true; grantedAt = k.Now() })
+		tr.RequestEvent(5, cluster, grantFunc(func() { granted = true; grantedAt = k.Now() }))
 		k.Run()
 		if !granted {
 			t.Fatalf("cluster %d never granted", cluster)
@@ -51,8 +57,8 @@ func TestUncontestedGrantWithinRevolution(t *testing.T) {
 func TestExclusiveGrant(t *testing.T) {
 	k, tr := newRing(t)
 	holders := 0
-	tr.Request(3, 10, func() { holders++ })
-	tr.Request(3, 20, func() { holders++ })
+	tr.RequestEvent(3, 10, grantFunc(func() { holders++ }))
+	tr.RequestEvent(3, 20, grantFunc(func() { holders++ }))
 	k.Run()
 	if holders != 1 {
 		t.Fatalf("%d concurrent holders of one channel, want 1 (second must wait for release)", holders)
@@ -65,8 +71,8 @@ func TestExclusiveGrant(t *testing.T) {
 func TestReleaseGrantsNext(t *testing.T) {
 	k, tr := newRing(t)
 	var order []int
-	tr.Request(0, 5, func() { order = append(order, 5) })
-	tr.Request(0, 6, func() { order = append(order, 6) })
+	tr.RequestEvent(0, 5, grantFunc(func() { order = append(order, 5) }))
+	tr.RequestEvent(0, 6, grantFunc(func() { order = append(order, 6) }))
 	k.Run()
 	tr.Release(0, order[0])
 	k.Run()
@@ -80,15 +86,15 @@ func TestRingOrderGrant(t *testing.T) {
 	// downstream requester wins regardless of request arrival order.
 	k, tr := newRing(t)
 	got := -1
-	tr.Request(0, 10, func() { got = 10 })
+	tr.RequestEvent(0, 10, grantFunc(func() { got = 10 }))
 	k.Run()
 	if got != 10 {
 		t.Fatal("setup grant failed")
 	}
 	// While held, two clusters queue: 40 requested first, but 12 is closer
 	// downstream of the releasing cluster 10.
-	tr.Request(0, 40, func() { got = 40 })
-	tr.Request(0, 12, func() { got = 12 })
+	tr.RequestEvent(0, 40, grantFunc(func() { got = 40 }))
+	tr.RequestEvent(0, 12, grantFunc(func() { got = 12 }))
 	tr.Release(0, 10)
 	k.Run()
 	if got != 12 {
@@ -101,11 +107,11 @@ func TestSelfReacquireExclusion(t *testing.T) {
 	// token reaches within the same revolution.
 	k, tr := newRing(t)
 	got := -1
-	tr.Request(0, 10, func() { got = 10 })
+	tr.RequestEvent(0, 10, grantFunc(func() { got = 10 }))
 	k.Run()
-	tr.Request(0, 30, func() { got = 30 }) // 20 positions downstream: ~3 cycles
+	tr.RequestEvent(0, 30, grantFunc(func() { got = 30 })) // 20 positions downstream: ~3 cycles
 	tr.Release(0, 10)
-	tr.Request(0, 10, func() { got = 10 }) // self re-request, distance 0 but excluded
+	tr.RequestEvent(0, 10, grantFunc(func() { got = 10 })) // self re-request, distance 0 but excluded
 	k.Run()
 	if got != 30 {
 		t.Fatalf("self-reacquire exclusion violated: granted %d, want 30", got)
@@ -116,12 +122,12 @@ func TestSelfReacquireAfterRevolution(t *testing.T) {
 	// With no other requesters the releaser gets its token back after one
 	// full revolution.
 	k, tr := newRing(t)
-	tr.Request(0, 10, func() {})
+	tr.RequestEvent(0, 10, grantFunc(func() {}))
 	k.Run()
 	releaseTime := k.Now()
 	tr.Release(0, 10)
 	var regrant sim.Time
-	tr.Request(0, 10, func() { regrant = k.Now() })
+	tr.RequestEvent(0, 10, grantFunc(func() { regrant = k.Now() }))
 	k.Run()
 	if regrant != releaseTime+tr.RevolutionCycles() {
 		t.Fatalf("self re-grant at %d, want %d (release + one revolution)",
@@ -138,12 +144,12 @@ func TestRoundRobinFairnessUnderContention(t *testing.T) {
 	var grants int
 	var request func(cluster int)
 	request = func(cluster int) {
-		tr.Request(0, cluster, func() {
+		tr.RequestEvent(0, cluster, grantFunc(func() {
 			served[cluster]++
 			grants++
 			// Hold for 2 cycles (a message), then release.
 			k.ScheduleEvent(2, (*releaseEvent)(tr), uint64(cluster))
-		})
+		}))
 	}
 	for cl := 0; cl < 64; cl++ {
 		request(cl)
@@ -168,7 +174,7 @@ func TestHighContentionUtilization(t *testing.T) {
 	var grants int
 	var rerequest func(cluster int)
 	rerequest = func(cluster int) {
-		tr.Request(0, cluster, func() {
+		tr.RequestEvent(0, cluster, grantFunc(func() {
 			grants++
 			k.ScheduleEvent(holdCycles, funcEvent(func() {
 				tr.Release(0, cluster)
@@ -176,7 +182,7 @@ func TestHighContentionUtilization(t *testing.T) {
 					rerequest(cluster)
 				}
 			}), 0)
-		})
+		}))
 	}
 	for cl := 0; cl < 64; cl++ {
 		rerequest(cl)
@@ -195,7 +201,7 @@ func TestIndependentChannels(t *testing.T) {
 	k, tr := newRing(t)
 	grants := 0
 	for ch := 0; ch < 64; ch++ {
-		tr.Request(ch, (ch+1)%64, func() { grants++ })
+		tr.RequestEvent(ch, (ch+1)%64, grantFunc(func() { grants++ }))
 	}
 	k.Run()
 	if grants != 64 {
@@ -205,19 +211,19 @@ func TestIndependentChannels(t *testing.T) {
 
 func TestRequestPanicsOnDuplicate(t *testing.T) {
 	k, tr := newRing(t)
-	tr.Request(0, 1, func() {})
+	tr.RequestEvent(0, 1, grantFunc(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate request did not panic")
 		}
 	}()
-	tr.Request(0, 1, func() {})
+	tr.RequestEvent(0, 1, grantFunc(func() {}))
 	_ = k
 }
 
 func TestReleasePanicsOnNonHolder(t *testing.T) {
 	k, tr := newRing(t)
-	tr.Request(0, 1, func() {})
+	tr.RequestEvent(0, 1, grantFunc(func() {}))
 	k.Run()
 	defer func() {
 		if recover() == nil {
@@ -249,7 +255,7 @@ func TestTokenRingSafetyLiveness(t *testing.T) {
 			hold := sim.Time(rng.Intn(10) + 1)
 			delay := sim.Time(rng.Intn(50))
 			k.ScheduleEvent(delay, funcEvent(func() {
-				tr.Request(7, cl, func() {
+				tr.RequestEvent(7, cl, grantFunc(func() {
 					if holding {
 						ok = false
 					}
@@ -259,7 +265,7 @@ func TestTokenRingSafetyLiveness(t *testing.T) {
 						holding = false
 						tr.Release(7, cl)
 					}), 0)
-				})
+				}))
 			}), 0)
 		}
 		if k.RunLimit(1_000_000) >= 1_000_000 {

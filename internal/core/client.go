@@ -68,18 +68,19 @@ func (c *Client) Replay(ctx context.Context, cfg config.System, recs []trace.Rec
 }
 
 // Compare runs spec on several machines concurrently under identical
-// traffic (every machine sees the same seed, hence the same offered stream)
-// and returns results in argument order. With no explicit configs it
-// compares the paper's five machines in Combos order.
+// traffic and returns results in argument order. It is a one-row sweep at
+// the raw seed (not CellSeed), uncached: every machine replays the same
+// materialized stream, so each result equals Run at that seed. With no
+// explicit configs it compares the paper's five machines in Combos order.
 func (c *Client) Compare(ctx context.Context, spec traffic.Spec, requests int, seed uint64, configs ...config.System) ([]Result, error) {
 	if len(configs) == 0 {
 		configs = config.Combos()
 	}
-	cells := make([]Cell, len(configs))
-	for i, cfg := range configs {
-		cells[i] = Cell{Config: cfg, Spec: spec, Requests: requests, Seed: seed}
+	s := NewMatrixSweep(configs, []traffic.Spec{spec}, requests, seed)
+	if err := s.run(ctx, func(string) uint64 { return seed }, Workers(c.workers)); err != nil {
+		return nil, err
 	}
-	return RunCells(ctx, cells, c.workers)
+	return s.Results[0], nil
 }
 
 // Submit starts s running asynchronously and returns a Job handle

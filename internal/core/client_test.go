@@ -49,6 +49,14 @@ func TestClientTypedConfigErrors(t *testing.T) {
 	if _, err := NewClient().Submit(context.Background(), zero); !errors.As(err, &ce) {
 		t.Fatalf("Submit with zero requests: got %v, want *ConfigError", err)
 	}
+	for _, requests := range []int{0, -5} {
+		if _, err := NewClient().Run(context.Background(), config.Corona(), quickSpec(1), requests, 1); !errors.As(err, &ce) {
+			t.Fatalf("Run with %d requests: got %v, want *ConfigError", requests, err)
+		}
+		if _, err := NewClient().Compare(context.Background(), quickSpec(1), requests, 1); !errors.As(err, &ce) {
+			t.Fatalf("Compare with %d requests: got %v, want *ConfigError", requests, err)
+		}
+	}
 
 	// A canceled run is not a config problem, and must say so in its type.
 	ctx, cancel := context.WithCancel(context.Background())

@@ -155,8 +155,7 @@ func TestHotSpotMemoryLimited(t *testing.T) {
 func TestLocalTrafficBypassesNetwork(t *testing.T) {
 	spec := quickSpec(1)
 	spec.LocalFrac = 1.0 // everything cluster-local
-	sys := mustSystem(t, config.Corona())
-	res, err := NewRunner(sys, spec, 1000, 13).Run(context.Background())
+	res, err := Run(context.Background(), config.Corona(), spec, 1000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

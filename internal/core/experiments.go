@@ -281,6 +281,12 @@ func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spe
 // byte-identical tables. Any other cell failure cancels the remaining cells
 // and is returned as-is.
 func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
+	return s.run(ctx, func(workload string) uint64 { return CellSeed(s.Seed, workload) }, opts...)
+}
+
+// run is the one cell engine behind Sweep.Run and Client.Compare; they
+// differ only in the rule that gives a row its seed from its workload name.
+func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, opts ...Option) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -336,7 +342,7 @@ func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
 		w, c := i/nc, i%nc
 		defer rows[w].release()
 		cfg, spec := s.Configs[c], s.Workloads[w]
-		seed := CellSeed(s.Seed, spec.Name)
+		seed := rowSeed(spec.Name)
 		res, cached := rc.precomputed[i]
 		if !cached {
 			res, cached = cache.load(cfg, spec, s.Requests, seed)
@@ -414,8 +420,14 @@ func (s *Sweep) validate() error {
 			return &ConfigError{Name: cfg.Name(), Err: err}
 		}
 	}
-	if s.Requests <= 0 {
-		return &ConfigError{Name: "sweep", Err: fmt.Errorf("core: requests per cell must be positive, got %d", s.Requests)}
+	return checkRequests(s.Requests)
+}
+
+// checkRequests rejects a non-positive request count per cell, for
+// Sweep.validate and core.Run alike.
+func checkRequests(n int) error {
+	if n <= 0 {
+		return &ConfigError{Name: "requests", Err: fmt.Errorf("core: requests per cell must be positive, got %d", n)}
 	}
 	return nil
 }

@@ -5,12 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"runtime"
-	"runtime/debug"
 	"sync"
-
-	"corona/internal/config"
-	"corona/internal/faultinject"
-	"corona/internal/traffic"
 )
 
 // Pool executes independent jobs over a bounded set of workers with
@@ -106,78 +101,6 @@ func CellSeed(base uint64, workloadName string) uint64 {
 		s = 0x9E3779B97F4A7C15
 	}
 	return s
-}
-
-// Cell is one independent unit of sweep work: a workload replayed on a
-// configuration for a fixed number of requests at an explicit seed.
-type Cell struct {
-	Config   config.System
-	Spec     traffic.Spec
-	Requests int
-	Seed     uint64
-}
-
-// RunCells simulates every cell on a pool of `workers` (<= 0 for GOMAXPROCS)
-// and returns results in cell order. Seeds are taken from the cells as given
-// — callers comparing configurations under identical traffic pass the same
-// seed everywhere; Sweep.Run derives per-cell seeds via CellSeed instead.
-// The first cell failure cancels the remaining cells and is returned
-// (*ConfigError for invalid input); a done ctx yields a *CanceledError.
-func RunCells(ctx context.Context, cells []Cell, workers int) ([]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := make([]Result, len(cells))
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	NewPool(workers).Run(runCtx, len(cells), func(i int) {
-		cl := cells[i]
-		res, err := runCellContained(runCtx, cl)
-		if err != nil {
-			mu.Lock()
-			// A cancellation here is either the outer ctx (reported below) or
-			// the fallout of an earlier cell's failure — never the root cause.
-			if firstErr == nil && !isCanceled(err) {
-				firstErr = err
-			}
-			mu.Unlock()
-			cancel()
-			return
-		}
-		out[i] = res
-		mu.Lock()
-		done++
-		mu.Unlock()
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, &CanceledError{Completed: done, Total: len(cells), Err: err}
-	}
-	return out, nil
-}
-
-// runCellContained runs one independent cell behind a panic barrier, so a
-// panicking simulation fails its own RunCells call (as a *PanicError) rather
-// than unwinding the worker pool and the process. Sweep.Run has the same
-// barrier in runCellSafe.
-func runCellContained(ctx context.Context, cl Cell) (res Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	//lint:allow faultpoint runCellContained and Sweep.runCellSafe are alternative runners — a process drives cells through exactly one, so hit ordinals stay well-defined
-	if err := faultinject.Fire("core.cell.run"); err != nil {
-		return Result{}, err
-	}
-	return Run(ctx, cl.Config, cl.Spec, cl.Requests, cl.Seed)
 }
 
 // isCanceled reports whether err is a context cancellation or deadline,

@@ -234,30 +234,29 @@ func TestSweepCacheInvalidatedByParameters(t *testing.T) {
 	}
 }
 
-func TestRunCellsOrderAndSeeds(t *testing.T) {
+// TestCompareOrderAndSeeds: Compare returns results in argument order,
+// independent of its worker count, and its seed reaches the simulation.
+func TestCompareOrderAndSeeds(t *testing.T) {
 	spec := quickSpec(1)
-	cells := []Cell{
-		{Config: config.Corona(), Spec: spec, Requests: 800, Seed: 3},
-		{Config: config.Default(config.LMesh, config.ECM), Spec: spec, Requests: 800, Seed: 3},
-		{Config: config.Corona(), Spec: spec, Requests: 800, Seed: 4},
+	configs := []config.System{config.Corona(), config.Default(config.LMesh, config.ECM)}
+	compare := func(workers int, seed uint64) []Result {
+		t.Helper()
+		res, err := NewClient(WithWorkers(workers)).Compare(context.Background(), spec, 800, seed, configs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	par, err := RunCells(context.Background(), cells, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqr, err := RunCells(context.Background(), cells, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cells {
+	par, seqr := compare(3, 3), compare(1, 3)
+	for i := range configs {
 		if par[i] != seqr[i] {
 			t.Fatalf("cell %d differs between parallel and sequential", i)
 		}
-		if par[i].Config != cells[i].Config.Name() {
+		if par[i].Config != configs[i].Name() {
 			t.Fatalf("cell %d result out of order: got %s", i, par[i].Config)
 		}
 	}
-	if par[0].Cycles == par[2].Cycles && par[0].NetBytes == par[2].NetBytes {
+	if other := compare(3, 4); par[0].Cycles == other[0].Cycles && par[0].NetBytes == other[0].NetBytes {
 		t.Fatal("different seeds produced identical cells (suspicious)")
 	}
 }

@@ -8,36 +8,45 @@ import (
 	"corona/internal/traffic"
 )
 
-// TestMaterializedReplayMatchesGenerator is the row-sharing correctness
-// anchor: replaying a materialized stream must produce exactly the Result
-// the lazily-driven generator produces, for every field, on both an optical
-// and an electrical machine. This is what lets Sweep.Run materialize a
-// row's traffic once and share it across the row's configurations without
-// moving a single golden byte.
-func TestMaterializedReplayMatchesGenerator(t *testing.T) {
-	spec := traffic.Spec{Name: "Uniform", Kind: traffic.Uniform, DemandTBs: 5, WriteFrac: 0.3}
+// TestEntryPointsAgree is the one-engine anchor: the three ways to run a
+// cell — Client.Run, a Client.Compare row and a Sweep cell — must report
+// the identical Result, every field, on a mesh and a crossbar machine.
+// Compare runs at the raw seed, a Sweep cell at CellSeed(seed, workload).
+func TestEntryPointsAgree(t *testing.T) {
+	configs := []config.System{config.Default(config.HMesh, config.ECM), config.Corona()}
+	all := AllWorkloads()
+	specs := []traffic.Spec{all[0], all[1], all[4]}
 	const requests, seed = 1500, 77
-	for _, cfg := range []config.System{config.Corona(), config.Default(config.HMesh, config.ECM)} {
-		live, err := Run(context.Background(), cfg, spec, requests, seed)
+	ctx := context.Background()
+	client := NewClient(WithWorkers(2))
+	run := func(cfg config.System, spec traffic.Spec, seed uint64) Result {
+		t.Helper()
+		res, err := client.Run(ctx, cfg, spec, requests, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buckets := MaterializeStream(spec, cfg.Clusters, requests, seed)
-		sys, err := NewSystem(cfg)
+		return res
+	}
+	for _, spec := range specs {
+		row, err := client.Compare(ctx, spec, requests, seed, configs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := ReplayRunner(sys, spec.Name, buckets)
-		if err != nil {
-			t.Fatal(err)
+		for c, cfg := range configs {
+			if want := run(cfg, spec, seed); row[c] != want {
+				t.Errorf("Compare %s on %s differs from Run:\ncompare: %+v\nrun:     %+v",
+					spec.Name, cfg.Name(), row[c], want)
+			}
 		}
-		replayed, err := r.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if live != replayed {
-			t.Errorf("%s: replayed result differs from generator-driven:\nlive:   %+v\nreplay: %+v",
-				cfg.Name(), live, replayed)
+	}
+	s := NewMatrixSweep(configs, specs, requests, seed)
+	mustSweep(t, s, Workers(2))
+	for w, spec := range specs {
+		for c, cfg := range configs {
+			if want := run(cfg, spec, CellSeed(seed, spec.Name)); s.Results[w][c] != want {
+				t.Errorf("Sweep cell %s on %s differs from Run:\nsweep: %+v\nrun:   %+v",
+					spec.Name, cfg.Name(), s.Results[w][c], want)
+			}
 		}
 	}
 }

@@ -56,21 +56,17 @@ func TestCellFaultErrorFailsSweep(t *testing.T) {
 	}
 }
 
-// TestRunCellsPanicContained covers the RunCells path (Client.Compare) with
-// the same barrier.
-func TestRunCellsPanicContained(t *testing.T) {
+// TestComparePanicContained covers Client.Compare with the same barrier.
+func TestComparePanicContained(t *testing.T) {
 	defer faultinject.Disarm()
 	if err := faultinject.Arm("core.cell.run:panic@1"); err != nil {
 		t.Fatal(err)
 	}
-	cells := []Cell{
-		{Config: config.Corona(), Spec: quickSpec(1), Requests: 200, Seed: 3},
-		{Config: config.Corona(), Spec: quickSpec(1), Requests: 200, Seed: 4},
-	}
-	_, err := RunCells(context.Background(), cells, 2)
+	_, err := NewClient(WithWorkers(2)).Compare(context.Background(), quickSpec(1), 200, 3,
+		config.Corona(), config.Corona())
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("RunCells = %v, want *PanicError", err)
+		t.Fatalf("Compare = %v, want *PanicError", err)
 	}
 }
 

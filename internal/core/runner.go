@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"corona/internal/config"
 	"corona/internal/power"
@@ -52,66 +53,17 @@ func (r Result) Speedup(baseline Result) float64 {
 	return float64(baseline.Cycles) / float64(r.Cycles)
 }
 
-// Source produces per-cluster miss streams; traffic.Generator is the
-// synthetic implementation, and traceSource replays recorded traces.
-type Source interface {
-	Next(cluster int) trace.Record
-}
-
-// Runner replays a workload against a System until a fixed number of network
-// requests (L2 misses) completes, as the paper does ("We ran each simulation
-// for a predetermined number of network requests").
+// Runner replays a materialized miss stream against a System until every
+// record has issued and completed — a fixed number of network requests (L2
+// misses), as the paper does ("We ran each simulation for a predetermined
+// number of network requests").
 type Runner struct {
 	sys      *System
-	src      Source
 	name     string
 	requests int
 
-	perCluster []int          // remaining issues per cluster
-	pending    []trace.Record // head record per cluster, valid when hasPending
-	hasPending []bool
-	waiting    []bool // a timed wake-up is scheduled
-}
-
-// NewRunner builds a runner issuing `requests` synthetic misses split evenly
-// across clusters.
-func NewRunner(sys *System, spec traffic.Spec, requests int, seed uint64) *Runner {
-	r := newRunner(sys, traffic.NewGenerator(spec, sys.Cfg.Clusters, seed), spec.Name, requests)
-	base := requests / sys.Cfg.Clusters
-	extra := requests % sys.Cfg.Clusters
-	for c := range r.perCluster {
-		r.perCluster[c] = base
-		if c < extra {
-			r.perCluster[c]++
-		}
-	}
-	return r
-}
-
-func newRunner(sys *System, src Source, name string, requests int) *Runner {
-	r := &Runner{
-		sys:        sys,
-		src:        src,
-		name:       name,
-		requests:   requests,
-		perCluster: make([]int, sys.Cfg.Clusters),
-		pending:    make([]trace.Record, sys.Cfg.Clusters),
-		hasPending: make([]bool, sys.Cfg.Clusters),
-		waiting:    make([]bool, sys.Cfg.Clusters),
-	}
-	sys.SetMSHRFreeHook(func(cluster int) { r.pump(cluster) })
-	return r
-}
-
-// traceSource replays pre-recorded, per-cluster bucketed records.
-type traceSource struct {
-	buckets [][]trace.Record
-}
-
-func (t *traceSource) Next(cluster int) trace.Record {
-	rec := t.buckets[cluster][0]
-	t.buckets[cluster] = t.buckets[cluster][1:]
-	return rec
+	buckets [][]trace.Record // unissued records per cluster; the head pops once it issues
+	waiting []bool           // a timed wake-up is scheduled
 }
 
 // NewTraceRunner builds a runner that replays recs (annotated L2 misses,
@@ -134,22 +86,16 @@ func NewTraceRunner(sys *System, recs []trace.Record, threadsPerCluster int) (*R
 		}
 		buckets[c] = append(buckets[c], rec)
 	}
-	r := newRunner(sys, &traceSource{buckets: buckets}, "trace", len(recs))
-	for c := range r.perCluster {
-		r.perCluster[c] = len(buckets[c])
-	}
-	return r, nil
+	return ReplayRunner(sys, "trace", buckets)
 }
 
-// MaterializeStream generates the complete per-cluster miss stream a
-// NewRunner with the same (spec, clusters, requests, seed) would draw
-// lazily, bucketed by cluster — the paper's "capture the miss stream once"
-// step. The generator's per-cluster state is independent (each cluster has
-// its own RNG), so eager per-cluster generation yields exactly the records
-// the simulation-driven interleaving would, and the buckets can be replayed
-// against any number of configurations (ReplayRunner) — the sweep engine
-// materializes each row once and shares it, read-only, across the row's
-// cells and workers.
+// MaterializeStream generates spec's complete miss stream for a machine of
+// `clusters` endpoints — `requests` records split evenly across clusters,
+// bucketed by cluster — the paper's "capture the miss stream once" step.
+// Each cluster has its own RNG, so the stream depends only on (spec,
+// clusters, requests, seed), never on the machine that replays it: the
+// sweep engine materializes each row once and shares it, read-only, across
+// the row's cells and workers (ReplayRunner).
 func MaterializeStream(spec traffic.Spec, clusters, requests int, seed uint64) [][]trace.Record {
 	g := traffic.NewGenerator(spec, clusters, seed)
 	buckets := make([][]trace.Record, clusters)
@@ -178,16 +124,16 @@ func ReplayRunner(sys *System, name string, buckets [][]trace.Record) (*Runner, 
 		return nil, &ConfigError{Name: "trace", Err: fmt.Errorf(
 			"core: materialized stream has %d cluster buckets, system %d", len(buckets), sys.Cfg.Clusters)}
 	}
-	total := 0
-	heads := make([][]trace.Record, len(buckets))
-	for c, b := range buckets {
-		heads[c] = b
-		total += len(b)
+	r := &Runner{
+		sys:     sys,
+		name:    name,
+		buckets: slices.Clone(buckets),
+		waiting: make([]bool, len(buckets)),
 	}
-	r := newRunner(sys, &traceSource{buckets: heads}, name, total)
-	for c := range r.perCluster {
-		r.perCluster[c] = len(heads[c])
+	for _, b := range buckets {
+		r.requests += len(b)
 	}
+	sys.SetMSHRFreeHook(func(cluster int) { r.pump(cluster) })
 	return r, nil
 }
 
@@ -204,12 +150,8 @@ func (e *issueWake) OnEvent(_ sim.Time, data uint64) {
 // pump issues as many of cluster's trace records as timestamps and MSHR
 // capacity allow.
 func (r *Runner) pump(cluster int) {
-	for r.perCluster[cluster] > 0 {
-		if !r.hasPending[cluster] {
-			r.pending[cluster] = r.src.Next(cluster)
-			r.hasPending[cluster] = true
-		}
-		rec := &r.pending[cluster]
+	for len(r.buckets[cluster]) > 0 {
+		rec := &r.buckets[cluster][0]
 		if rec.Time > r.sys.K.Now() {
 			if !r.waiting[cluster] {
 				r.waiting[cluster] = true
@@ -220,8 +162,7 @@ func (r *Runner) pump(cluster int) {
 		if !r.sys.Issue(cluster, rec.Addr, rec.Write) {
 			return // MSHR full; the free hook re-pumps
 		}
-		r.hasPending[cluster] = false
-		r.perCluster[cluster]--
+		r.buckets[cluster] = r.buckets[cluster][1:]
 	}
 }
 
@@ -304,13 +245,21 @@ func (r *Runner) collect() Result {
 	return res
 }
 
-// Run is the one-call convenience: build a system for cfg, replay spec for
-// `requests` misses with the given seed, and return the Result. Invalid
-// configurations surface as *ConfigError, cancellation as *CanceledError.
+// Run is the one-call convenience: build a system for cfg, replay spec's
+// materialized stream of `requests` misses at the given seed, and return
+// the Result. Invalid configurations and non-positive request counts
+// surface as *ConfigError, cancellation as *CanceledError.
 func Run(ctx context.Context, cfg config.System, spec traffic.Spec, requests int, seed uint64) (Result, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return NewRunner(sys, spec, requests, seed).Run(ctx)
+	if err := checkRequests(requests); err != nil {
+		return Result{}, err
+	}
+	r, err := ReplayRunner(sys, spec.Name, MaterializeStream(spec, sys.Cfg.Clusters, requests, seed))
+	if err != nil {
+		return Result{}, err
+	}
+	return r.Run(ctx)
 }

@@ -13,6 +13,12 @@
 // the paper calls out ("finite buffers, queues, and ports ... bandwidth,
 // latency, back pressure, and capacity limits").
 //
+// A cell runs one way: its workload's miss stream is materialized
+// (MaterializeStream) and a Runner (ReplayRunner) replays it on a System.
+// Run does this for one cell; Client.Compare is a one-row sweep at the raw
+// seed; Sweep.Run derives each row's seed with CellSeed. Recorded traces
+// replay through the same Runner (NewTraceRunner).
+//
 // Sweep is the experiment matrix behind the figures. Its engine fans the
 // independent (configuration, workload) cells out over a bounded,
 // statically sharded worker pool (Pool) with derived per-workload seeds

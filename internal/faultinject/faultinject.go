@@ -152,7 +152,7 @@ func parseSpec(s string) (*point, error) {
 			return nil, fmt.Errorf("faultinject: spec %q: want p=F:seed=S after the mode", s)
 		}
 		p, err := strconv.ParseFloat(pv, 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // written so NaN is rejected too
 			return nil, fmt.Errorf("faultinject: spec %q: probability %q must be in (0,1]", s, pv)
 		}
 		seed, err := strconv.ParseUint(sv, 10, 64)

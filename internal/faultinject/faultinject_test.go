@@ -147,3 +147,57 @@ func TestConcurrentFire(t *testing.T) {
 		t.Fatalf("Hits = %d, want 400", got)
 	}
 }
+
+// armedSet snapshots the armed registry: point name to armed point.
+func armedSet() map[string]*point {
+	mu.Lock()
+	defer mu.Unlock()
+	set := make(map[string]*point, len(registry))
+	for name, pt := range registry {
+		set[name] = pt
+	}
+	return set
+}
+
+// FuzzParseSpec fuzzes the fault-spec parser behind Arm and CORONA_FAULTS:
+// parseSpec either fails or returns a named point with exactly one
+// trigger — a positive hit count or a probability in (0,1] — and a
+// malformed Arm leaves the armed set unchanged.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"p:error@3", "p:panic@1", "p:error:p=0.5:seed=42", "a:error@1, b:panic@2",
+		"store.append.torn:error@2", "core.cell.run:panic@3",
+		"", "noColon", "p:maybe@1", "p:error@0", "p:error@x",
+		"p:error:p=2:seed=1", "p:error:p=0.5", "p:error:q=0.5:seed=1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if pt, err := parseSpec(spec); err == nil {
+			if pt.name == "" {
+				t.Fatalf("parseSpec(%q) accepted an empty point name", spec)
+			}
+			nth, prob := pt.n > 0, pt.p > 0 && pt.p <= 1
+			if nth == prob || (nth && pt.p != 0) {
+				t.Fatalf("parseSpec(%q) = n %d, p %v: want exactly one trigger", spec, pt.n, pt.p)
+			}
+		}
+
+		defer Disarm()
+		if err := Arm("fuzz.base:error@1"); err != nil {
+			t.Fatal(err)
+		}
+		before := armedSet()
+		if err := Arm(spec); err != nil {
+			after := armedSet()
+			if len(after) != len(before) || !Active() {
+				t.Fatalf("malformed Arm(%q) changed the armed set: %v -> %v", spec, before, after)
+			}
+			for name, pt := range before {
+				if after[name] != pt {
+					t.Fatalf("malformed Arm(%q) replaced point %q", spec, name)
+				}
+			}
+		}
+	})
+}

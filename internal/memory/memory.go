@@ -116,11 +116,9 @@ type Request struct {
 	// inbound; the line outbound for reads.
 	ReqBytes int
 	RspBytes int
-	// Done is called when the transaction completes (data returned for reads,
-	// write committed for writes). DoneHandler, when non-nil, is the typed
-	// completion path instead: DoneHandler.OnEvent(now, DoneData) runs with no
-	// closure allocated.
-	Done        func()
+	// DoneHandler, when non-nil, is told when the transaction completes (data
+	// returned for reads, write committed for writes):
+	// DoneHandler.OnEvent(now, DoneData) runs with no closure allocated.
 	DoneHandler sim.Handler
 	DoneData    uint64
 }
@@ -206,8 +204,6 @@ func (e *finishEvent) OnEvent(now sim.Time, data uint64) {
 	c.TotalLatency += now - f.start
 	if f.r.DoneHandler != nil {
 		f.r.DoneHandler.OnEvent(now, f.r.DoneData)
-	} else if f.r.Done != nil {
-		f.r.Done()
 	}
 }
 

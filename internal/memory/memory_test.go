@@ -7,6 +7,11 @@ import (
 	"corona/internal/sim"
 )
 
+// doneFunc adapts a closure to the controller's typed completion handler.
+type doneFunc func()
+
+func (f doneFunc) OnEvent(sim.Time, uint64) { f() }
+
 func TestBandwidthConstants(t *testing.T) {
 	ocm := OCMConfig()
 	if got := ocm.PerControllerBytesPerSec(); got != 160e9 {
@@ -30,7 +35,7 @@ func TestAccessLatency(t *testing.T) {
 	c := NewController(k, OCMConfig(), 0)
 	var doneAt sim.Time
 	ok := c.Submit(&Request{ID: 1, Addr: 0x1000, ReqBytes: 16, RspBytes: 72,
-		Done: func() { doneAt = k.Now() }})
+		DoneHandler: doneFunc(func() { doneAt = k.Now() })})
 	if !ok {
 		t.Fatal("Submit refused on empty controller")
 	}
@@ -49,7 +54,7 @@ func TestWriteLatency(t *testing.T) {
 	c := NewController(k, OCMConfig(), 0)
 	var doneAt sim.Time
 	c.Submit(&Request{ID: 1, Addr: 64, Write: true, ReqBytes: 80,
-		Done: func() { doneAt = k.Now() }})
+		DoneHandler: doneFunc(func() { doneAt = k.Now() })})
 	k.Run()
 	// cmd+line ceil(80/32)=3 + access 100 = 103.
 	if doneAt != 103 {
@@ -62,7 +67,7 @@ func TestECMSlowerTransfer(t *testing.T) {
 	c := NewController(k, ECMConfig(), 0)
 	var doneAt sim.Time
 	c.Submit(&Request{ID: 1, Addr: 0, ReqBytes: 16, RspBytes: 72,
-		Done: func() { doneAt = k.Now() }})
+		DoneHandler: doneFunc(func() { doneAt = k.Now() })})
 	k.Run()
 	// cmd ceil(16/1.5)=11 + access 100 + data ceil(72/1.5)=48 = 159 cycles.
 	if doneAt != 159 {
@@ -110,7 +115,7 @@ func TestLinkBandwidthLimit(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Spread across banks (bank bits sit above BankShift).
 		c.Submit(&Request{ID: uint64(i), Addr: uint64(i) << 12, ReqBytes: 16, RspBytes: 72,
-			Done: func() { done++; last = k.Now() }})
+			DoneHandler: doneFunc(func() { done++; last = k.Now() })})
 	}
 	k.Run()
 	if done != n {
@@ -157,7 +162,7 @@ func TestBankConflictsSerialize(t *testing.T) {
 	var times []sim.Time
 	for i := 0; i < 4; i++ {
 		c.Submit(&Request{ID: uint64(i), Addr: 0, ReqBytes: 16, RspBytes: 72,
-			Done: func() { times = append(times, k.Now()) }})
+			DoneHandler: doneFunc(func() { times = append(times, k.Now()) })})
 	}
 	k.Run()
 	for i := 1; i < len(times); i++ {
@@ -175,7 +180,7 @@ func TestDaisyChainAddsLatency(t *testing.T) {
 		k := sim.NewKernel()
 		c := NewController(k, cfg, 0)
 		var at sim.Time
-		c.Submit(&Request{ID: 1, Addr: 0, ReqBytes: 16, RspBytes: 72, Done: func() { at = k.Now() }})
+		c.Submit(&Request{ID: 1, Addr: 0, ReqBytes: 16, RspBytes: 72, DoneHandler: doneFunc(func() { at = k.Now() })})
 		k.Run()
 		return at
 	}
@@ -220,7 +225,7 @@ func TestCompletionProperty(t *testing.T) {
 		accepted := 0
 		for i := 0; i < n; i++ {
 			w := rng.Intn(4) == 0
-			r := &Request{ID: uint64(i), Addr: rng.Uint64(), Write: w, Done: func() { done++ }}
+			r := &Request{ID: uint64(i), Addr: rng.Uint64(), Write: w, DoneHandler: doneFunc(func() { done++ })}
 			if w {
 				r.ReqBytes = 80
 			} else {
