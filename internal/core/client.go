@@ -85,10 +85,10 @@ func (c *Client) Compare(ctx context.Context, spec traffic.Spec, requests int, s
 
 // Submit starts s running asynchronously and returns a Job handle
 // immediately. Configuration problems — an unregistered fabric, rejected
-// parameters, a non-positive request count — are reported synchronously as
-// a *ConfigError, so a rejected submission never occupies workers. The
-// sweep belongs to the job until it finishes: read s (or Job.Sweep()) only
-// after Wait returns or Results is closed.
+// parameters, a non-positive request count, a bad Subset — are reported
+// synchronously as a *ConfigError, so a rejected submission never occupies
+// workers. The sweep belongs to the job until it finishes: read s (or
+// Job.Sweep()) only after Wait returns or Results is closed.
 //
 // Options are layered client defaults first, so a per-submit Workers or
 // CacheDir overrides the client's.
@@ -102,15 +102,26 @@ func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, er
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-
+	var rc runConfig
+	for _, opt := range opts {
+		opt(&rc)
+	}
 	total := len(s.Configs) * len(s.Workloads)
+	order, err := subsetOrder(rc.subset, total)
+	if err != nil {
+		return nil, err
+	}
+	if order != nil {
+		total = len(order)
+	}
+
 	jobCtx, cancel := context.WithCancel(ctx)
 	j := &Job{
 		sweep: s,
 		total: total,
-		// Buffered to the matrix size: the engine's serialized onCell sends
-		// can never block, so a slow (or absent) consumer cannot stall the
-		// worker pool, and a late consumer still sees every cell.
+		// Buffered to the cells the job runs: the engine's serialized onCell
+		// sends can never block, so a slow (or absent) consumer cannot stall
+		// the worker pool, and a late consumer still sees every cell.
 		results: make(chan CellResult, total),
 		done:    make(chan struct{}),
 		cancel:  cancel,
@@ -148,8 +159,8 @@ type Job struct {
 // Results streams completed cells in completion order. The channel is
 // closed once the job finishes (normally, by error, or by cancellation);
 // after it closes, Err reports how the job ended. The channel is buffered
-// to the full matrix, so consuming late — or not at all — never blocks the
-// simulation.
+// to every cell the job runs, so consuming late — or not at all — never
+// blocks the simulation.
 func (j *Job) Results() <-chan CellResult { return j.results }
 
 // Done is closed when the job finishes; select on it alongside other work.
@@ -188,7 +199,8 @@ func (j *Job) Err() error {
 	}
 }
 
-// Progress reports cells completed so far and the matrix size.
+// Progress reports cells completed so far and the cells the job runs: the
+// matrix, or the Subset size.
 func (j *Job) Progress() (done, total int) {
 	return int(j.completed.Load()), j.total
 }

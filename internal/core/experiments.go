@@ -91,12 +91,11 @@ type CellResult struct {
 
 // runConfig collects the sweep-execution options.
 type runConfig struct {
-	workers     int
-	cacheDir    string
-	progress    func(Progress)
-	onCell      func(CellResult)
-	precomputed map[int]Result
-	subset      []int
+	workers  int
+	cacheDir string
+	progress func(Progress)
+	onCell   func(CellResult)
+	subset   []int
 }
 
 // Option configures one Sweep.Run invocation.
@@ -117,25 +116,15 @@ func CacheDir(dir string) Option { return func(rc *runConfig) { rc.cacheDir = di
 // engine serializes invocations, so fn needs no locking of its own.
 func OnProgress(fn func(Progress)) Option { return func(rc *runConfig) { rc.progress = fn } }
 
-// Precomputed seeds the run with cells that are already known, keyed by
-// linear index (Row*len(Configs)+Col). Those cells skip simulation entirely
-// and surface through Results/OnProgress/onCell with Cached=true, exactly
-// like an on-disk cache hit — the resume path corona-serve uses to re-run
-// only the cells a crashed campaign had not durably recorded. Deterministic
-// seeding (CellSeed) guarantees the freshly simulated remainder is
-// byte-identical to what an uninterrupted run would have produced.
-func Precomputed(cells map[int]Result) Option {
-	return func(rc *runConfig) { rc.precomputed = cells }
-}
-
 // Subset restricts the run to the given linear cell indices
 // (Row*len(Configs)+Col): only those cells simulate, fill Results, and
-// surface through OnProgress/onCell — the shard-subset entry a fleet worker
-// executes when a coordinator hands it one slice of a campaign's matrix.
-// Because every cell is independent and self-seeded (CellSeed), a subset
-// cell's Result is byte-identical to the same cell of a full run, at any
-// worker count — which is what lets a coordinator scatter a matrix across
-// nodes and merge the shards back into a single-node-identical stream.
+// surface through OnProgress/onCell. It has two callers: a fleet worker
+// executing the slice of a campaign's matrix a coordinator handed it, and
+// corona-serve resuming a crashed campaign by running only the cells its
+// journal had not recorded. Because every cell is independent and
+// self-seeded (CellSeed), a subset cell's Result is byte-identical to the
+// same cell of a full run, at any worker count — which is what lets shards
+// and resumed remainders merge back into a single-node-identical stream.
 // Indices out of range, duplicated, or an explicitly empty set are rejected
 // with a *ConfigError before anything simulates. A nil subset (the default)
 // runs the whole matrix.
@@ -343,10 +332,7 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 		defer rows[w].release()
 		cfg, spec := s.Configs[c], s.Workloads[w]
 		seed := rowSeed(spec.Name)
-		res, cached := rc.precomputed[i]
-		if !cached {
-			res, cached = cache.load(cfg, spec, s.Requests, seed)
-		}
+		res, cached := cache.load(cfg, spec, s.Requests, seed)
 		if !cached {
 			var err error
 			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, c)

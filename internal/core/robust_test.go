@@ -70,39 +70,48 @@ func TestComparePanicContained(t *testing.T) {
 	}
 }
 
-// TestPrecomputedCellsSkipSimulation seeds a sweep with one already-known
-// cell and asserts it surfaces verbatim (marked cached), while the rest
-// simulate to exactly what an unseeded run produces — the property the
-// server's restart-resume path is built on.
+// TestPrecomputedCellsSkipSimulation resumes a sweep whose cell 1 is
+// already known — as a journal would hold it — by running the complement
+// through Subset: the known cell never simulates or surfaces, while the
+// rest simulate to exactly what an uninterrupted run produces — the
+// property the server's restart-resume path is built on.
 func TestPrecomputedCellsSkipSimulation(t *testing.T) {
 	ref := tinyMatrix(300, 9)
 	mustSweep(t, ref, Workers(1))
 
-	// A sentinel result that simulation could never produce.
-	fake := Result{Config: "sentinel", Workload: "sentinel", Requests: -1, Cycles: 123456789}
 	resumed := tinyMatrix(300, 9)
+	total := len(ref.Configs) * len(ref.Workloads)
+	var rest []int
+	for i := 0; i < total; i++ {
+		if i != 1 {
+			rest = append(rest, i)
+		}
+	}
 	var cells []CellResult
-	mustSweep(t, resumed, Workers(2), Precomputed(map[int]Result{1: fake}),
+	mustSweep(t, resumed, Workers(2), Subset(rest),
 		onCell(func(c CellResult) { cells = append(cells, c) }))
 
 	for w := range ref.Results {
 		for c := range ref.Results[w] {
 			idx := w*len(ref.Configs) + c
 			if idx == 1 {
-				if resumed.Results[w][c] != fake {
-					t.Fatalf("precomputed cell %d = %+v, want the seeded sentinel", idx, resumed.Results[w][c])
+				if resumed.Results[w][c] != (Result{}) {
+					t.Fatalf("known cell %d simulated: %+v", idx, resumed.Results[w][c])
 				}
 				continue
 			}
 			if resumed.Results[w][c] != ref.Results[w][c] {
-				t.Fatalf("cell %d differs from the unseeded run:\n%+v\nvs\n%+v",
+				t.Fatalf("cell %d differs from the uninterrupted run:\n%+v\nvs\n%+v",
 					idx, resumed.Results[w][c], ref.Results[w][c])
 			}
 		}
 	}
+	if len(cells) != len(rest) {
+		t.Errorf("streamed %d cells, want %d", len(cells), len(rest))
+	}
 	for _, cell := range cells {
-		if cell.Index == 1 && !cell.Cached {
-			t.Error("precomputed cell streamed with Cached=false")
+		if cell.Index == 1 {
+			t.Error("known cell 1 surfaced")
 		}
 	}
 }

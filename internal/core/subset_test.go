@@ -53,6 +53,18 @@ func TestSubsetMatchesFullRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d shards: shard %v: %v", len(shards), shard, err)
 			}
+			// A submitted subset job counts progress against its own cells.
+			job, err := NewClient(WithWorkers(2)).Submit(context.Background(), subsetSweep(), Subset(shard))
+			if err != nil {
+				t.Fatalf("%d shards: submit shard %v: %v", len(shards), shard, err)
+			}
+			if err := job.Wait(context.Background()); err != nil {
+				t.Fatalf("%d shards: shard %v job: %v", len(shards), shard, err)
+			}
+			if done, tot := job.Progress(); done != len(shard) || tot != len(shard) {
+				t.Errorf("%d shards: shard %v job Progress() = %d/%d, want %d/%d",
+					len(shards), shard, done, tot, len(shard), len(shard))
+			}
 			// The shard's own grid holds only its cells; others stay zero.
 			for i := 0; i < total; i++ {
 				got := s.Results[i/len(s.Configs)][i%len(s.Configs)]
@@ -72,14 +84,18 @@ func TestSubsetMatchesFullRun(t *testing.T) {
 
 // TestSubsetRejectsBadIndices pins the pre-flight validation: out-of-range,
 // duplicate, and explicitly empty subsets are *ConfigError before any cell
-// simulates.
+// simulates, and Client.Submit reports them synchronously.
 func TestSubsetRejectsBadIndices(t *testing.T) {
 	for name, subset := range map[string][]int{
 		"negative":     {-1},
 		"out of range": {0, 6},
+		"far out":      {99},
 		"duplicate":    {1, 2, 1},
 		"empty":        {},
 	} {
+		if _, err := NewClient().Submit(context.Background(), subsetSweep(), Subset(subset)); !errors.As(err, new(*ConfigError)) {
+			t.Errorf("%s subset %v: Submit err = %v, want synchronous *ConfigError", name, subset, err)
+		}
 		s := subsetSweep()
 		ran := false
 		err := s.Run(context.Background(), Subset(subset), onCell(func(CellResult) { ran = true }))
@@ -89,41 +105,6 @@ func TestSubsetRejectsBadIndices(t *testing.T) {
 		}
 		if ran {
 			t.Errorf("%s subset %v: cells simulated despite rejection", name, subset)
-		}
-	}
-}
-
-// TestSubsetWithPrecomputed pins the resume-on-a-shard path a fleet worker
-// re-runs after a crash: precomputed cells inside the subset surface as
-// cached without simulating, precomputed cells outside it stay silent.
-func TestSubsetWithPrecomputed(t *testing.T) {
-	ref := subsetSweep()
-	if err := ref.Run(context.Background(), Workers(1)); err != nil {
-		t.Fatal(err)
-	}
-	pre := map[int]Result{
-		1: ref.Results[0][1], // inside the subset
-		4: ref.Results[2][0], // outside it
-	}
-	s := subsetSweep()
-	got := map[int]CellResult{}
-	err := s.Run(context.Background(), Workers(1), Subset([]int{0, 1, 2}), Precomputed(pre),
-		onCell(func(cell CellResult) { got[cell.Index] = cell }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("surfaced %d cells, want 3: %v", len(got), got)
-	}
-	if !got[1].Cached {
-		t.Error("precomputed subset cell 1 not marked cached")
-	}
-	if _, ok := got[4]; ok {
-		t.Error("precomputed cell 4 outside the subset surfaced anyway")
-	}
-	for i := 0; i < 3; i++ {
-		if want := ref.Results[i/2][i%2]; !reflect.DeepEqual(got[i].Result, want) {
-			t.Errorf("cell %d differs from the full run", i)
 		}
 	}
 }

@@ -37,8 +37,9 @@ package server
 // with backoff; the queue sees only a lease's final outcome. Received cells
 // are never re-run, and determinism makes retried or speculated cells
 // indistinguishable from first-try ones. With a Store configured the
-// coordinator journals merged cells like any daemon, so a restarted
-// coordinator re-dispatches only the missing ones.
+// coordinator journals merged cells like any daemon, and a restarted
+// coordinator resumes a campaign the way a plain daemon does: runJob's
+// neededCells drops the journaled cells, and only the rest are queued.
 
 import (
 	"context"
@@ -60,55 +61,6 @@ import (
 // count.
 func (s *Server) maxDispatches() int {
 	return max(2*len(s.workers), 4)
-}
-
-// runFleetJob executes one campaign by leasing its cells to the worker
-// fleet and merging the sub-job streams. Its lifecycle mirrors runJob's
-// exactly — same states, same journal semantics, same shutdown behavior —
-// only the execution engine differs.
-func (s *Server) runFleetJob(j *job) {
-	defer s.containPanic(j)
-	ctx, cancel, from, ok := s.startJob(j)
-	if !ok {
-		return
-	}
-	defer cancel()
-	j.mu.Lock()
-	resumedCells := len(j.restored)
-	j.mu.Unlock()
-	s.log.Info("fleet job running", "job", j.id, "from", from, "total", j.total,
-		"resumed_cells", resumedCells, "fleet", len(s.workers), "timeout", j.timeout)
-	started := time.Now()
-
-	var err error
-	if needed := s.neededCells(j); len(needed) > 0 {
-		err = s.runQueue(ctx, j, needed)
-	}
-	s.finishJob(j, err, started)
-}
-
-// neededCells returns, in ascending order, the cell indices the campaign
-// still has to produce: its full matrix (or submitted subset) minus the
-// cells a resumed job already restored from the journal.
-func (s *Server) neededCells(j *job) []int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	all := j.subset
-	if all == nil {
-		total := len(j.scenario.Configs) * len(j.scenario.Workloads)
-		all = make([]int, total)
-		for i := range all {
-			all[i] = i
-		}
-	}
-	needed := make([]int, 0, len(all)-len(j.restored))
-	for _, i := range all {
-		if !j.restored[i] {
-			needed = append(needed, i)
-		}
-	}
-	slices.Sort(needed)
-	return needed
 }
 
 // cellQueue is one campaign's dispatch state, shared by its per-worker
@@ -559,12 +511,7 @@ func (m *fleetMerge) add(cell core.CellResult) bool {
 		}
 		delete(m.pend, m.order[m.next])
 		m.next++
-		m.j.mu.Lock()
-		m.j.cells = append(m.j.cells, c)
-		m.j.cond.Broadcast()
-		m.j.mu.Unlock()
-		m.s.persistCell(m.j.id, c)
-		m.s.cellsDone.Add(1)
+		m.s.addCell(m.j, c)
 	}
 	return true
 }

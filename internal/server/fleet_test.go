@@ -138,6 +138,69 @@ func TestFleetRetriesWorkerFailureMidCampaign(t *testing.T) {
 	}
 }
 
+// TestFleetCoordinatorRestartResumesMissingCells crashes a coordinator's
+// journal mid-campaign and restarts a coordinator on the same store
+// directory against the same workers: the resumed campaign must merge a
+// stream byte-identical to a single-node run while the workers simulate
+// only the cells the journal had not recorded.
+func TestFleetCoordinatorRestartResumesMissingCells(t *testing.T) {
+	want := singleNodeReference(t, fleetScenario)
+
+	defer faultinject.Disarm()
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	// Coordinator appends: hit 1 = submit, hits 2-7 = the six cells in
+	// index order (the merge releases them ascending), hit 8 = the status.
+	// Crashing at hit 4 leaves cells 0 and 1 durable.
+	if err := faultinject.Arm("store.append.before:error@4"); err != nil {
+		t.Fatal(err)
+	}
+	s, coord, workers := newFleet(t, 2, Options{}, Options{Store: st})
+	v, resp := postScenario(t, coord, fleetScenario)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitStatus(t, coord, v.ID, statusDone)
+	if st.Err() == nil {
+		t.Fatal("fault did not fire; the crash point was never reached")
+	}
+	coord.Close()
+	s.Close()
+	st.Close()
+	faultinject.Disarm()
+
+	st2 := openStore(t, dir)
+	if jobs := st2.Jobs(); len(jobs) != 1 || jobs[0].Status != "" || len(jobs[0].Cells) != 2 {
+		t.Fatalf("replayed jobs = %+v, want %s interrupted with 2 cells", jobs, v.ID)
+	}
+	// Count every cell the workers simulate from here on; the trigger is
+	// never reached.
+	if err := faultinject.Arm("core.cell.run:error@1000000"); err != nil {
+		t.Fatal(err)
+	}
+	var peers []*Client
+	for _, w := range workers {
+		peers = append(peers, fastPeer(w.URL))
+	}
+	s2, coord2 := newTestServer(t, Options{Store: st2, Peers: peers})
+	waitStatus(t, coord2, v.ID, statusDone)
+	if got := sortedNDJSON(t, coord2, v.ID); !slices.Equal(got, want) {
+		t.Errorf("resumed fleet NDJSON differs from the single-node run:\n got %v\nwant %v", got, want)
+	}
+	if n := faultinject.Hits("core.cell.run"); n != 4 {
+		t.Errorf("workers simulated %d cells after the restart, want the 4 missing ones", n)
+	}
+	coord2.Close()
+	s2.Close()
+	st2.Close()
+
+	st3 := openStore(t, dir)
+	defer st3.Close()
+	if jobs := st3.Jobs(); len(jobs) != 1 || jobs[0].Status != statusDone || len(jobs[0].Cells) != 6 {
+		t.Fatalf("after resume, journal holds %+v; want %s done with 6 cells", jobs, v.ID)
+	}
+}
+
 // TestFleetRetriesDeadWorker kills a worker daemon outright (its listener is
 // gone before the campaign starts): the coordinator's dispatch to it fails
 // at the transport and the shard must land on the surviving worker, output

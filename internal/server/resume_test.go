@@ -113,8 +113,9 @@ func TestRestartResumeByteIdentical(t *testing.T) {
 
 	// Appends for this campaign: hit 1 = submit record, hits 2-5 = the four
 	// cells, hit 6 = the terminal status. Crashing at hits 2..6 leaves the
-	// submission durable and the job interrupted (for the "sync" point at
-	// hit 6 the status frame itself survives — the job restores as done).
+	// submission durable and the job interrupted. Hit 6 is a "before" point:
+	// all four cells are durable and no status is, so the restarted daemon
+	// has nothing left to simulate and must settle the job as done.
 	modes := []string{"before", "torn", "sync"}
 	for _, workers := range []int{1, 4} {
 		for hit := 2; hit <= 6; hit++ {
@@ -151,6 +152,12 @@ func TestRestartResumeByteIdentical(t *testing.T) {
 				st2 := openStore(t, dir)
 				if jobs := st2.Jobs(); len(jobs) != 1 || jobs[0].ID != v.ID {
 					t.Fatalf("replayed jobs = %+v, want exactly %s", jobs, v.ID)
+				}
+				if hit == 6 {
+					// Any cell simulated now would fail the job.
+					if err := faultinject.Arm("core.cell.run:error@1"); err != nil {
+						t.Fatal(err)
+					}
 				}
 				s2 := New(Options{Store: st2,
 					Client: core.NewClient(core.WithWorkers(workers)), Logger: discardLogger()})

@@ -27,8 +27,8 @@
 // terminal status is appended to the job journal before (or as) it becomes
 // observable. A daemon restarted against the same store directory replays
 // the journal, restores finished jobs for querying, marks jobs that were
-// still in flight "resuming", and re-runs only their missing cells (the
-// recorded ones are fed back through core.Precomputed); deterministic
+// still in flight "resuming", and re-runs only their missing cells: the
+// complement of the recorded ones, run through core.Subset; deterministic
 // seeding makes the merged result set byte-identical to an uninterrupted
 // run. A graceful Close deliberately does NOT write a terminal status for
 // interrupted jobs — that is what lets the next daemon resume them. See
@@ -50,6 +50,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -231,10 +232,6 @@ func (s *Server) restoreJobs() []*job {
 		} else {
 			j.scenario, j.subset, j.raw = sc, subset, js.Scenario
 			j.status = statusResuming
-			j.restored = make(map[int]bool, len(js.Cells))
-			for _, c := range js.Cells {
-				j.restored[c.Index] = true
-			}
 			resumed = append(resumed, j)
 			s.log.Info("job marked for resume", "job", js.ID,
 				"done", len(js.Cells), "total", js.Total)
@@ -336,11 +333,6 @@ type job struct {
 	// rewrites it per shard) and recovered from the journal on resume.
 	subset []int
 	raw    json.RawMessage
-
-	// restored marks cell indices replayed from the journal (resumed jobs
-	// only): they are already in cells, already durable, and must not be
-	// double-appended when the resumed sweep re-surfaces them.
-	restored map[int]bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -454,11 +446,7 @@ func (s *Server) settle(j *job, status, errMsg string) {
 func (s *Server) runner() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		if len(s.workers) > 0 {
-			s.runFleetJob(j)
-		} else {
-			s.runJob(j)
-		}
+		s.runJob(j)
 	}
 }
 
@@ -557,6 +545,10 @@ func (s *Server) finishJob(j *job, err error, started time.Time) {
 		"interrupted", interrupted, "err", detail)
 }
 
+// runJob executes one dequeued job's needed cells: locally through the
+// core engine on a plain daemon, leased to the worker fleet on a
+// coordinator. A resumed job whose journal already holds every cell settles
+// as done without running anything.
 func (s *Server) runJob(j *job) {
 	defer s.containPanic(j)
 	ctx, cancel, from, ok := s.startJob(j)
@@ -564,60 +556,76 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	defer cancel()
-	j.mu.Lock()
-	resumedCells := len(j.restored)
-	j.mu.Unlock()
-	s.log.Info("job running", "job", j.id, "from", from,
-		"total", j.total, "resumed_cells", resumedCells, "timeout", j.timeout)
+	needed := j.neededCells()
+	s.log.Info("job running", "job", j.id, "from", from, "total", j.total,
+		"resumed_cells", j.total-len(needed), "fleet", len(s.workers), "timeout", j.timeout)
 	started := time.Now()
 
-	// A resumed job feeds its journal-recorded cells back as precomputed
-	// results: the engine re-runs only the missing ones, deterministically
-	// identical to what an uninterrupted run would have produced. A shard
-	// sub-job (a coordinator-dispatched slice of a campaign) runs only its
-	// subset of the matrix.
-	var opts []core.Option
-	if j.subset != nil {
-		opts = append(opts, core.Subset(j.subset))
+	var err error
+	switch {
+	case len(needed) == 0:
+		// Every cell was restored from the journal; an empty core.Subset
+		// would be a *ConfigError.
+	case len(s.workers) > 0:
+		err = s.runQueue(ctx, j, needed)
+	default:
+		err = s.runLocal(ctx, j, needed)
 	}
-	if resumedCells > 0 {
-		pre := make(map[int]core.Result, resumedCells)
-		j.mu.Lock()
-		for _, c := range j.cells {
-			pre[c.Index] = c.Result
-		}
-		j.mu.Unlock()
-		opts = append(opts, core.Precomputed(pre))
-	}
+	s.finishJob(j, err, started)
+}
 
+// neededCells returns, in ascending order, the cell indices the job still
+// has to produce: its submitted subset (or full matrix) minus the cells a
+// resumed job restored from the journal. Called once, as the job starts.
+func (j *job) neededCells() []int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	have := make(map[int]bool, len(j.cells))
+	for _, c := range j.cells {
+		have[c.Index] = true
+	}
+	all := j.subset
+	if all == nil {
+		all = make([]int, len(j.scenario.Configs)*len(j.scenario.Workloads))
+		for i := range all {
+			all[i] = i
+		}
+	}
+	needed := slices.DeleteFunc(slices.Clone(all), func(i int) bool { return have[i] })
+	slices.Sort(needed)
+	return needed
+}
+
+// runLocal simulates the needed cells on this daemon's client, appending
+// each to the job as it completes.
+func (s *Server) runLocal(ctx context.Context, j *job, needed []int) error {
 	// server.shard.run is the fleet chaos point: arming it kills a worker's
 	// shard sub-job at pickup, the coarsest failure a coordinator must retry
 	// (core.cell.run covers the mid-shard cell-level one).
-	var cj *core.Job
-	var err error
 	if j.subset != nil {
-		err = faultinject.Fire("server.shard.run")
-	}
-	if err == nil {
-		cj, err = s.client.Submit(ctx, j.scenario.Sweep(), opts...)
-	}
-	if err == nil {
-		for cell := range cj.Results() {
-			j.mu.Lock()
-			if j.restored[cell.Index] {
-				// Already durable and already in cells from the journal.
-				j.mu.Unlock()
-				continue
-			}
-			j.cells = append(j.cells, cell)
-			j.cond.Broadcast()
-			j.mu.Unlock()
-			s.persistCell(j.id, cell)
-			s.cellsDone.Add(1)
+		if err := faultinject.Fire("server.shard.run"); err != nil {
+			return err
 		}
-		err = cj.Wait(context.Background())
 	}
-	s.finishJob(j, err, started)
+	cj, err := s.client.Submit(ctx, j.scenario.Sweep(), core.Subset(needed))
+	if err != nil {
+		return err
+	}
+	for cell := range cj.Results() {
+		s.addCell(j, cell)
+	}
+	return cj.Wait(context.Background())
+}
+
+// addCell appends one completed cell to the job, wakes its observers, and
+// journals it.
+func (s *Server) addCell(j *job, cell core.CellResult) {
+	j.mu.Lock()
+	j.cells = append(j.cells, cell)
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	s.persistCell(j.id, cell)
+	s.cellsDone.Add(1)
 }
 
 // isCancellation reports a context cancellation or deadline, wrapped or not.
