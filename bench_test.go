@@ -116,11 +116,44 @@ func BenchmarkSweepEngine(b *testing.B) {
 		// above, and allocs/op over both runs) depends on how the cells land
 		// on pooled machines and varies by tens of percent between runs.
 		b.ReportMetric(float64(seqAfter.Mallocs-seqBefore.Mallocs)/75, "seq-allocs/cell")
+		b.ReportMetric(reuseAllocsPerCell(b, requests, seq), "reuse-allocs/cell")
 		b.ReportMetric(seqElapsed.Seconds(), "seq-s")
 		b.ReportMetric(parElapsed.Seconds(), "par-s")
 		b.ReportMetric(seqElapsed.Seconds()/parElapsed.Seconds(), "speedup")
 		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 	}
+}
+
+// reuseAllocsPerCell submits the 75-cell matrix twice in a row to one
+// sequential Client and returns the second job's heap allocations per cell:
+// the second job Resets the machines the first left in the Client's pool,
+// so it pays for traffic and results but builds no machine. Like
+// seq-allocs/cell it is a sequential count that repeats to within a few
+// mallocs, and CI gates it. The second job's tables must match ref's.
+func reuseAllocsPerCell(b *testing.B, requests int, ref *core.Sweep) float64 {
+	b.Helper()
+	client := core.NewClient(core.WithWorkers(1))
+	submit := func() *core.Sweep {
+		s := core.NewSweep(requests, 42)
+		job, err := client.Submit(context.Background(), s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := job.Wait(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	submit()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := submit()
+	runtime.ReadMemStats(&after)
+	if s.Figure8().String() != ref.Figure8().String() ||
+		s.Figure11().String() != ref.Figure11().String() {
+		b.Fatal("a job on reused machines differs from a fresh sequential sweep")
+	}
+	return float64(after.Mallocs-before.Mallocs) / 75
 }
 
 // --- Kernel micro-benches: scheduler throughput in isolation. ---

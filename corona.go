@@ -130,8 +130,10 @@ func AllWorkloads() []Workload { return core.AllWorkloads() }
 
 // Client is the context-aware execution entry point: one-shot runs, trace
 // replays, config comparisons, and streaming sweep Jobs, all returning
-// typed errors instead of panicking. A Client is immutable and safe for
-// concurrent use — build one per process (or per server) with NewClient.
+// typed errors instead of panicking. A Client's defaults are fixed at
+// construction, and it owns a pool of built machines that its sweeps reuse,
+// so build one per process (or per server) with NewClient; it is safe for
+// concurrent use.
 type Client = core.Client
 
 // ClientOption configures a NewClient call.

@@ -16,12 +16,16 @@ import (
 // finish. A Client carries the execution defaults — worker pool size and
 // cache directory — so a server (or any concurrent caller) configures them
 // once and submits from many goroutines; the zero-value-equivalent
-// NewClient() uses GOMAXPROCS workers and no cache. Clients are immutable
-// after construction and safe for concurrent use. See docs/API.md for the
-// model and the migration table from the legacy blocking calls.
+// NewClient() uses GOMAXPROCS workers and no cache. A Client's defaults are
+// fixed at construction; besides them it owns an internally synchronized
+// pool of built machines, so its sweeps (Submit, Compare) Reset machines an
+// earlier sweep left behind instead of building new ones. Clients are safe
+// for concurrent use. See docs/API.md for the model and the migration table
+// from the legacy blocking calls.
 type Client struct {
 	workers  int
 	cacheDir string
+	machines *systemPool
 }
 
 // ClientOption configures a NewClient call.
@@ -38,7 +42,7 @@ func WithCacheDir(dir string) ClientOption { return func(c *Client) { c.cacheDir
 
 // NewClient returns a Client with the given defaults.
 func NewClient(opts ...ClientOption) *Client {
-	c := &Client{}
+	c := &Client{machines: newSystemPool()}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -77,7 +81,7 @@ func (c *Client) Compare(ctx context.Context, spec traffic.Spec, requests int, s
 		configs = config.Combos()
 	}
 	s := NewMatrixSweep(configs, []traffic.Spec{spec}, requests, seed)
-	if err := s.run(ctx, func(string) uint64 { return seed }, Workers(c.workers)); err != nil {
+	if err := s.run(ctx, func(string) uint64 { return seed }, Workers(c.workers), withMachines(c.machines)); err != nil {
 		return nil, err
 	}
 	return s.Results[0], nil
@@ -126,9 +130,9 @@ func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, er
 		done:    make(chan struct{}),
 		cancel:  cancel,
 	}
-	run := append([]Option{Workers(c.workers), CacheDir(c.cacheDir)}, opts...)
-	run = append(run, onCell(func(cell CellResult) {
-		j.completed.Add(1)
+	run := append([]Option{Workers(c.workers), CacheDir(c.cacheDir), withMachines(c.machines)}, opts...)
+	run = append(run, onCell(func(cell CellResult, done, _ int) {
+		j.completed.Store(int64(done))
 		j.results <- cell
 	}))
 	go func() {

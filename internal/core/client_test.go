@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -247,4 +248,169 @@ func TestClientConcurrentSubmissions(t *testing.T) {
 			t.Errorf("concurrent job %d tables differ from its sequential reference", i)
 		}
 	}
+}
+
+// mustJob submits s on c and waits for it to finish.
+func mustJob(t *testing.T, c *Client, s *Sweep) {
+	t.Helper()
+	job, err := c.Submit(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// idleMachines snapshots c's parked machines per configuration.
+func idleMachines(c *Client) map[string][]*System {
+	c.machines.mu.Lock()
+	defer c.machines.mu.Unlock()
+	idle := make(map[string][]*System)
+	for k, free := range c.machines.free {
+		if len(free) > 0 {
+			idle[k] = slices.Clone(free)
+		}
+	}
+	return idle
+}
+
+// requireIdle fails unless exactly the configurations in want have parked
+// machines on c.
+func requireIdle(t *testing.T, c *Client, want ...config.System) {
+	t.Helper()
+	idle := idleMachines(c)
+	for _, cfg := range want {
+		if len(idle[machineKey(cfg)]) == 0 {
+			t.Errorf("no idle %s machine", cfg.Name())
+		}
+	}
+	if len(idle) != len(want) {
+		t.Errorf("%d configurations have idle machines, want %d", len(idle), len(want))
+	}
+}
+
+// TestClientReusesMachinesAcrossJobs pins the Client-lifetime machine pool:
+// later jobs Reset the machines earlier ones left (even machines a
+// cancellation abandoned mid-cell) and replay exactly as a fresh Client
+// does, labels keep machines apart, and a run's start drops only the idle
+// machines no running run uses.
+func TestClientReusesMachinesAcrossJobs(t *testing.T) {
+	fresh := smallSweep(300, 5)
+	mustJob(t, NewClient(WithWorkers(1)), fresh)
+	requireFresh := func(t *testing.T, s *Sweep) {
+		t.Helper()
+		for w := range fresh.Results {
+			for c, want := range fresh.Results[w] {
+				if got := s.Results[w][c]; got != want {
+					t.Errorf("cell %d/%d differs from a fresh Client:\n%+v\nvs\n%+v", w, c, got, want)
+				}
+			}
+		}
+	}
+
+	t.Run("resubmit builds nothing", func(t *testing.T) {
+		c := NewClient(WithWorkers(1))
+		first := smallSweep(300, 5)
+		mustJob(t, c, first)
+		left := idleMachines(c)
+		second := smallSweep(300, 5)
+		mustJob(t, c, second)
+		requireFresh(t, first)
+		requireFresh(t, second)
+		after := idleMachines(c)
+		for _, cfg := range second.Configs {
+			k := machineKey(cfg)
+			if len(left[k]) != 1 || len(after[k]) != 1 || after[k][0] != left[k][0] {
+				t.Errorf("%s: second job ran on machines %p, want the one the first job left (%p)",
+					cfg.Name(), after[k], left[k])
+			}
+		}
+	})
+
+	t.Run("resubmit after cancel", func(t *testing.T) {
+		c := NewClient(WithWorkers(1))
+		canceled := smallSweep(20000, 3)
+		job, err := c.Submit(context.Background(), canceled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Results()
+		job.Cancel()
+		if err := job.Wait(context.Background()); !errors.As(err, new(*CanceledError)) {
+			t.Fatalf("canceled job returned %v, want *CanceledError", err)
+		}
+		// Whether or not that cancel caught the next cell mid-replay, leave
+		// one parked machine dirty for certain: stop a replay on it at a
+		// fixed simulated time, as TestResetSystemMatchesFresh does.
+		cfg := canceled.Configs[1]
+		key := machineKey(cfg)
+		sys, err := c.machines.get(key, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := canceled.Workloads[1]
+		r, err := ReplayRunner(sys, spec.Name, MaterializeStream(spec, cfg.Clusters, 20000, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		sys.K.ScheduleEvent(4000, cancelEvent(cancel), 0)
+		if _, err := r.Run(ctx); !errors.As(err, new(*CanceledError)) || sys.K.Pending() == 0 {
+			t.Fatalf("dirty replay returned %v with %d events pending, want a mid-run cancel", err, sys.K.Pending())
+		}
+		c.machines.put(key, sys)
+
+		s := smallSweep(300, 5)
+		mustJob(t, c, s)
+		requireFresh(t, s)
+	})
+
+	t.Run("labels keep machines apart", func(t *testing.T) {
+		a, b := config.Corona(), config.Corona()
+		a.Label, b.Label = "corona-a", "corona-b"
+		s := NewMatrixSweep([]config.System{a, b}, AllWorkloads()[:1], 300, 5)
+		c := NewClient(WithWorkers(1))
+		mustJob(t, c, s)
+		for col, cfg := range s.Configs {
+			if got := s.Results[0][col].Config; got != cfg.Label {
+				t.Errorf("column %d: Result.Config = %q, want %q", col, got, cfg.Label)
+			}
+		}
+		requireIdle(t, c, a, b)
+	})
+
+	t.Run("retention", func(t *testing.T) {
+		combos := config.Combos()
+		a, b, cc := combos[0], combos[1], combos[2]
+		one := AllWorkloads()[:1]
+		c := NewClient(WithWorkers(1))
+		mustJob(t, c, NewMatrixSweep([]config.System{a, b}, one, 300, 1))
+		requireIdle(t, c, a, b)
+		mustJob(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
+		requireIdle(t, c, cc)
+
+		// Hold an {A} job between its two cells: its A machine is parked
+		// while the job still runs, so a {C} job must keep it.
+		parked, release := make(chan struct{}), make(chan struct{})
+		held, err := c.Submit(context.Background(),
+			NewMatrixSweep([]config.System{a}, AllWorkloads()[:2], 300, 1),
+			OnProgress(func(p Progress) {
+				if p.Done == 1 {
+					close(parked)
+					<-release
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-parked
+		mustJob(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
+		requireIdle(t, c, a, cc)
+		close(release)
+		if err := held.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

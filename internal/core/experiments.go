@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -93,10 +94,15 @@ type CellResult struct {
 type runConfig struct {
 	workers  int
 	cacheDir string
-	progress func(Progress)
-	onCell   func(CellResult)
+	onCell   cellFunc
 	subset   []int
+	machines *systemPool
 }
+
+// cellFunc is the engine's one consumer hook, called after each cell
+// completes with the cells finished so far (including this one) and the
+// cells the run executes. The engine serializes calls.
+type cellFunc func(cell CellResult, done, total int)
 
 // Option configures one Sweep.Run invocation.
 type Option func(*runConfig)
@@ -114,7 +120,15 @@ func CacheDir(dir string) Option { return func(rc *runConfig) { rc.cacheDir = di
 
 // OnProgress registers a callback invoked after each cell completes. The
 // engine serializes invocations, so fn needs no locking of its own.
-func OnProgress(fn func(Progress)) Option { return func(rc *runConfig) { rc.progress = fn } }
+func OnProgress(fn func(Progress)) Option {
+	if fn == nil {
+		return func(*runConfig) {}
+	}
+	return onCell(func(cell CellResult, done, total int) {
+		fn(Progress{Done: done, Total: total,
+			Workload: cell.Workload, Config: cell.Config, Cached: cell.Cached})
+	})
+}
 
 // Subset restricts the run to the given linear cell indices
 // (Row*len(Configs)+Col): only those cells simulate, fill Results, and
@@ -132,11 +146,28 @@ func Subset(indices []int) Option {
 	return func(rc *runConfig) { rc.subset = indices }
 }
 
-// onCell registers the streaming-consumer callback (Job.Results). Like
-// OnProgress it is serialized by the engine; unlike OnProgress it carries
-// the full Result, so a consumer can render cells as shards finish instead
-// of waiting for the matrix barrier.
-func onCell(fn func(CellResult)) Option { return func(rc *runConfig) { rc.onCell = fn } }
+// onCell adds a consumer of completed cells (Job.Results, and OnProgress
+// through its adapter). Consumers run in the order they were registered,
+// inside the engine's one serialized call per cell; each sees the full
+// Result, so a consumer can render cells as shards finish instead of
+// waiting for the matrix barrier.
+func onCell(fn cellFunc) Option {
+	return func(rc *runConfig) {
+		prev := rc.onCell
+		if prev == nil {
+			rc.onCell = fn
+			return
+		}
+		rc.onCell = func(cell CellResult, done, total int) {
+			prev(cell, done, total)
+			fn(cell, done, total)
+		}
+	}
+}
+
+// withMachines runs the sweep on a caller-owned machine pool (a Client's)
+// instead of a private one for this run.
+func withMachines(p *systemPool) Option { return func(rc *runConfig) { rc.machines = p } }
 
 // rowStreams coordinates one sweep row's shared traffic: the workload's
 // miss stream is materialized once (lazily, by the first cell of the row
@@ -180,28 +211,82 @@ func (r *rowStreams) release() {
 	}
 }
 
-// systemPool recycles built machines across a sweep's cells, one free list
-// per configuration column. A column's systems are structurally identical, so
-// get pops one and Resets it to construction state (falling back to a fresh
-// build if the fabric cannot reset in place); put parks only systems whose
-// fabric supports reset. Pooling kills the per-cell construction garbage that
-// previously dominated sweep allocation.
+// systemPool recycles built machines across cells, one free list per
+// configuration. A list's key is the configuration's canonical JSON
+// (machineKey), Label included because a Result names its machine by
+// sys.Cfg.Name(), so two columns share machines exactly when they describe
+// the same machine. get pops one and Resets it to construction state
+// (falling back to a fresh build if the fabric cannot reset in place); put
+// parks only systems whose fabric supports reset. Pooling kills the
+// per-cell construction garbage that previously dominated sweep allocation.
+//
+// A Client owns one pool for its lifetime, so a job Resets the machines an
+// earlier job of the same Client left behind instead of building its own; a
+// Sweep.Run without a Client gets a private pool for that run. Retention
+// needs no knob: begin, as a run starts, drops the idle machines of every
+// configuration that neither that run nor any still-running one uses.
+// Resubmitting a matrix therefore rebuilds nothing, idle memory stays
+// proportional to the configurations in use, and concurrent jobs over
+// different configurations never make each other rebuild.
 type systemPool struct {
-	mu   sync.Mutex
-	free [][]*System
+	mu      sync.Mutex
+	free    map[string][]*System
+	running map[string]int // columns of in-flight runs, per key
 }
 
-func newSystemPool(columns int) *systemPool {
-	return &systemPool{free: make([][]*System, columns)}
+func newSystemPool() *systemPool {
+	return &systemPool{free: make(map[string][]*System), running: make(map[string]int)}
 }
 
-func (p *systemPool) get(col int, cfg config.System) (*System, error) {
+// machineKey is cfg's pool key: its canonical JSON, or "" (never pooled) for
+// the rare configuration JSON cannot encode, such as a NaN memory rate.
+func machineKey(cfg config.System) string {
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return ""
+	}
+	return string(b)
+}
+
+// begin registers a run over cfgs, drops idle machines no registered run
+// uses, and returns each column's key for get and put.
+func (p *systemPool) begin(cfgs []config.System) []string {
+	keys := make([]string, len(cfgs))
+	for c, cfg := range cfgs {
+		keys[c] = machineKey(cfg)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range keys {
+		p.running[k]++
+	}
+	for k := range p.free {
+		if p.running[k] == 0 {
+			delete(p.free, k)
+		}
+	}
+	return keys
+}
+
+// end unregisters a run begun with keys. Its machines stay parked until a
+// later begin finds their configuration unused.
+func (p *systemPool) end(keys []string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range keys {
+		if p.running[k]--; p.running[k] == 0 {
+			delete(p.running, k)
+		}
+	}
+}
+
+func (p *systemPool) get(key string, cfg config.System) (*System, error) {
 	p.mu.Lock()
 	var sys *System
-	if n := len(p.free[col]); n > 0 {
-		sys = p.free[col][n-1]
-		p.free[col][n-1] = nil
-		p.free[col] = p.free[col][:n-1]
+	if free := p.free[key]; len(free) > 0 {
+		sys = free[len(free)-1]
+		free[len(free)-1] = nil
+		p.free[key] = free[:len(free)-1]
 	}
 	p.mu.Unlock()
 	if sys != nil && sys.Reset() == nil {
@@ -210,15 +295,15 @@ func (p *systemPool) get(col int, cfg config.System) (*System, error) {
 	return NewSystem(cfg)
 }
 
-func (p *systemPool) put(col int, sys *System) {
-	if sys == nil {
+func (p *systemPool) put(key string, sys *System) {
+	if key == "" {
 		return
 	}
 	if _, ok := sys.Net.(noc.Resetter); !ok {
 		return
 	}
 	p.mu.Lock()
-	p.free[col] = append(p.free[col], sys)
+	p.free[key] = append(p.free[key], sys)
 	p.mu.Unlock()
 }
 
@@ -227,7 +312,7 @@ func (p *systemPool) put(col int, sys *System) {
 // injected fault — becomes a *PanicError that fails this sweep only: the
 // worker pool, the process, and (behind corona-serve) every other job keep
 // running.
-func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int) (res Result, err error) {
+func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, key string) (res Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -236,22 +321,26 @@ func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic
 	if err := faultinject.Fire("core.cell.run"); err != nil {
 		return Result{}, err
 	}
-	return s.runCell(ctx, cfg, spec, row, seed, pool, col)
+	return s.runCell(ctx, cfg, spec, row, seed, pool, key)
 }
 
 // runCell simulates one sweep cell by replaying the row's shared stream on a
-// pooled (or freshly built) machine.
-func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int) (Result, error) {
-	sys, err := pool.get(col, cfg)
+// pooled (or freshly built) machine. The machine goes back to the pool when
+// the replay returns, finished or canceled — Reset restores either — but
+// not when it panics: a machine abandoned mid-event is dropped, since it
+// may outlive this run in a Client's pool.
+func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, key string) (Result, error) {
+	sys, err := pool.get(key, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	defer pool.put(col, sys)
 	r, err := ReplayRunner(sys, spec.Name, row.acquire(spec, sys.Cfg.Clusters, s.Requests, seed))
 	if err != nil {
 		return Result{}, err
 	}
-	return r.Run(ctx)
+	res, err := r.Run(ctx)
+	pool.put(key, sys)
+	return res, err
 }
 
 // Run executes the matrix on a bounded worker pool (GOMAXPROCS workers by
@@ -298,7 +387,12 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 	}
 
 	cache := openCache(rc.cacheDir)
-	pool := newSystemPool(nc)
+	pool := rc.machines
+	if pool == nil {
+		pool = newSystemPool()
+	}
+	keys := pool.begin(s.Configs)
+	defer pool.end(keys)
 	rows := make([]*rowStreams, len(s.Workloads))
 	for w := range rows {
 		rows[w] = &rowStreams{remaining: nc}
@@ -319,7 +413,7 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu       sync.Mutex // serializes the callbacks and their counter
+		mu       sync.Mutex // serializes the consumer and its counter
 		done     int
 		firstErr error
 	)
@@ -335,7 +429,7 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 		res, cached := cache.load(cfg, spec, s.Requests, seed)
 		if !cached {
 			var err error
-			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, c)
+			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, keys[c])
 			if err != nil {
 				mu.Lock()
 				// Cancellations are either the outer ctx (reported below) or
@@ -352,13 +446,9 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 		s.Results[w][c] = res
 		mu.Lock()
 		done++
-		if rc.progress != nil {
-			rc.progress(Progress{Done: done, Total: n,
-				Workload: spec.Name, Config: cfg.Name(), Cached: cached})
-		}
 		if rc.onCell != nil {
 			rc.onCell(CellResult{Index: i, Row: w, Col: c,
-				Workload: spec.Name, Config: cfg.Name(), Cached: cached, Result: res})
+				Workload: spec.Name, Config: cfg.Name(), Cached: cached, Result: res}, done, n)
 		}
 		mu.Unlock()
 	})

@@ -64,9 +64,11 @@ func TestResetSystemMatchesFresh(t *testing.T) {
 					sys.txnSlots.Len(), sys.K.Pending(), booked)
 			}
 
-			pool := newSystemPool(1)
-			pool.put(0, sys)
-			got, err := pool.get(0, cfg)
+			pool := newSystemPool()
+			keys := pool.begin([]config.System{cfg})
+			defer pool.end(keys)
+			pool.put(keys[0], sys)
+			got, err := pool.get(keys[0], cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,7 +89,7 @@ func TestPrecomputedCellsSkipSimulation(t *testing.T) {
 	}
 	var cells []CellResult
 	mustSweep(t, resumed, Workers(2), Subset(rest),
-		onCell(func(c CellResult) { cells = append(cells, c) }))
+		onCell(func(c CellResult, _, _ int) { cells = append(cells, c) }))
 
 	for w := range ref.Results {
 		for c := range ref.Results[w] {

@@ -44,7 +44,7 @@ func TestSubsetMatchesFullRun(t *testing.T) {
 				want[i] = true
 			}
 			err := s.Run(context.Background(), Workers(2), Subset(shard),
-				onCell(func(cell CellResult) {
+				onCell(func(cell CellResult, _, _ int) {
 					if !want[cell.Index] {
 						t.Errorf("%d shards: shard %v surfaced foreign cell %d", len(shards), shard, cell.Index)
 					}
@@ -98,7 +98,7 @@ func TestSubsetRejectsBadIndices(t *testing.T) {
 		}
 		s := subsetSweep()
 		ran := false
-		err := s.Run(context.Background(), Subset(subset), onCell(func(CellResult) { ran = true }))
+		err := s.Run(context.Background(), Subset(subset), onCell(func(CellResult, int, int) { ran = true }))
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s subset %v: err = %v, want *ConfigError", name, subset, err)

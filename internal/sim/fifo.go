@@ -34,10 +34,14 @@ func (q *Fifo[T]) Empty() bool { return q.head == len(q.buf) }
 // Front returns the head element without removing it.
 func (q *Fifo[T]) Front() T { return q.buf[q.head] }
 
-// Reset drops every element and clears the whole backing buffer (so no
-// references linger in capacity), keeping the grown capacity for reuse.
+// Reset drops every element, keeping the grown capacity for reuse. Only the
+// live window buf[head:len] can hold non-zero slots — Pop zeroes what it
+// removes, compaction clears the tail it vacates, and capacity past len is
+// never written — so clearing that window leaves no references anywhere in
+// the buffer, at a cost proportional to the queue's contents rather than
+// its peak depth.
 func (q *Fifo[T]) Reset() {
-	clear(q.buf[:cap(q.buf)])
+	clear(q.buf[q.head:])
 	q.buf = q.buf[:0]
 	q.head = 0
 }

@@ -74,3 +74,43 @@ func TestFifoZeroesPoppedSlots(t *testing.T) {
 		t.Fatal("popped slot retains its reference")
 	}
 }
+
+// TestFifoResetLeavesBufferZeroed pins the invariant Reset relies on to
+// clear only the live window: after pushes, pops, a compaction and a
+// partial drain, no slot anywhere in the buffer's capacity retains a
+// reference once Reset returns.
+func TestFifoResetLeavesBufferZeroed(t *testing.T) {
+	var q Fifo[*int]
+	for i := 0; i < 4*compactMin; i++ {
+		q.Push(new(int))
+	}
+	compacted := false
+	for i := 0; i < 3*compactMin; i++ {
+		before := q.head
+		q.Pop()
+		if q.head < before && !q.Empty() {
+			compacted = true
+		}
+		if i%3 == 0 {
+			q.Push(new(int))
+		}
+	}
+	if !compacted {
+		t.Fatal("workload never compacted the queue")
+	}
+	for n := q.Len() / 2; n > 0; n-- { // partial drain: live window stays non-empty
+		q.Pop()
+	}
+	if q.Empty() || q.head == 0 {
+		t.Fatalf("partial drain left head=%d len=%d, want a live window behind a dead prefix", q.head, q.Len())
+	}
+	q.Reset()
+	if q.Len() != 0 || !q.Empty() {
+		t.Fatalf("Len() = %d after Reset", q.Len())
+	}
+	for i, v := range q.buf[:cap(q.buf)] {
+		if v != nil {
+			t.Fatalf("slot %d of %d retains a reference after Reset", i, cap(q.buf))
+		}
+	}
+}
