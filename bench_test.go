@@ -44,19 +44,16 @@ var (
 func benchSweep(b *testing.B) *core.Sweep {
 	b.Helper()
 	sweepOnce.Do(func() {
-		s := core.NewSweep(benchRequests, 42)
-		if err := s.Run(context.Background()); err != nil { // parallel engine, GOMAXPROCS workers
-			b.Fatal(err)
-		}
-		sweepShared = s
+		sweepShared = submitSweep(b, core.NewClient(), core.NewSweep(benchRequests, 42)) // GOMAXPROCS workers
 	})
 	return sweepShared
 }
 
-// BenchmarkSweepEngine times the full 5x15 matrix sequentially (Workers(1))
-// and on the parallel engine, reports the wall-clock speedup, and fails if
-// the two runs' Figure 8-11 tables are not byte-identical — the determinism
-// guarantee asserted at full-matrix scale. One iteration is enough:
+// BenchmarkSweepEngine times the full 5x15 matrix on a fresh sequential
+// Client (WithWorkers(1)) and on a fresh parallel one, reports the
+// wall-clock speedup, and fails if the two runs' Figure 8-11 tables are not
+// byte-identical — the determinism guarantee asserted at full-matrix scale.
+// One iteration is enough:
 //
 //	go test -bench=SweepEngine -benchtime=1x
 //
@@ -70,21 +67,15 @@ func BenchmarkSweepEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var seqBefore, seqAfter runtime.MemStats
 		runtime.ReadMemStats(&seqBefore)
-		seq := core.NewSweep(requests, 42)
 		t0 := time.Now()
-		if err := seq.Run(context.Background(), core.Workers(1)); err != nil {
-			b.Fatal(err)
-		}
+		seq := submitSweep(b, core.NewClient(core.WithWorkers(1)), core.NewSweep(requests, 42))
 		seqElapsed := time.Since(t0)
 		runtime.ReadMemStats(&seqAfter)
 
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
-		par := core.NewSweep(requests, 42)
 		t1 := time.Now()
-		if err := par.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
+		par := submitSweep(b, core.NewClient(), core.NewSweep(requests, 42))
 		parElapsed := time.Since(t1)
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
@@ -133,27 +124,29 @@ func BenchmarkSweepEngine(b *testing.B) {
 func reuseAllocsPerCell(b *testing.B, requests int, ref *core.Sweep) float64 {
 	b.Helper()
 	client := core.NewClient(core.WithWorkers(1))
-	submit := func() *core.Sweep {
-		s := core.NewSweep(requests, 42)
-		job, err := client.Submit(context.Background(), s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := job.Wait(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	submit()
+	submitSweep(b, client, core.NewSweep(requests, 42))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s := submit()
+	s := submitSweep(b, client, core.NewSweep(requests, 42))
 	runtime.ReadMemStats(&after)
 	if s.Figure8().String() != ref.Figure8().String() ||
 		s.Figure11().String() != ref.Figure11().String() {
 		b.Fatal("a job on reused machines differs from a fresh sequential sweep")
 	}
 	return float64(after.Mallocs-before.Mallocs) / 75
+}
+
+// submitSweep runs s as a job on client and waits for it, fatal on error.
+func submitSweep(b *testing.B, client *core.Client, s *core.Sweep) *core.Sweep {
+	b.Helper()
+	job, err := client.Submit(context.Background(), s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // --- Kernel micro-benches: scheduler throughput in isolation. ---

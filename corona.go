@@ -17,10 +17,10 @@
 //     shards finish; docs/API.md documents the model and the corona-serve
 //     HTTP daemon built on it (cmd/corona-serve).
 //   - NewSweep prepares the paper's full 5-configuration x 15-workload
-//     matrix and renders Figures 8-11 as tables. Sweep.Run fans the
-//     independent cells out over a bounded worker pool (Workers option,
-//     GOMAXPROCS by default) with derived per-workload seeds, and can
-//     persist finished cells in an on-disk cache (CacheDir option).
+//     matrix and renders Figures 8-11 as tables. Client.Submit fans the
+//     independent cells out over the client's bounded worker pool
+//     (WithWorkers, GOMAXPROCS by default) with derived per-workload seeds,
+//     and can persist finished cells in an on-disk cache (WithCacheDir).
 //   - NewMatrixSweep generalizes the same engine to any configurations x
 //     workloads matrix; CustomConfig describes a machine over any registered
 //     fabric, LoadScenario reads a whole matrix from JSON, and RegisterFabric
@@ -130,7 +130,7 @@ func AllWorkloads() []Workload { return core.AllWorkloads() }
 
 // Client is the context-aware execution entry point: one-shot runs, trace
 // replays, config comparisons, and streaming sweep Jobs, all returning
-// typed errors instead of panicking. A Client's defaults are fixed at
+// typed errors instead of panicking. A Client's settings are fixed at
 // construction, and it owns a pool of built machines that its sweeps reuse,
 // so build one per process (or per server) with NewClient; it is safe for
 // concurrent use.
@@ -155,20 +155,19 @@ type ConfigError = core.ConfigError
 // errors.Is(err, context.Canceled) holds.
 type CanceledError = core.CanceledError
 
-// NewClient returns a Client with the given execution defaults.
+// NewClient returns a Client with the given execution settings.
 func NewClient(opts ...ClientOption) *Client { return core.NewClient(opts...) }
 
-// WithWorkers sets a client's default worker pool size (0 = GOMAXPROCS,
-// 1 = sequential).
+// WithWorkers sets a client's worker pool size (0 = GOMAXPROCS,
+// 1 = sequential). Results are identical either way (docs/DETERMINISM.md).
 func WithWorkers(n int) ClientOption { return core.WithWorkers(n) }
 
 // WithCacheDir sets a client's on-disk sweep result cache directory.
 func WithCacheDir(dir string) ClientOption { return core.WithCacheDir(dir) }
 
 // NewSweep prepares the 5x15 experiment matrix at `requests` misses per
-// cell. Run it with Sweep.Run(ctx, ...) — optionally with Workers,
-// CacheDir, and OnProgress — or submit it as a streaming Job with
-// (*Client).Submit, then Figure8..Figure11 for the tables.
+// cell. Submit it as a streaming Job with (*Client).Submit, wait for the
+// job, then render Figure8..Figure11 for the tables.
 func NewSweep(requests int, seed uint64) *Sweep { return core.NewSweep(requests, seed) }
 
 // NewMatrixSweep prepares an arbitrary configs x workloads matrix on the
@@ -187,25 +186,6 @@ type Scenario = core.Scenario
 // name, parameter key, and workload against the registry and Table 3.
 // Scenario.Sweep() puts it on the engine.
 func LoadScenario(path string) (*Scenario, error) { return core.LoadScenario(path) }
-
-// SweepOption configures a Sweep.Run invocation.
-type SweepOption = core.Option
-
-// SweepProgress is the per-cell completion event delivered to OnProgress.
-type SweepProgress = core.Progress
-
-// Workers bounds the sweep worker pool: 0 (the default) means GOMAXPROCS,
-// 1 forces the sequential debugging path. Results are identical either way
-// (docs/DETERMINISM.md).
-func Workers(n int) SweepOption { return core.Workers(n) }
-
-// CacheDir persists finished sweep cells under dir, keyed by
-// (config, workload, requests, seed), so repeated sweeps re-simulate only
-// invalidated cells.
-func CacheDir(dir string) SweepOption { return core.CacheDir(dir) }
-
-// OnProgress registers a serialized per-cell completion callback.
-func OnProgress(fn func(SweepProgress)) SweepOption { return core.OnProgress(fn) }
 
 // Table1 returns the paper's resource configuration table.
 func Table1() *Table { return config.Table1() }

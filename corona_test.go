@@ -45,6 +45,19 @@ func mustCompare(t *testing.T, spec Workload, requests int, seed uint64, configs
 	return res
 }
 
+// mustSweep submits s on c and waits for the job, failing the test on error.
+func mustSweep(t *testing.T, c *Client, s *Sweep) *Sweep {
+	t.Helper()
+	job, err := c.Submit(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestPublicConfigurations(t *testing.T) {
 	cfgs := Configurations()
 	if len(cfgs) != 5 {
@@ -119,9 +132,7 @@ func TestPublicBudgets(t *testing.T) {
 func TestPublicSweep(t *testing.T) {
 	s := NewSweep(300, 2)
 	s.Workloads = s.Workloads[:1]
-	if err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	mustSweep(t, NewClient(), s)
 	if !strings.Contains(s.Figure8().String(), "Uniform") {
 		t.Fatal("Figure 8 missing workload row")
 	}
@@ -140,14 +151,8 @@ func TestPublicSweepParallelDeterminism(t *testing.T) {
 		s.Workloads = s.Workloads[:2]
 		return s
 	}
-	seq := mk()
-	if err := seq.Run(context.Background(), Workers(1)); err != nil {
-		t.Fatal(err)
-	}
-	par := mk()
-	if err := par.Run(context.Background(), Workers(8), CacheDir(t.TempDir())); err != nil {
-		t.Fatal(err)
-	}
+	seq := mustSweep(t, NewClient(WithWorkers(1)), mk())
+	par := mustSweep(t, NewClient(WithWorkers(8), WithCacheDir(t.TempDir())), mk())
 	if render(seq) != render(par) {
 		t.Fatalf("parallel+cached tables differ from sequential:\n%s\n--- want ---\n%s",
 			render(par), render(seq))
@@ -249,14 +254,8 @@ func TestRegisterFabricEndToEnd(t *testing.T) {
 	mk := func() *Sweep {
 		return NewMatrixSweep([]SystemConfig{Corona(), ideal}, AllWorkloads()[:2], 300, 9)
 	}
-	seq := mk()
-	if err := seq.Run(context.Background(), Workers(1)); err != nil {
-		t.Fatal(err)
-	}
-	par := mk()
-	if err := par.Run(context.Background(), Workers(4)); err != nil {
-		t.Fatal(err)
-	}
+	seq := mustSweep(t, NewClient(WithWorkers(1)), mk())
+	par := mustSweep(t, NewClient(WithWorkers(4)), mk())
 	if seq.Figure8().String() != par.Figure8().String() {
 		t.Fatal("custom-fabric matrix not deterministic across worker counts")
 	}

@@ -98,9 +98,6 @@ func New(k *sim.Kernel, n, nchan, speed int) *TokenRing {
 	return t
 }
 
-// Channels returns the number of arbitrated channels.
-func (t *TokenRing) Channels() int { return len(t.chans) }
-
 // Reset returns every channel to its construction state and zeroes the
 // counters, keeping grown pending-queue capacity.
 func (t *TokenRing) Reset() {
@@ -124,9 +121,6 @@ func (t *TokenRing) Clusters() int { return t.n }
 func (t *TokenRing) RevolutionCycles() sim.Time {
 	return sim.Time((t.n + t.speed - 1) / t.speed)
 }
-
-// Holder returns the cluster holding channel's token, or -1 if free.
-func (t *TokenRing) Holder(channel int) int { return t.chans[channel].holder }
 
 // PendingCount returns the number of outstanding requests for channel.
 func (t *TokenRing) PendingCount(channel int) int { return len(t.chans[channel].pending) }

@@ -107,9 +107,6 @@ func New(n int, tr Transport) *Protocol {
 	return p
 }
 
-// Nodes returns the node count.
-func (p *Protocol) Nodes() int { return p.n }
-
 // Stats returns protocol counters.
 func (p *Protocol) Stats() Stats { return p.stats }
 

@@ -10,18 +10,18 @@ import (
 	"corona/internal/traffic"
 )
 
-// Client is the job-oriented entry point to the experiment engine: every
-// call takes a context, returns (result, error) instead of panicking, and
-// sweeps can be submitted as streaming Jobs whose cells arrive as shards
-// finish. A Client carries the execution defaults — worker pool size and
-// cache directory — so a server (or any concurrent caller) configures them
-// once and submits from many goroutines; the zero-value-equivalent
-// NewClient() uses GOMAXPROCS workers and no cache. A Client's defaults are
-// fixed at construction; besides them it owns an internally synchronized
-// pool of built machines, so its sweeps (Submit, Compare) Reset machines an
-// earlier sweep left behind instead of building new ones. Clients are safe
-// for concurrent use. See docs/API.md for the model and the migration table
-// from the legacy blocking calls.
+// Client is the job-oriented entry point to the experiment engine, and the
+// only way to run a sweep: every call takes a context, returns (result,
+// error) instead of panicking, and sweeps are submitted as streaming Jobs
+// whose cells arrive as shards finish. A Client carries the execution
+// settings — worker pool size and cache directory — so a server (or any
+// concurrent caller) configures them once and submits from many
+// goroutines; the zero-value-equivalent NewClient() uses GOMAXPROCS workers
+// and no cache. A Client's settings are fixed at construction; besides them
+// it owns an internally synchronized pool of built machines, so its sweeps
+// (Submit, Compare) Reset machines an earlier sweep left behind instead of
+// building new ones. Clients are safe for concurrent use. See docs/API.md
+// for the model.
 type Client struct {
 	workers  int
 	cacheDir string
@@ -31,16 +31,18 @@ type Client struct {
 // ClientOption configures a NewClient call.
 type ClientOption func(*Client)
 
-// WithWorkers sets the default worker pool size for the client's runs and
-// jobs: 0 (the default) means GOMAXPROCS, 1 forces the sequential path.
-// Per-submit Workers options override it.
+// WithWorkers sets the worker pool size for the client's sweeps: 0 (the
+// default) means GOMAXPROCS, 1 forces the sequential path. Results are
+// identical either way (docs/DETERMINISM.md).
 func WithWorkers(n int) ClientOption { return func(c *Client) { c.workers = n } }
 
-// WithCacheDir sets the client's on-disk result cache for sweeps; empty
-// (the default) disables caching. Per-submit CacheDir options override it.
+// WithCacheDir sets the client's on-disk result cache for submitted sweeps:
+// cells whose (config, workload, requests, seed) key already has a valid
+// entry are loaded instead of simulated, so re-runs only pay for
+// invalidated cells. Empty (the default) disables caching.
 func WithCacheDir(dir string) ClientOption { return func(c *Client) { c.cacheDir = dir } }
 
-// NewClient returns a Client with the given defaults.
+// NewClient returns a Client with the given settings.
 func NewClient(opts ...ClientOption) *Client {
 	c := &Client{machines: newSystemPool()}
 	for _, opt := range opts {
@@ -81,21 +83,25 @@ func (c *Client) Compare(ctx context.Context, spec traffic.Spec, requests int, s
 		configs = config.Combos()
 	}
 	s := NewMatrixSweep(configs, []traffic.Spec{spec}, requests, seed)
-	if err := s.run(ctx, func(string) uint64 { return seed }, Workers(c.workers), withMachines(c.machines)); err != nil {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	if err := s.run(ctx, c, nil, func(string) uint64 { return seed }, nil, nil); err != nil {
 		return nil, err
 	}
 	return s.Results[0], nil
 }
 
-// Submit starts s running asynchronously and returns a Job handle
-// immediately. Configuration problems — an unregistered fabric, rejected
-// parameters, a non-positive request count, a bad Subset — are reported
-// synchronously as a *ConfigError, so a rejected submission never occupies
-// workers. The sweep belongs to the job until it finishes: read s (or
-// Job.Sweep()) only after Wait returns or Results is closed.
-//
-// Options are layered client defaults first, so a per-submit Workers or
-// CacheDir overrides the client's.
+// Submit starts s running asynchronously on the client's workers, cache and
+// machines, and returns a Job handle immediately. Each row runs at the seed
+// CellSeed derives from its workload, so the Results grid is identical for
+// every worker count. Configuration problems — an unregistered fabric,
+// rejected parameters, a non-positive request count, a bad Subset — are
+// reported synchronously as a *ConfigError, so a rejected submission never
+// occupies workers. The sweep belongs to the job until it finishes: read s
+// (or Job.Sweep()) only after Wait returns or Results is closed. A canceled
+// job keeps its finished cells' cache entries, so resubmitting the sweep
+// with the same cache directory completes it with byte-identical tables.
 func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -106,12 +112,12 @@ func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, er
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	var rc runConfig
+	var sc submitConfig
 	for _, opt := range opts {
-		opt(&rc)
+		opt(&sc)
 	}
 	total := len(s.Configs) * len(s.Workloads)
-	order, err := subsetOrder(rc.subset, total)
+	order, err := subsetOrder(sc.subset, total)
 	if err != nil {
 		return nil, err
 	}
@@ -123,21 +129,21 @@ func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, er
 	j := &Job{
 		sweep: s,
 		total: total,
-		// Buffered to the cells the job runs: the engine's serialized onCell
-		// sends can never block, so a slow (or absent) consumer cannot stall
-		// the worker pool, and a late consumer still sees every cell.
+		// Buffered to the cells the job runs: the engine's serialized sends
+		// can never block, so a slow (or absent) consumer cannot stall the
+		// worker pool, and a late consumer still sees every cell.
 		results: make(chan CellResult, total),
 		done:    make(chan struct{}),
 		cancel:  cancel,
 	}
-	run := append([]Option{Workers(c.workers), CacheDir(c.cacheDir), withMachines(c.machines)}, opts...)
-	run = append(run, onCell(func(cell CellResult, done, _ int) {
-		j.completed.Store(int64(done))
-		j.results <- cell
-	}))
 	go func() {
 		defer cancel()
-		j.err = s.Run(jobCtx, run...)
+		j.err = s.run(jobCtx, c, openCache(c.cacheDir),
+			func(workload string) uint64 { return CellSeed(s.Seed, workload) },
+			order, func(cell CellResult, done int) {
+				j.completed.Store(int64(done))
+				j.results <- cell
+			})
 		close(j.results)
 		close(j.done)
 	}()
@@ -160,7 +166,10 @@ type Job struct {
 	err error
 }
 
-// Results streams completed cells in completion order. The channel is
+// Results streams completed cells in completion order, each exactly once:
+// the engine sends them one at a time, and Progress already counts a cell
+// by the time it can be received, so a consumer can render "Done/Total"
+// without its own locking at any worker count. The channel is
 // closed once the job finishes (normally, by error, or by cancellation);
 // after it closes, Err reports how the job ended. The channel is buffered
 // to every cell the job runs, so consuming late — or not at all — never

@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"corona/internal/config"
+	"corona/internal/noc"
+	"corona/internal/sim"
 )
 
 // smallSweep is a 5-config x 2-workload matrix, small enough for unit tests
@@ -107,31 +111,74 @@ func TestJobStreamsEveryCell(t *testing.T) {
 	// The streamed cells and the barrier-side grid agree: what you consumed
 	// incrementally is exactly what Figure tables render.
 	ref := smallSweep(300, 5)
-	mustSweep(t, ref, Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1)), ref)
 	if sweepTables(job.Sweep()) != sweepTables(ref) {
 		t.Fatal("streamed job tables differ from a sequential run")
 	}
 }
 
+// blockingFabrics numbers the fabrics blockingFabric registers, since the
+// registry is process-wide and rejects a name twice.
+var blockingFabrics atomic.Int64
+
+// blockingFabric registers a fresh fabric that builds the "xbar" crossbar,
+// but only once release is called: every Build first closes building, then
+// waits. A cell on the returned configuration therefore holds its worker in
+// NewSystem for as long as a test needs, at a point the test can observe.
+func blockingFabric(t *testing.T) (cfg config.System, building <-chan struct{}, release func()) {
+	t.Helper()
+	fab, ok := noc.Lookup("xbar")
+	if !ok {
+		t.Fatal("xbar fabric not registered")
+	}
+	started, released := make(chan struct{}), make(chan struct{})
+	var startOnce, releaseOnce sync.Once
+	build := fab.Build
+	fab.Name = fmt.Sprintf("blocking-xbar-%d", blockingFabrics.Add(1))
+	fab.Display = fab.Name
+	fab.Build = func(k *sim.Kernel, p noc.FabricParams) (noc.Network, error) {
+		startOnce.Do(func() { close(started) })
+		<-released
+		return build(k, p)
+	}
+	noc.Register(fab)
+	release = func() { releaseOnce.Do(func() { close(released) }) }
+	t.Cleanup(release)
+	return config.Custom("", fab.Name, config.OCM, nil), started, release
+}
+
 // TestSweepCancelLeavesCacheConsistent is the acceptance-criterion
-// cancellation test: cancel a sweep mid-flight, then re-run against the
-// same cache — the resumed sweep must complete from cache plus fresh cells
-// and render byte-identical tables to an uninterrupted run.
+// cancellation test: cancel a job's submit context mid-flight, then
+// resubmit against the same cache — the resumed sweep must complete from
+// cache plus fresh cells and render byte-identical tables to an
+// uninterrupted run. The matrix's first column builds on a blocking fabric,
+// and the cancel lands while that column's first cell is held in
+// NewSystem, so the interrupted job cannot have finished every cell.
 func TestSweepCancelLeavesCacheConsistent(t *testing.T) {
-	reference := smallSweep(300, 9)
-	mustSweep(t, reference, Workers(1))
-	want := sweepTables(reference)
+	blocking, building, release := blockingFabric(t)
+	matrix := func() *Sweep {
+		s := smallSweep(300, 9)
+		s.Configs = append([]config.System{blocking}, s.Configs...)
+		return s
+	}
 
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const stopAfter = 3
-	interrupted := smallSweep(300, 9)
-	err := interrupted.Run(ctx, Workers(2), CacheDir(dir), OnProgress(func(p Progress) {
-		if p.Done == stopAfter {
-			cancel()
-		}
-	}))
+	job, err := NewClient(WithWorkers(2), WithCacheDir(dir)).Submit(ctx, matrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-building
+	for received := 0; received < stopAfter; received++ {
+		<-job.Results()
+	}
+	cancel()
+	release()
+	for range job.Results() {
+	}
+	err = job.Wait(context.Background())
 	var cancelErr *CanceledError
 	if !errors.As(err, &cancelErr) {
 		t.Fatalf("interrupted sweep returned %v, want *CanceledError", err)
@@ -144,19 +191,16 @@ func TestSweepCancelLeavesCacheConsistent(t *testing.T) {
 			cancelErr.Completed, cancelErr.Total, stopAfter, cancelErr.Total)
 	}
 
-	// Resume: completed cells come from cache, the rest simulate fresh, and
-	// the tables match the uninterrupted run byte for byte.
-	var hits int
-	resumed := smallSweep(300, 9)
-	mustSweep(t, resumed, Workers(2), CacheDir(dir), OnProgress(func(p Progress) {
-		if p.Cached {
-			hits++
-		}
-	}))
-	if hits < stopAfter {
+	// Resume on a new Client that shares only the cache: completed cells
+	// come from cache, the rest simulate fresh, and the tables match an
+	// uninterrupted run byte for byte.
+	reference := matrix()
+	mustSweep(t, NewClient(WithWorkers(1)), reference)
+	resumed := matrix()
+	if hits := cacheHits(mustSweep(t, NewClient(WithWorkers(2), WithCacheDir(dir)), resumed)); hits < stopAfter {
 		t.Errorf("resumed sweep reused %d cached cells, want >= %d", hits, stopAfter)
 	}
-	if got := sweepTables(resumed); got != want {
+	if got, want := sweepTables(resumed), sweepTables(reference); got != want {
 		t.Fatalf("cancelled-then-resumed tables differ from uninterrupted run:\n%s\n--- want ---\n%s", got, want)
 	}
 }
@@ -243,22 +287,10 @@ func TestClientConcurrentSubmissions(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < jobs; i++ {
 		ref := smallSweep(300, uint64(100+i))
-		mustSweep(t, ref, Workers(1))
+		mustSweep(t, NewClient(WithWorkers(1)), ref)
 		if tables[i] != sweepTables(ref) {
 			t.Errorf("concurrent job %d tables differ from its sequential reference", i)
 		}
-	}
-}
-
-// mustJob submits s on c and waits for it to finish.
-func mustJob(t *testing.T, c *Client, s *Sweep) {
-	t.Helper()
-	job, err := c.Submit(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -297,7 +329,7 @@ func requireIdle(t *testing.T, c *Client, want ...config.System) {
 // machines no running run uses.
 func TestClientReusesMachinesAcrossJobs(t *testing.T) {
 	fresh := smallSweep(300, 5)
-	mustJob(t, NewClient(WithWorkers(1)), fresh)
+	mustSweep(t, NewClient(WithWorkers(1)), fresh)
 	requireFresh := func(t *testing.T, s *Sweep) {
 		t.Helper()
 		for w := range fresh.Results {
@@ -312,10 +344,10 @@ func TestClientReusesMachinesAcrossJobs(t *testing.T) {
 	t.Run("resubmit builds nothing", func(t *testing.T) {
 		c := NewClient(WithWorkers(1))
 		first := smallSweep(300, 5)
-		mustJob(t, c, first)
+		mustSweep(t, c, first)
 		left := idleMachines(c)
 		second := smallSweep(300, 5)
-		mustJob(t, c, second)
+		mustSweep(t, c, second)
 		requireFresh(t, first)
 		requireFresh(t, second)
 		after := idleMachines(c)
@@ -363,7 +395,7 @@ func TestClientReusesMachinesAcrossJobs(t *testing.T) {
 		c.machines.put(key, sys)
 
 		s := smallSweep(300, 5)
-		mustJob(t, c, s)
+		mustSweep(t, c, s)
 		requireFresh(t, s)
 	})
 
@@ -372,7 +404,7 @@ func TestClientReusesMachinesAcrossJobs(t *testing.T) {
 		a.Label, b.Label = "corona-a", "corona-b"
 		s := NewMatrixSweep([]config.System{a, b}, AllWorkloads()[:1], 300, 5)
 		c := NewClient(WithWorkers(1))
-		mustJob(t, c, s)
+		mustSweep(t, c, s)
 		for col, cfg := range s.Configs {
 			if got := s.Results[0][col].Config; got != cfg.Label {
 				t.Errorf("column %d: Result.Config = %q, want %q", col, got, cfg.Label)
@@ -386,31 +418,30 @@ func TestClientReusesMachinesAcrossJobs(t *testing.T) {
 		a, b, cc := combos[0], combos[1], combos[2]
 		one := AllWorkloads()[:1]
 		c := NewClient(WithWorkers(1))
-		mustJob(t, c, NewMatrixSweep([]config.System{a, b}, one, 300, 1))
+		mustSweep(t, c, NewMatrixSweep([]config.System{a, b}, one, 300, 1))
 		requireIdle(t, c, a, b)
-		mustJob(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
+		mustSweep(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
 		requireIdle(t, c, cc)
 
-		// Hold an {A} job between its two cells: its A machine is parked
-		// while the job still runs, so a {C} job must keep it.
-		parked, release := make(chan struct{}), make(chan struct{})
+		// Hold an {A, B'} job between its two cells: with one worker, A's
+		// cell has finished and parked its machine while B's cell is stuck
+		// building on a blocking fabric. The running job keeps A through a
+		// {C} job's start; once it ends, the next {C} job drops A.
+		blocking, building, release := blockingFabric(t)
 		held, err := c.Submit(context.Background(),
-			NewMatrixSweep([]config.System{a}, AllWorkloads()[:2], 300, 1),
-			OnProgress(func(p Progress) {
-				if p.Done == 1 {
-					close(parked)
-					<-release
-				}
-			}))
+			NewMatrixSweep([]config.System{a, blocking}, one, 300, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-parked
-		mustJob(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
+		<-held.Results()
+		<-building
+		mustSweep(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
 		requireIdle(t, c, a, cc)
-		close(release)
+		release()
 		if err := held.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		mustSweep(t, c, NewMatrixSweep([]config.System{cc}, one, 300, 1))
+		requireIdle(t, c, cc)
 	})
 }

@@ -26,12 +26,40 @@ func mustRun(t testing.TB, cfg config.System, spec traffic.Spec, requests int, s
 	return res
 }
 
-// mustSweep runs s to completion with a background context, fatal on error.
-func mustSweep(t testing.TB, s *Sweep, opts ...Option) {
-	t.Helper()
-	if err := s.Run(context.Background(), opts...); err != nil {
-		t.Fatalf("Sweep.Run: %v", err)
+// sweep submits s on c, drains the job, and returns its cells in
+// completion order with the job's terminal error.
+func sweep(c *Client, s *Sweep, opts ...Option) ([]CellResult, error) {
+	job, err := c.Submit(context.Background(), s, opts...)
+	if err != nil {
+		return nil, err
 	}
+	var cells []CellResult
+	for cell := range job.Results() {
+		cells = append(cells, cell)
+	}
+	return cells, job.Wait(context.Background())
+}
+
+// mustSweep runs s to completion on c and returns its cells in completion
+// order, fatal on error.
+func mustSweep(t testing.TB, c *Client, s *Sweep, opts ...Option) []CellResult {
+	t.Helper()
+	cells, err := sweep(c, s, opts...)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	return cells
+}
+
+// cacheHits counts the cells satisfied from the on-disk cache.
+func cacheHits(cells []CellResult) int {
+	hits := 0
+	for _, cell := range cells {
+		if cell.Cached {
+			hits++
+		}
+	}
+	return hits
 }
 
 // mustSystem builds a system, fatal on error.
@@ -216,20 +244,31 @@ func TestMSHRBackPressure(t *testing.T) {
 func TestSweepSmall(t *testing.T) {
 	s := NewSweep(400, 1)
 	s.Workloads = s.Workloads[:2] // Uniform + Hot Spot only, for speed
-	var runs int
-	var lastDone int
-	mustSweep(t, s, Workers(1), OnProgress(func(p Progress) {
-		runs++
-		if p.Done != lastDone+1 || p.Total != 10 {
-			t.Errorf("progress %d/%d after %d events", p.Done, p.Total, runs)
+	job, err := NewClient(WithWorkers(1)).Submit(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	for cell := range job.Results() {
+		if seen[cell.Index] {
+			t.Errorf("cell %d arrived twice", cell.Index)
 		}
-		lastDone = p.Done
-		if p.Cached {
+		seen[cell.Index] = true
+		if done, total := job.Progress(); done < len(seen) || total != 10 {
+			t.Errorf("Progress() = %d/%d after %d cells arrived", done, total, len(seen))
+		}
+		if cell.Cached {
 			t.Error("cache hit reported with caching disabled")
 		}
-	}))
-	if runs != 2*5 {
-		t.Fatalf("sweep ran %d cells, want 10", runs)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2*5 {
+		t.Fatalf("sweep ran %d cells, want 10", len(seen))
+	}
+	if done, total := job.Progress(); done != 10 || total != 10 {
+		t.Fatalf("final Progress() = %d/%d, want 10/10", done, total)
 	}
 	f8 := s.Figure8().String()
 	if len(f8) == 0 {

@@ -61,17 +61,6 @@ func NewMatrixSweep(configs []config.System, workloads []traffic.Spec, requests 
 	}
 }
 
-// Progress describes one completed cell of a running sweep. Callbacks are
-// serialized by the engine and arrive with Done strictly increasing, so a
-// consumer can render "Done/Total" without its own locking, regardless of
-// how many workers are simulating.
-type Progress struct {
-	Done, Total int    // cells finished so far (including this one) / cells this run executes (the matrix, or the Subset size)
-	Workload    string // the cell that just finished
-	Config      string
-	Cached      bool // satisfied from the on-disk cache, not simulated
-}
-
 // CellResult is one completed sweep cell as delivered to a streaming
 // consumer (Job.Results, the server's NDJSON endpoint): the cell's position
 // in the matrix, whether it came from the cache, and the full Result. Cells
@@ -90,49 +79,17 @@ type CellResult struct {
 	Result Result `json:"result"`
 }
 
-// runConfig collects the sweep-execution options.
-type runConfig struct {
-	workers  int
-	cacheDir string
-	onCell   cellFunc
-	subset   []int
-	machines *systemPool
-}
+// Option configures one Client.Submit call.
+type Option func(*submitConfig)
 
-// cellFunc is the engine's one consumer hook, called after each cell
-// completes with the cells finished so far (including this one) and the
-// cells the run executes. The engine serializes calls.
-type cellFunc func(cell CellResult, done, total int)
-
-// Option configures one Sweep.Run invocation.
-type Option func(*runConfig)
-
-// Workers bounds the sweep's worker pool. n <= 0 selects GOMAXPROCS (the
-// default); Workers(1) is the sequential debugging path and the reference
-// against which parallel determinism is asserted.
-func Workers(n int) Option { return func(rc *runConfig) { rc.workers = n } }
-
-// CacheDir enables the on-disk result cache rooted at dir: cells whose
-// (config, workload, requests, seed) key already has a valid entry are
-// loaded instead of simulated, so re-runs only pay for invalidated cells.
-// An empty dir (the default) disables caching.
-func CacheDir(dir string) Option { return func(rc *runConfig) { rc.cacheDir = dir } }
-
-// OnProgress registers a callback invoked after each cell completes. The
-// engine serializes invocations, so fn needs no locking of its own.
-func OnProgress(fn func(Progress)) Option {
-	if fn == nil {
-		return func(*runConfig) {}
-	}
-	return onCell(func(cell CellResult, done, total int) {
-		fn(Progress{Done: done, Total: total,
-			Workload: cell.Workload, Config: cell.Config, Cached: cell.Cached})
-	})
+// submitConfig collects a Submit call's options.
+type submitConfig struct {
+	subset []int
 }
 
 // Subset restricts the run to the given linear cell indices
 // (Row*len(Configs)+Col): only those cells simulate, fill Results, and
-// surface through OnProgress/onCell. It has two callers: a fleet worker
+// surface through Job.Results. It has two callers: a fleet worker
 // executing the slice of a campaign's matrix a coordinator handed it, and
 // corona-serve resuming a crashed campaign by running only the cells its
 // journal had not recorded. Because every cell is independent and
@@ -143,31 +100,8 @@ func OnProgress(fn func(Progress)) Option {
 // with a *ConfigError before anything simulates. A nil subset (the default)
 // runs the whole matrix.
 func Subset(indices []int) Option {
-	return func(rc *runConfig) { rc.subset = indices }
+	return func(sc *submitConfig) { sc.subset = indices }
 }
-
-// onCell adds a consumer of completed cells (Job.Results, and OnProgress
-// through its adapter). Consumers run in the order they were registered,
-// inside the engine's one serialized call per cell; each sees the full
-// Result, so a consumer can render cells as shards finish instead of
-// waiting for the matrix barrier.
-func onCell(fn cellFunc) Option {
-	return func(rc *runConfig) {
-		prev := rc.onCell
-		if prev == nil {
-			rc.onCell = fn
-			return
-		}
-		rc.onCell = func(cell CellResult, done, total int) {
-			prev(cell, done, total)
-			fn(cell, done, total)
-		}
-	}
-}
-
-// withMachines runs the sweep on a caller-owned machine pool (a Client's)
-// instead of a private one for this run.
-func withMachines(p *systemPool) Option { return func(rc *runConfig) { rc.machines = p } }
 
 // rowStreams coordinates one sweep row's shared traffic: the workload's
 // miss stream is materialized once (lazily, by the first cell of the row
@@ -221,11 +155,10 @@ func (r *rowStreams) release() {
 // per-cell construction garbage that previously dominated sweep allocation.
 //
 // A Client owns one pool for its lifetime, so a job Resets the machines an
-// earlier job of the same Client left behind instead of building its own; a
-// Sweep.Run without a Client gets a private pool for that run. Retention
-// needs no knob: begin, as a run starts, drops the idle machines of every
-// configuration that neither that run nor any still-running one uses.
-// Resubmitting a matrix therefore rebuilds nothing, idle memory stays
+// earlier job of the same Client left behind instead of building its own.
+// Retention needs no knob: begin, as a run starts, drops the idle machines
+// of every configuration that neither that run nor any still-running one
+// uses. Resubmitting a matrix therefore rebuilds nothing, idle memory stays
 // proportional to the configurations in use, and concurrent jobs over
 // different configurations never make each other rebuild.
 type systemPool struct {
@@ -327,8 +260,8 @@ func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic
 // runCell simulates one sweep cell by replaying the row's shared stream on a
 // pooled (or freshly built) machine. The machine goes back to the pool when
 // the replay returns, finished or canceled — Reset restores either — but
-// not when it panics: a machine abandoned mid-event is dropped, since it
-// may outlive this run in a Client's pool.
+// not when it panics: a machine abandoned mid-event is dropped, since the
+// Client's pool outlives this run.
 func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, key string) (Result, error) {
 	sys, err := pool.get(key, cfg)
 	if err != nil {
@@ -343,61 +276,40 @@ func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spe
 	return res, err
 }
 
-// Run executes the matrix on a bounded worker pool (GOMAXPROCS workers by
-// default — pass Workers(1) for the sequential path). Each cell runs at a
-// seed derived by CellSeed, so the filled Results grid is identical for
+// run is the one cell engine behind Client.Submit and Client.Compare. It
+// executes the validated matrix — or, for a non-nil order, only the sorted
+// cell indices listed there — on c's workers and machine pool, loading and
+// storing cells through cache (nil for none). rowSeed gives a row its seed
+// from its workload name: CellSeed for a submitted sweep, the raw seed for
+// Compare. onCell, when non-nil, receives each completed cell with the
+// count of cells finished so far, one call at a time.
+//
+// Every cell is self-seeded, so the filled Results grid is identical for
 // every worker count and completion order; see docs/DETERMINISM.md. Cells
 // in a row replay one shared, materialized traffic stream (rowStreams)
-// instead of regenerating the workload per configuration.
-//
-// Invalid configurations are rejected up front with a *ConfigError, before
-// any cell simulates. When ctx is canceled mid-sweep, in-flight cells stop
-// at their next kernel checkpoint, the pool drains, and Run returns a
-// *CanceledError recording how many cells completed; finished cells keep
-// their Results entries and their (atomically written) cache entries, so a
-// re-run with the same CacheDir completes the matrix from cache with
-// byte-identical tables. Any other cell failure cancels the remaining cells
-// and is returned as-is.
-func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
-	return s.run(ctx, func(workload string) uint64 { return CellSeed(s.Seed, workload) }, opts...)
-}
-
-// run is the one cell engine behind Sweep.Run and Client.Compare; they
-// differ only in the rule that gives a row its seed from its workload name.
-func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, opts ...Option) error {
+// instead of regenerating the workload per configuration. When ctx is
+// canceled, in-flight cells stop at their next kernel checkpoint, the
+// workers drain, and run returns a *CanceledError recording how many cells
+// completed; finished cells keep their Results entries and their
+// (atomically written) cache entries. Any other cell failure cancels the
+// remaining cells and is returned as-is.
+func (s *Sweep) run(ctx context.Context, c *Client, cache *resultCache, rowSeed func(workload string) uint64, order []int, onCell func(cell CellResult, done int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var rc runConfig
-	for _, opt := range opts {
-		opt(&rc)
-	}
-	if err := s.validate(); err != nil {
-		return err
-	}
 	nc := len(s.Configs)
-	total := nc * len(s.Workloads)
-	order, err := subsetOrder(rc.subset, total)
-	if err != nil {
-		return err
-	}
 	s.Results = make([][]Result, len(s.Workloads))
 	for w := range s.Workloads {
 		s.Results[w] = make([]Result, nc)
 	}
 
-	cache := openCache(rc.cacheDir)
-	pool := rc.machines
-	if pool == nil {
-		pool = newSystemPool()
-	}
-	keys := pool.begin(s.Configs)
-	defer pool.end(keys)
+	keys := c.machines.begin(s.Configs)
+	defer c.machines.end(keys)
 	rows := make([]*rowStreams, len(s.Workloads))
 	for w := range rows {
 		rows[w] = &rowStreams{remaining: nc}
 	}
-	n := total
+	n := nc * len(s.Workloads)
 	if order != nil {
 		// A subset run touches only its own cells: rows release their shared
 		// stream once the subset's cells of that row finish, and rows with no
@@ -417,19 +329,19 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 		done     int
 		firstErr error
 	)
-	NewPool(rc.workers).Run(runCtx, n, func(k int) {
+	NewPool(c.workers).Run(runCtx, n, func(k int) {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
-		w, c := i/nc, i%nc
+		w, col := i/nc, i%nc
 		defer rows[w].release()
-		cfg, spec := s.Configs[c], s.Workloads[w]
+		cfg, spec := s.Configs[col], s.Workloads[w]
 		seed := rowSeed(spec.Name)
 		res, cached := cache.load(cfg, spec, s.Requests, seed)
 		if !cached {
 			var err error
-			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, keys[c])
+			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, c.machines, keys[col])
 			if err != nil {
 				mu.Lock()
 				// Cancellations are either the outer ctx (reported below) or
@@ -443,12 +355,15 @@ func (s *Sweep) run(ctx context.Context, rowSeed func(workload string) uint64, o
 			}
 			cache.store(cfg, spec, s.Requests, seed, res)
 		}
-		s.Results[w][c] = res
+		s.Results[w][col] = res
 		mu.Lock()
 		done++
-		if rc.onCell != nil {
-			rc.onCell(CellResult{Index: i, Row: w, Col: c,
-				Workload: spec.Name, Config: cfg.Name(), Cached: cached, Result: res}, done, n)
+		if onCell != nil {
+			// res.Config is cfg.Name(), already built: a simulated cell's
+			// machine names itself, and a cached entry's fingerprint covers
+			// the whole configuration, Label included.
+			onCell(CellResult{Index: i, Row: w, Col: col,
+				Workload: spec.Name, Config: res.Config, Cached: cached, Result: res}, done)
 		}
 		mu.Unlock()
 	})
@@ -488,8 +403,7 @@ func subsetOrder(subset []int, total int) ([]int, error) {
 
 // validate pre-flights the matrix: every configuration must resolve against
 // the registry and the request count must be positive. It is the single
-// rule set behind both Sweep.Run's up-front rejection and Client.Submit's
-// synchronous one — the two can never diverge.
+// rule set behind Client.Submit's synchronous rejection and Client.Compare's.
 func (s *Sweep) validate() error {
 	for _, cfg := range s.Configs {
 		if err := cfg.Validate(); err != nil {

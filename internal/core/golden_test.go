@@ -68,15 +68,13 @@ func sixMachineMatrix(requests int) *Sweep {
 
 // TestMatrixSweepSixConfigsDeterministic runs the 6x15 matrix sequentially
 // and at several worker counts and asserts byte-identical tables — the
-// arbitrary-matrix generalization of the 5x15 determinism guarantee. The
-// parallel legs go through Client.Submit, so the streaming path is held to
-// the same guarantee as the blocking one.
+// arbitrary-matrix generalization of the 5x15 determinism guarantee.
 func TestMatrixSweepSixConfigsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("90-cell matrix")
 	}
 	seq := sixMachineMatrix(300)
-	mustSweep(t, seq, Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1)), seq)
 	if got := len(seq.Results[0]); got != 6 {
 		t.Fatalf("matrix has %d config columns, want 6", got)
 	}
@@ -91,7 +89,7 @@ func TestMatrixSweepSixConfigsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sweepTables(par) != want {
-			t.Fatalf("Workers(%d) 6x15 tables differ from sequential", workers)
+			t.Fatalf("WithWorkers(%d) 6x15 tables differ from sequential", workers)
 		}
 	}
 	// The SWMR column must be populated and distinct from XBar's: same
@@ -121,13 +119,7 @@ func TestSweepCacheDistinguishesParams(t *testing.T) {
 		cfg := config.Custom("Tuned", "swmr", config.OCM,
 			map[string]int{"recv_buffer": recvBuffer})
 		s := NewMatrixSweep([]config.System{cfg}, AllWorkloads()[:1], 300, 7)
-		hits := 0
-		mustSweep(t, s, CacheDir(dir), OnProgress(func(p Progress) {
-			if p.Cached {
-				hits++
-			}
-		}))
-		return s, hits
+		return s, cacheHits(mustSweep(t, NewClient(WithCacheDir(dir)), s))
 	}
 	small, h := run(2)
 	if h != 0 {
@@ -164,7 +156,7 @@ func TestMatrixResultDigest(t *testing.T) {
 		t.Skip("90-cell matrix")
 	}
 	s := sixMachineMatrix(2000)
-	mustSweep(t, s)
+	mustSweep(t, NewClient(), s)
 	raw, err := json.Marshal(s.Results)
 	if err != nil {
 		t.Fatal(err)

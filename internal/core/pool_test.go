@@ -103,7 +103,7 @@ func TestSweepSharesSeedAcrossRow(t *testing.T) {
 	spec := AllWorkloads()[0]
 	s := NewSweep(600, 42)
 	s.Workloads = s.Workloads[:1]
-	mustSweep(t, s, Workers(4))
+	mustSweep(t, NewClient(WithWorkers(4)), s)
 	want := mustRun(t, config.Corona(), spec, 600, CellSeed(42, spec.Name))
 	got := s.Results[0][len(s.Configs)-1] // XBar/OCM column
 	if got != want {
@@ -119,8 +119,8 @@ func sweepTables(s *Sweep) string {
 }
 
 func TestParallelSweepMatchesSequential(t *testing.T) {
-	// The headline guarantee (docs/DETERMINISM.md): Workers(1) and
-	// Workers(N) produce byte-identical Figure 8-11 tables. A trimmed
+	// The headline guarantee (docs/DETERMINISM.md): WithWorkers(1) and
+	// WithWorkers(N) produce byte-identical Figure 8-11 tables. A trimmed
 	// 3-workload matrix keeps the test fast; the full-matrix check runs in
 	// the benchmark suite.
 	trim := func() *Sweep {
@@ -129,12 +129,12 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 		return s
 	}
 	seq := trim()
-	mustSweep(t, seq, Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1)), seq)
 	for _, workers := range []int{0, 2, 8} {
 		par := trim()
-		mustSweep(t, par, Workers(workers))
+		mustSweep(t, NewClient(WithWorkers(workers)), par)
 		if got, want := sweepTables(par), sweepTables(seq); got != want {
-			t.Fatalf("Workers(%d) tables differ from sequential:\n%s\n--- want ---\n%s",
+			t.Fatalf("WithWorkers(%d) tables differ from sequential:\n%s\n--- want ---\n%s",
 				workers, got, want)
 		}
 	}
@@ -145,15 +145,9 @@ func TestSweepCache(t *testing.T) {
 	run := func() (*Sweep, int, int) {
 		s := NewSweep(300, 7)
 		s.Workloads = s.Workloads[:2]
-		var hits, misses int
-		mustSweep(t, s, CacheDir(dir), OnProgress(func(p Progress) {
-			if p.Cached {
-				hits++
-			} else {
-				misses++
-			}
-		}))
-		return s, hits, misses
+		cells := mustSweep(t, NewClient(WithCacheDir(dir)), s)
+		hits := cacheHits(cells)
+		return s, hits, len(cells) - hits
 	}
 
 	first, hits, misses := run()
@@ -176,13 +170,7 @@ func TestSweepCache(t *testing.T) {
 	// A different seed must invalidate every cell, not reuse entries.
 	s3 := NewSweep(300, 8)
 	s3.Workloads = s3.Workloads[:2]
-	var reused int
-	mustSweep(t, s3, CacheDir(dir), OnProgress(func(p Progress) {
-		if p.Cached {
-			reused++
-		}
-	}))
-	if reused != 0 {
+	if reused := cacheHits(mustSweep(t, NewClient(WithCacheDir(dir)), s3)); reused != 0 {
 		t.Fatalf("changed seed reused %d cached cells", reused)
 	}
 
@@ -213,12 +201,7 @@ func TestSweepCacheInvalidatedByParameters(t *testing.T) {
 		for i := range s.Configs {
 			s.Configs[i].MSHRs = mshrs
 		}
-		mustSweep(t, s, CacheDir(dir), OnProgress(func(p Progress) {
-			if p.Cached {
-				hits++
-			}
-		}))
-		return hits
+		return cacheHits(mustSweep(t, NewClient(WithCacheDir(dir)), s))
 	}
 	if h := run(2, 64); h != 0 {
 		t.Fatalf("cold cache: %d hits", h)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestEntryPointsAgree is the one-engine anchor: the three ways to run a
-// cell — Client.Run, a Client.Compare row and a Sweep cell — must report
-// the identical Result, every field, on a mesh and a crossbar machine.
-// Compare runs at the raw seed, a Sweep cell at CellSeed(seed, workload).
+// cell — Client.Run (core.Run on a fresh machine, the reference), a
+// Client.Compare row and a submitted Sweep's cell — must report the
+// identical Result, every field, on a mesh and a crossbar machine. Compare
+// runs at the raw seed, a Sweep cell at CellSeed(seed, workload).
 func TestEntryPointsAgree(t *testing.T) {
 	configs := []config.System{config.Default(config.HMesh, config.ECM), config.Corona()}
 	all := AllWorkloads()
@@ -40,7 +41,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		}
 	}
 	s := NewMatrixSweep(configs, specs, requests, seed)
-	mustSweep(t, s, Workers(2))
+	mustSweep(t, NewClient(WithWorkers(2)), s)
 	for w, spec := range specs {
 		for c, cfg := range configs {
 			if want := run(cfg, spec, CellSeed(seed, spec.Name)); s.Results[w][c] != want {
@@ -79,11 +80,11 @@ func TestPooledSweepParallelRace(t *testing.T) {
 			AllWorkloads()[:4], 600, 42)
 	}
 	seq := mk()
-	mustSweep(t, seq, Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1)), seq)
 	want := sweepTables(seq)
 	for i := 0; i < 3; i++ {
 		par := mk()
-		mustSweep(t, par, Workers(8))
+		mustSweep(t, NewClient(WithWorkers(8)), par)
 		if sweepTables(par) != want {
 			t.Fatalf("run %d: parallel pooled sweep diverged from sequential", i)
 		}

@@ -17,18 +17,17 @@ func tinyMatrix(requests int, seed uint64) *Sweep {
 }
 
 // TestCellPanicFailsSweepNotProcess arms the cell fault point in panic mode
-// and asserts the panic surfaces as Sweep.Run's *PanicError — not as an
+// and asserts the panic surfaces as the job's *PanicError — not as an
 // unwound goroutine — and that the engine works normally afterwards.
 func TestCellPanicFailsSweepNotProcess(t *testing.T) {
 	defer faultinject.Disarm()
 	if err := faultinject.Arm("core.cell.run:panic@1"); err != nil {
 		t.Fatal(err)
 	}
-	s := tinyMatrix(200, 7)
-	err := s.Run(context.Background(), Workers(2))
+	_, err := sweep(NewClient(WithWorkers(2)), tinyMatrix(200, 7))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Sweep.Run = %v, want *PanicError", err)
+		t.Fatalf("job error = %v, want *PanicError", err)
 	}
 	if len(pe.Stack) == 0 {
 		t.Error("PanicError carries no stack")
@@ -37,7 +36,7 @@ func TestCellPanicFailsSweepNotProcess(t *testing.T) {
 
 	// The same process serves the next sweep untouched.
 	s2 := tinyMatrix(200, 7)
-	mustSweep(t, s2, Workers(2))
+	mustSweep(t, NewClient(WithWorkers(2)), s2)
 	if s2.Results[0][0].Cycles == 0 {
 		t.Fatal("sweep after contained panic produced empty results")
 	}
@@ -50,9 +49,9 @@ func TestCellFaultErrorFailsSweep(t *testing.T) {
 	if err := faultinject.Arm("core.cell.run:error@2"); err != nil {
 		t.Fatal(err)
 	}
-	err := tinyMatrix(200, 7).Run(context.Background(), Workers(1))
+	_, err := sweep(NewClient(WithWorkers(1)), tinyMatrix(200, 7))
 	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Sweep.Run = %v, want the injected fault", err)
+		t.Fatalf("job error = %v, want the injected fault", err)
 	}
 }
 
@@ -77,7 +76,7 @@ func TestComparePanicContained(t *testing.T) {
 // property the server's restart-resume path is built on.
 func TestPrecomputedCellsSkipSimulation(t *testing.T) {
 	ref := tinyMatrix(300, 9)
-	mustSweep(t, ref, Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1)), ref)
 
 	resumed := tinyMatrix(300, 9)
 	total := len(ref.Configs) * len(ref.Workloads)
@@ -87,9 +86,7 @@ func TestPrecomputedCellsSkipSimulation(t *testing.T) {
 			rest = append(rest, i)
 		}
 	}
-	var cells []CellResult
-	mustSweep(t, resumed, Workers(2), Subset(rest),
-		onCell(func(c CellResult, _, _ int) { cells = append(cells, c) }))
+	cells := mustSweep(t, NewClient(WithWorkers(2)), resumed, Subset(rest))
 
 	for w := range ref.Results {
 		for c := range ref.Results[w] {

@@ -104,7 +104,7 @@ func TestScenarioSweepRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sc.Sweep()
-	mustSweep(t, s, Workers(2))
+	mustSweep(t, NewClient(WithWorkers(2)), s)
 	if s.Results[0][0].Config != "XBar/OCM" || s.Results[0][1].Config != "SWMR/OCM" {
 		t.Fatalf("columns = %s / %s", s.Results[0][0].Config, s.Results[0][1].Config)
 	}

@@ -17,14 +17,12 @@ func subsetSweep() *Sweep {
 
 // TestSubsetMatchesFullRun is the shard-subset determinism contract: the
 // matrix split into 1, 2, or 5 disjoint index shards — each executed as an
-// independent Subset run, as a fleet's workers would — reassembles into a
-// Results grid field-identical to one full run, and every shard surfaces
-// exactly its own cells through the streaming callback.
+// independent Subset job, as a fleet's workers would — reassembles into a
+// Results grid field-identical to one full run, and every shard streams
+// exactly its own cells.
 func TestSubsetMatchesFullRun(t *testing.T) {
 	ref := subsetSweep()
-	if err := ref.Run(context.Background(), Workers(1)); err != nil {
-		t.Fatal(err)
-	}
+	mustSweep(t, NewClient(WithWorkers(1)), ref)
 	total := len(ref.Configs) * len(ref.Workloads)
 
 	for _, shards := range [][][]int{
@@ -43,24 +41,20 @@ func TestSubsetMatchesFullRun(t *testing.T) {
 			for _, i := range shard {
 				want[i] = true
 			}
-			err := s.Run(context.Background(), Workers(2), Subset(shard),
-				onCell(func(cell CellResult, _, _ int) {
-					if !want[cell.Index] {
-						t.Errorf("%d shards: shard %v surfaced foreign cell %d", len(shards), shard, cell.Index)
-					}
-					merged.Results[cell.Row][cell.Col] = cell.Result
-				}))
-			if err != nil {
-				t.Fatalf("%d shards: shard %v: %v", len(shards), shard, err)
-			}
-			// A submitted subset job counts progress against its own cells.
-			job, err := NewClient(WithWorkers(2)).Submit(context.Background(), subsetSweep(), Subset(shard))
+			job, err := NewClient(WithWorkers(2)).Submit(context.Background(), s, Subset(shard))
 			if err != nil {
 				t.Fatalf("%d shards: submit shard %v: %v", len(shards), shard, err)
+			}
+			for cell := range job.Results() {
+				if !want[cell.Index] {
+					t.Errorf("%d shards: shard %v surfaced foreign cell %d", len(shards), shard, cell.Index)
+				}
+				merged.Results[cell.Row][cell.Col] = cell.Result
 			}
 			if err := job.Wait(context.Background()); err != nil {
 				t.Fatalf("%d shards: shard %v job: %v", len(shards), shard, err)
 			}
+			// A subset job counts progress against its own cells.
 			if done, tot := job.Progress(); done != len(shard) || tot != len(shard) {
 				t.Errorf("%d shards: shard %v job Progress() = %d/%d, want %d/%d",
 					len(shards), shard, done, tot, len(shard), len(shard))
@@ -82,9 +76,9 @@ func TestSubsetMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestSubsetRejectsBadIndices pins the pre-flight validation: out-of-range,
-// duplicate, and explicitly empty subsets are *ConfigError before any cell
-// simulates, and Client.Submit reports them synchronously.
+// TestSubsetRejectsBadIndices pins the pre-flight validation: Client.Submit
+// reports out-of-range, duplicate, and explicitly empty subsets
+// synchronously as a *ConfigError, so no job starts and no cell simulates.
 func TestSubsetRejectsBadIndices(t *testing.T) {
 	for name, subset := range map[string][]int{
 		"negative":     {-1},
@@ -93,18 +87,12 @@ func TestSubsetRejectsBadIndices(t *testing.T) {
 		"duplicate":    {1, 2, 1},
 		"empty":        {},
 	} {
-		if _, err := NewClient().Submit(context.Background(), subsetSweep(), Subset(subset)); !errors.As(err, new(*ConfigError)) {
+		job, err := NewClient().Submit(context.Background(), subsetSweep(), Subset(subset))
+		if !errors.As(err, new(*ConfigError)) {
 			t.Errorf("%s subset %v: Submit err = %v, want synchronous *ConfigError", name, subset, err)
 		}
-		s := subsetSweep()
-		ran := false
-		err := s.Run(context.Background(), Subset(subset), onCell(func(CellResult, int, int) { ran = true }))
-		var ce *ConfigError
-		if !errors.As(err, &ce) {
-			t.Errorf("%s subset %v: err = %v, want *ConfigError", name, subset, err)
-		}
-		if ran {
-			t.Errorf("%s subset %v: cells simulated despite rejection", name, subset)
+		if job != nil {
+			t.Errorf("%s subset %v: rejected Submit returned a job", name, subset)
 		}
 	}
 }

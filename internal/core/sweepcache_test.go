@@ -31,7 +31,7 @@ func TestCorruptedCacheEntryIsEvictedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mustSweep(t, s, CacheDir(dir), Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1), WithCacheDir(dir)), s)
 	if s.Results[0][0] != want {
 		t.Fatalf("sweep over a torn cache entry = %+v, want %+v", s.Results[0][0], want)
 	}
@@ -50,7 +50,7 @@ func TestUnreadableCacheNeverFailsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewMatrixSweep([]config.System{config.Corona()}, []traffic.Spec{quickSpec(1)}, 300, 5)
-	mustSweep(t, s, CacheDir(file+"/sub"), Workers(1))
+	mustSweep(t, NewClient(WithWorkers(1), WithCacheDir(file+"/sub")), s)
 	if s.Results[0][0].Cycles == 0 {
 		t.Fatal("sweep with unusable cache dir produced no result")
 	}

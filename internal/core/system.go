@@ -15,23 +15,25 @@
 //
 // A cell runs one way: its workload's miss stream is materialized
 // (MaterializeStream) and a Runner (ReplayRunner) replays it on a System.
-// Run does this for one cell; Client.Compare is a one-row sweep at the raw
-// seed; Sweep.Run derives each row's seed with CellSeed. Recorded traces
-// replay through the same Runner (NewTraceRunner).
+// Run does this for one cell on a fresh machine; Client.Compare is a
+// one-row sweep at the raw seed; Client.Submit runs a Sweep, deriving each
+// row's seed with CellSeed. Recorded traces replay through the same Runner
+// (NewTraceRunner).
 //
-// Sweep is the experiment matrix behind the figures. Its engine fans the
-// independent (configuration, workload) cells out over a bounded,
-// statically sharded worker pool (Pool) with derived per-workload seeds
-// (CellSeed) and an optional on-disk result cache, producing tables that
-// are byte-identical for every worker count; the scheme and its guarantee
-// are documented in docs/DETERMINISM.md.
+// Sweep is the experiment matrix behind the figures, and a Client is the
+// one way to run it. The engine fans the independent (configuration,
+// workload) cells out over the Client's bounded, statically sharded worker
+// pool (Pool) with derived per-workload seeds (CellSeed), its optional
+// on-disk result cache and its pool of reset-in-place machines, producing
+// tables that are byte-identical for every worker count; the scheme and its
+// guarantee are documented in docs/DETERMINISM.md.
 //
 // Execution is context-aware end to end: every run takes a context.Context
 // and returns (Result, error) — invalid input is a *ConfigError, a stopped
-// run a *CanceledError — and Client/Job wrap the engine in a submission API
-// whose sweeps stream cells as they finish (Job.Results) instead of
-// blocking on the matrix barrier. That is the seam internal/server exposes
-// over HTTP; docs/API.md documents the model.
+// run a *CanceledError — and a submitted sweep is a Job whose cells stream
+// as they finish (Job.Results) instead of blocking on the matrix barrier.
+// That is the seam internal/server exposes over HTTP; docs/API.md documents
+// the model.
 package core
 
 import (
