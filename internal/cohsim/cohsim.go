@@ -89,10 +89,10 @@ type System struct {
 	msgSlots sim.Slots[*noc.Message]
 	atSlots  sim.Slots[func()]
 
-	// Latency histograms by transaction flavour, in ns.
-	ReadLatency  *stats.Histogram
-	WriteLatency *stats.Histogram
-	InvLatency   *stats.Histogram // writes that had to invalidate sharers
+	// Latency samples by transaction flavour, in ns.
+	ReadLatency  stats.Sample
+	WriteLatency stats.Sample
+	InvLatency   stats.Sample // writes that had to invalidate sharers
 	// Completed counts retired transactions.
 	Completed uint64
 }
@@ -101,15 +101,12 @@ type System struct {
 func New(cfg Config) *System {
 	k := sim.NewKernel()
 	s := &System{
-		K:            k,
-		cfg:          cfg,
-		proto:        coherence.New(cfg.Clusters, coherence.Transport{}),
-		net:          xbar.New(k, xbar.DefaultConfig()),
-		bus:          bus.New(k, bus.DefaultConfig()),
-		busy:         make(map[uint64][]*op),
-		ReadLatency:  stats.NewHistogram(1 << 16),
-		WriteLatency: stats.NewHistogram(1 << 16),
-		InvLatency:   stats.NewHistogram(1 << 16),
+		K:     k,
+		cfg:   cfg,
+		proto: coherence.New(cfg.Clusters, coherence.Transport{}),
+		net:   xbar.New(k, xbar.DefaultConfig()),
+		bus:   bus.New(k, bus.DefaultConfig()),
+		busy:  make(map[uint64][]*op),
 	}
 	if !cfg.UseBus {
 		s.proto.BroadcastThreshold = 1 << 30

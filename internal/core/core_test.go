@@ -313,6 +313,25 @@ func TestMergedMissesCountOnce(t *testing.T) {
 	}
 }
 
+// TestP99ExactAtLongRuns pins Figure 10's P99 one request past 2^17 and
+// at 400,000 requests to the order statistic of a sorted copy of every
+// latency of those runs: 16,692 and 21,874 cycles.
+func TestP99ExactAtLongRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("531,073 simulated requests")
+	}
+	spec, _ := FindWorkload("Uniform")
+	for _, c := range []struct {
+		requests int
+		cycles   sim.Time
+	}{{131073, 16692}, {400000, 21874}} {
+		res := mustRun(t, config.Default(config.LMesh, config.ECM), spec, c.requests, 42)
+		if want := c.cycles.Ns(); res.P99LatencyNs != want {
+			t.Errorf("%d requests: P99 = %.1f ns, want %.1f", c.requests, res.P99LatencyNs, want)
+		}
+	}
+}
+
 func TestTraceReplay(t *testing.T) {
 	// Build a small trace by hand and replay it on two configurations; the
 	// faster machine must finish sooner, and both must complete every record.

@@ -24,6 +24,8 @@ type Result struct {
 	// AchievedTBs is Figure 9's rate of communication with main memory.
 	AchievedTBs float64
 	// MeanLatencyNs and P99LatencyNs report Figure 10's L2 miss latency.
+	// P99LatencyNs is the exact nearest-rank order statistic of every
+	// request's latency, at any request count.
 	MeanLatencyNs float64
 	P99LatencyNs  float64
 	// NetworkPowerW is Figure 11's on-chip network power; MemoryPowerW is
@@ -133,6 +135,7 @@ func ReplayRunner(sys *System, name string, buckets [][]trace.Record) (*Runner, 
 	for _, b := range buckets {
 		r.requests += len(b)
 	}
+	sys.Latency.Reset(r.requests)
 	sys.SetMSHRFreeHook(func(cluster int) { r.pump(cluster) })
 	return r, nil
 }
@@ -221,7 +224,7 @@ func (r *Runner) collect() Result {
 		Requests:      r.requests,
 		Cycles:        elapsed,
 		MeanLatencyNs: sys.Latency.Mean(),
-		P99LatencyNs:  sys.Latency.Percentile(99),
+		P99LatencyNs:  sys.Latency.P99(),
 		NetMessages:   ns.Messages,
 		NetBytes:      ns.Bytes,
 		HopTraversals: ns.HopTraversals,

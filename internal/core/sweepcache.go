@@ -22,7 +22,9 @@ import (
 // map replacing the NetworkKind enum and typed overrides); keys now
 // fingerprint every sizing parameter, so two custom configs sharing a
 // fabric name can never collide.
-const cacheSchema = 3
+// Schema 4: P99LatencyNs became exact at every request count; entries for
+// cells above 2^17 requests held a log-bucket midpoint.
+const cacheSchema = 4
 
 // cacheEntry is the on-disk form of one sweep cell. The fingerprint — the
 // full JSON of the cell's parameters, not just its labels — is stored

@@ -71,9 +71,10 @@ type System struct {
 
 	hubs []*hub
 
-	// Latency is the end-to-end L2 miss latency histogram in nanoseconds
-	// (Figure 10's metric: queueing plus transit).
-	Latency *stats.Histogram
+	// Latency is the end-to-end L2 miss latency in nanoseconds (Figure
+	// 10's metric: queueing plus transit). ReplayRunner sizes its exact
+	// P99 for the replay's request count.
+	Latency stats.Tail
 	// WireBytes counts memory-transaction bytes for Figure 9's achieved
 	// bandwidth.
 	WireBytes uint64
@@ -275,12 +276,11 @@ func NewSystem(cfg config.System) (*System, error) {
 	}
 	k := sim.NewKernel()
 	s := &System{
-		K:       k,
-		Cfg:     cfg,
-		MCs:     make([]*memory.Controller, cfg.Clusters),
-		hubs:    make([]*hub, cfg.Clusters),
-		Latency: stats.NewHistogram(1 << 17),
-		polls:   newPollRing(cfg.Clusters),
+		K:     k,
+		Cfg:   cfg,
+		MCs:   make([]*memory.Controller, cfg.Clusters),
+		hubs:  make([]*hub, cfg.Clusters),
+		polls: newPollRing(cfg.Clusters),
 	}
 	fab, _ := noc.Lookup(cfg.Fabric) // Validate guarantees registration
 	net, err := fab.Build(k, cfg.Params())
@@ -313,7 +313,7 @@ func NewSystem(cfg config.System) (*System, error) {
 // Reset returns the system to its just-constructed state, reusing every
 // grown buffer: the kernel's chunk pool, the network's queues and pools, the
 // controllers' booking lists, the hubs' MSHR files and injection queues, and
-// the latency reservoir. It fails when the fabric does not support in-place
+// the latency tail's heap. It fails when the fabric does not support in-place
 // reset (no noc.Resetter); callers fall back to building a fresh system.
 func (s *System) Reset() error {
 	r, ok := s.Net.(noc.Resetter)
@@ -332,7 +332,7 @@ func (s *System) Reset() error {
 		}
 		clear(h.outArmed)
 	}
-	s.Latency.Reset()
+	s.Latency.Reset(0)
 	s.WireBytes, s.completed, s.nextID = 0, 0, 0
 	s.txnSlots.Reset()
 	s.msgSlots.Reset()

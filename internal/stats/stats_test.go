@@ -1,32 +1,21 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if c.Value() != 42 {
-		t.Fatalf("Value = %d, want 42", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("Value after Reset = %d, want 0", c.Value())
-	}
-}
-
 func TestSampleBasics(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{2, 4, 6} {
 		s.Observe(v)
-	}
-	if s.Count() != 3 {
-		t.Errorf("Count = %d", s.Count())
 	}
 	if s.Mean() != 4 {
 		t.Errorf("Mean = %v, want 4", s.Mean())
@@ -34,70 +23,12 @@ func TestSampleBasics(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 6 {
 		t.Errorf("Min/Max = %v/%v, want 2/6", s.Min(), s.Max())
 	}
-	want := math.Sqrt(8.0 / 3.0)
-	if math.Abs(s.StdDev()-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", s.StdDev(), want)
-	}
 }
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty sample should report zeros")
-	}
-}
-
-func TestHistogramExactPercentiles(t *testing.T) {
-	h := NewHistogram(1000)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	cases := []struct{ p, want float64 }{
-		{50, 50}, {90, 90}, {99, 99}, {100, 100}, {1, 1},
-	}
-	for _, c := range cases {
-		if got := h.Percentile(c.p); got != c.want {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestHistogramPercentileCacheInvalidation(t *testing.T) {
-	// Percentile caches the sorted view; interleaved Observe calls must
-	// invalidate it so later queries see the new observations.
-	h := NewHistogram(1000)
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Percentile(100); got != 10 {
-		t.Fatalf("P100 = %v, want 10", got)
-	}
-	h.Observe(1000)
-	if got := h.Percentile(100); got != 1000 {
-		t.Errorf("P100 after new max = %v, want 1000 (stale sorted cache?)", got)
-	}
-	h.Observe(0.5)
-	if got := h.Percentile(1); got != 0.5 {
-		t.Errorf("P1 after new min = %v, want 0.5 (stale sorted cache?)", got)
-	}
-}
-
-func TestHistogramBucketEstimate(t *testing.T) {
-	h := NewHistogram(10) // force overflow into bucket estimation
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
-	}
-	p50 := h.Percentile(50)
-	// Bucket estimate should land within a factor-of-2 band of the true 500.
-	if p50 < 250 || p50 > 1100 {
-		t.Errorf("bucket-estimated P50 = %v, want within [250, 1100]", p50)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Percentile(50) != 0 {
-		t.Error("empty histogram percentile should be 0")
 	}
 }
 
@@ -110,16 +41,6 @@ func TestGeoMean(t *testing.T) {
 	}
 	if GeoMean(nil) != 0 {
 		t.Error("GeoMean(nil) should be 0")
-	}
-}
-
-func TestSpeedups(t *testing.T) {
-	s := Speedups(100, []float64{100, 50, 25, 0})
-	want := []float64{1, 2, 4, 0}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Errorf("speedup[%d] = %v, want %v", i, s[i], want[i])
-		}
 	}
 }
 
@@ -150,27 +71,6 @@ func TestGeoMeanBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentileMonotone(t *testing.T) {
-	f := func(raw []uint16) bool {
-		h := NewHistogram(1 << 16)
-		for _, v := range raw {
-			h.Observe(float64(v))
-		}
-		prev := -1.0
-		for p := 5.0; p <= 100; p += 5 {
-			cur := h.Percentile(p)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Benchmark", "XBar/OCM")
 	tab.AddRow("FFT", "8.10")
@@ -188,73 +88,143 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestFormatTBs(t *testing.T) {
-	if got := FormatTBs(2.5e12); got != "2.50" {
-		t.Errorf("FormatTBs = %q, want 2.50", got)
+func TestTailExactOrderStatistic(t *testing.T) {
+	var tl Tail
+	tl.Reset(100)
+	for i := 100; i >= 1; i-- {
+		tl.Observe(float64(i))
+	}
+	if got := tl.P99(); got != 99 {
+		t.Errorf("P99 of 1..100 = %v, want 99", got)
+	}
+	if tl.Mean() != 50.5 || tl.Min() != 1 || tl.Max() != 100 {
+		t.Errorf("Mean/Min/Max = %v/%v/%v, want 50.5/1/100", tl.Mean(), tl.Min(), tl.Max())
+	}
+	// Reset re-sizes for a new stream and forgets the old one.
+	tl.Reset(3)
+	for _, v := range []float64{7, 5, 6} {
+		tl.Observe(v)
+	}
+	if got := tl.P99(); got != 7 {
+		t.Errorf("P99 of {5,6,7} = %v, want 7", got)
 	}
 }
 
-func TestHistogramOverflowTail(t *testing.T) {
-	h := NewHistogram(4)
-	// Push the raw reservoir past its cap so Percentile uses buckets, with
-	// values beyond the last dense bucket landing in the overflow tail.
-	huge := math.Exp2(80)
-	for i := 0; i < 8; i++ {
-		h.Observe(huge)
+func TestTailEmpty(t *testing.T) {
+	var tl Tail
+	if tl.P99() != 0 {
+		t.Error("zero-value tail P99 should be 0")
 	}
-	if h.overflow != 8 {
-		t.Fatalf("overflow tail = %d, want 8", h.overflow)
+	tl.Reset(0)
+	tl.Observe(3)
+	if tl.P99() != 0 || tl.Mean() != 3 {
+		t.Errorf("tail sized for no values: P99/Mean = %v/%v, want 0/3", tl.P99(), tl.Mean())
 	}
-	if got := h.Percentile(99); got != huge {
-		t.Errorf("overflow-tail percentile = %v, want the observed max %v", got, huge)
-	}
-	// Mixed stream: dense buckets still resolve percentiles below the tail.
-	h2 := NewHistogram(2)
-	for i := 0; i < 99; i++ {
-		h2.Observe(100)
-	}
-	h2.Observe(huge)
-	p50 := h2.Percentile(50)
-	if p50 < 63 || p50 > 255 {
-		t.Errorf("P50 = %v, want within the 100-value bucket's range", p50)
+	tl.Reset(10)
+	if tl.P99() != 0 || tl.Mean() != 0 {
+		t.Error("empty tail should report zeros")
 	}
 }
 
-// mapHistogram reimplements the pre-dense bucket layout (map[int]uint64,
-// one hash per Observe) as the before/after baseline for
-// BenchmarkHistogramObserve.
-type mapHistogram struct {
-	Sample
-	buckets map[int]uint64
+// sortedP99 is the reference: the nearest-rank 99th percentile of a sorted
+// copy of every value.
+func sortedP99(vs []float64) float64 {
+	s := slices.Clone(vs)
+	sort.Float64s(s)
+	return s[int(math.Ceil(99.0/100*float64(len(s))))-1]
 }
 
-func (h *mapHistogram) Observe(v float64) {
-	h.Sample.Observe(v)
-	h.buckets[bucketOf(v)]++
+// TestTailMatchesSort checks P99 against a full sort on streams that feed
+// the heap in every order — each value a new root (increasing), none past
+// the first m (decreasing), all ties (constant), and random — at lengths
+// on both sides of every rank boundary, and that the heap never holds more
+// than the m = n-⌈0.99n⌉+1 values the rank needs.
+func TestTailMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	streams := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"increasing", func(i, n int) float64 { return float64(i) * 0.2 }},
+		{"decreasing", func(i, n int) float64 { return float64(n-i) * 0.2 }},
+		{"constant", func(i, n int) float64 { return 4.2 }},
+		{"random", func(i, n int) float64 { return float64(rng.Intn(50000)) * 0.2 }},
+	}
+	for _, n := range []int{1, 2, 99, 100, 101, 131072, 131073, 400000} {
+		m := n - int(math.Ceil(0.99*float64(n))) + 1
+		for _, st := range streams {
+			name, gen := st.name, st.gen
+			var tl Tail
+			tl.Reset(n)
+			vs := make([]float64, n)
+			for i := range vs {
+				vs[i] = gen(i, n)
+				tl.Observe(vs[i])
+				if len(tl.top) > m {
+					t.Fatalf("%s n=%d: heap holds %d values after %d observations, want at most %d",
+						name, n, len(tl.top), i+1, m)
+				}
+			}
+			if got, want := tl.P99(), sortedP99(vs); got != want {
+				t.Errorf("%s n=%d: P99 = %v, want %v", name, n, got, want)
+			}
+		}
+	}
 }
 
-// BenchmarkHistogramObserve measures the hot Observe path (every retired
-// request of every sweep cell funnels through it) on the dense-slice layout
-// versus the map layout it replaced.
-func BenchmarkHistogramObserve(b *testing.B) {
+// FuzzTail feeds fuzzed values in fuzzed order: P99 must equal the sort
+// order statistic, and Mean/Min/Max a plain Sample fed the same stream.
+func FuzzTail(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\xf0\x3f"))
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 0x40}, 150))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vs []float64
+		for ; len(data) >= 8; data = data[8:] {
+			// Latencies are never NaN; every other float, ±Inf included,
+			// is in range.
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(v) {
+				vs = append(vs, v)
+			}
+		}
+		var tl Tail
+		var ref Sample
+		tl.Reset(len(vs))
+		for _, v := range vs {
+			tl.Observe(v)
+			ref.Observe(v)
+		}
+		want := 0.0
+		if len(vs) > 0 {
+			want = sortedP99(vs)
+		}
+		if got := tl.P99(); got != want {
+			t.Fatalf("P99 = %v, want %v over %v", got, want, vs)
+		}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !same(tl.Mean(), ref.Mean()) || !same(tl.Min(), ref.Min()) || !same(tl.Max(), ref.Max()) {
+			t.Fatalf("Mean/Min/Max = %v/%v/%v, Sample gives %v/%v/%v",
+				tl.Mean(), tl.Min(), tl.Max(), ref.Mean(), ref.Min(), ref.Max())
+		}
+	})
+}
+
+// BenchmarkTailObserve measures the hot Observe path — every retired
+// request of every sweep cell funnels through it — on a stream sized like
+// a default 20,000-request cell, so the heap holds 201 values and the
+// scattered values keep replacing its root.
+func BenchmarkTailObserve(b *testing.B) {
 	values := make([]float64, 1024)
 	for i := range values {
 		values[i] = float64((i*2654435761)%100000) / 7
 	}
-	b.Run("dense", func(b *testing.B) {
-		h := NewHistogram(1) // exercise the bucket path, not the reservoir
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Observe(values[i&1023])
+	var tl Tail
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%20000 == 0 {
+			tl.Reset(20000)
 		}
-	})
-	b.Run("map-baseline", func(b *testing.B) {
-		h := &mapHistogram{buckets: make(map[int]uint64)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Observe(values[i&1023])
-		}
-	})
+		tl.Observe(values[i&1023])
+	}
 }

@@ -33,7 +33,7 @@ import (
 // Magic identifies a Corona trace stream.
 const Magic = "CORTRC01"
 
-// Record is one L2 miss or synchronization event.
+// Record is one L2 miss.
 type Record struct {
 	// Time is the miss's issue time in 5 GHz cycles.
 	Time sim.Time
@@ -44,11 +44,10 @@ type Record struct {
 	Addr uint64
 	// Write marks stores/writebacks.
 	Write bool
-	// Sync marks an explicit synchronization event (barrier); the replay
-	// engine may align cluster streams on these.
-	Sync bool
 }
 
+// recordBytes is the encoded record width: time, thread, address, write
+// flag, and one reserved byte that writers zero and readers ignore.
 const recordBytes = 8 + 2 + 8 + 1 + 1
 
 // Cluster returns the cluster of the record's thread given threads-per-cluster.
@@ -99,7 +98,7 @@ func (w *Writer) Write(r Record) error {
 	binary.LittleEndian.PutUint16(buf[8:], r.Thread)
 	binary.LittleEndian.PutUint64(buf[10:], r.Addr)
 	buf[18] = boolByte(r.Write)
-	buf[19] = boolByte(r.Sync)
+	buf[19] = 0
 	if _, err := w.w.Write(buf[:]); err != nil {
 		return fmt.Errorf("trace: writing record: %w", err)
 	}
@@ -182,7 +181,6 @@ func (r *Reader) Read() (Record, error) {
 		Thread: binary.LittleEndian.Uint16(buf[8:]),
 		Addr:   binary.LittleEndian.Uint64(buf[10:]),
 		Write:  buf[18] != 0,
-		Sync:   buf[19] != 0,
 	}, nil
 }
 

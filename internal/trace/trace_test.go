@@ -16,7 +16,7 @@ func TestRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Time: 0, Thread: 0, Addr: 0x1000, Write: false},
 		{Time: 100, Thread: 1023, Addr: 0xdeadbeef, Write: true},
-		{Time: 1 << 40, Thread: 512, Addr: 0, Sync: true},
+		{Time: 1 << 40, Thread: 512, Addr: 0},
 	}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, uint64(len(recs)))
@@ -136,7 +136,6 @@ func TestRoundTripProperty(t *testing.T) {
 				Thread: uint16(rng.Intn(1024)),
 				Addr:   rng.Uint64(),
 				Write:  rng.Intn(2) == 0,
-				Sync:   rng.Intn(10) == 0,
 			}
 		}
 		var buf bytes.Buffer
@@ -325,7 +324,7 @@ func FuzzReader(f *testing.F) {
 	recs := []Record{
 		{Time: 0, Thread: 0, Addr: 0x1000, Write: false},
 		{Time: 100, Thread: 1023, Addr: 0xdeadbeef, Write: true},
-		{Time: 1 << 40, Thread: 512, Addr: 0, Sync: true},
+		{Time: 1 << 40, Thread: 512, Addr: 0},
 	}
 	f.Add(encode(f, uint64(len(recs)), recs))
 	f.Add(encode(f, CountUnknown, recs))
