@@ -52,9 +52,8 @@ type tokenChannel struct {
 	pending []waiter
 	// gen invalidates in-flight grant events after a re-commit.
 	gen uint64
-	// committed is true when a grant event is scheduled; commitCluster and
-	// commitWait describe that commitment for the typed grant event.
-	committed     bool
+	// commitCluster and commitWait describe the scheduled grant for the
+	// typed grant event.
 	commitCluster int
 	commitWait    sim.Time
 }
@@ -168,7 +167,6 @@ func (t *TokenRing) Release(channel, cluster int) {
 	c.lastReleaser = cluster
 	c.lastRelease = t.k.Now()
 	c.gen++ // invalidate any stale events
-	c.committed = false
 	if len(c.pending) > 0 {
 		t.commit(channel)
 	}
@@ -215,7 +213,6 @@ func (t *TokenRing) commit(channel int) {
 		return
 	}
 	c.gen++
-	c.committed = true
 	c.commitCluster = c.pending[best].cluster
 	c.commitWait = bestETA - now
 	// The in-flight grant is a typed kernel event: the channel index and the
@@ -246,7 +243,6 @@ func (g *grantEvent) OnEvent(_ sim.Time, data uint64) {
 	}
 	// Divert the token: exclusive grant.
 	c.holder = c.commitCluster
-	c.committed = false
 	// Remove the waiter.
 	var w waiter
 	for i := range c.pending {

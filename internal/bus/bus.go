@@ -149,9 +149,6 @@ func (b *Bus) Reset() {
 	b.Broadcasts, b.Bytes, b.BusyCycles = 0, 0, 0
 }
 
-// Arbiter exposes the bus token for statistics.
-func (b *Bus) Arbiter() *arbiter.TokenRing { return b.arb }
-
 // SetDeliver installs cluster's snoop callback.
 func (b *Bus) SetDeliver(cluster int, fn DeliverFunc) { b.deliver[cluster] = fn }
 
@@ -168,7 +165,6 @@ func (b *Bus) Broadcast(m *noc.Message) bool {
 	if len(b.queues[m.Src]) >= b.cfg.InjectQueue {
 		return false
 	}
-	m.Inject = b.k.Now()
 	b.queues[m.Src] = append(b.queues[m.Src], m)
 	if !b.active[m.Src] {
 		b.active[m.Src] = true

@@ -154,7 +154,8 @@ func (s System) Params() noc.FabricParams {
 }
 
 // Validate checks that the fabric is registered and accepts the parameters,
-// without building anything — the cheap pre-flight for CLIs and config
+// and that a memory override describes a buildable controller, without
+// building anything — the cheap pre-flight for CLIs and config
 // loaders.
 func (s System) Validate() error {
 	fab, ok := noc.Lookup(s.Fabric)
@@ -167,6 +168,11 @@ func (s System) Validate() error {
 	}
 	if fab.Check != nil {
 		if err := fab.Check(s.Params()); err != nil {
+			return fmt.Errorf("config: %s: %w", s.Name(), err)
+		}
+	}
+	if s.MemOverride != nil {
+		if err := s.MemOverride.Validate(); err != nil {
 			return fmt.Errorf("config: %s: %w", s.Name(), err)
 		}
 	}

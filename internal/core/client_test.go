@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"corona/internal/config"
+	"corona/internal/memory"
 	"corona/internal/noc"
 	"corona/internal/sim"
 )
@@ -60,6 +62,31 @@ func TestClientTypedConfigErrors(t *testing.T) {
 		}
 		if _, err := NewClient().Compare(context.Background(), quickSpec(1), requests, 1); !errors.As(err, &ce) {
 			t.Fatalf("Compare with %d requests: got %v, want *ConfigError", requests, err)
+		}
+	}
+
+	// A memory override the controller cannot build is the caller's input,
+	// rejected before any simulation starts rather than panicking in it.
+	for name, edit := range map[string]func(*memory.Config){
+		"zero banks":        func(m *memory.Config) { m.Banks = 0 },
+		"NaN in rate":       func(m *memory.Config) { m.InBytesPerCycle = math.NaN() },
+		"+Inf in rate":      func(m *memory.Config) { m.InBytesPerCycle = math.Inf(1) },
+		"NaN out rate":      func(m *memory.Config) { m.OutBytesPerCycle = math.NaN() },
+		"+Inf ECM out rate": func(m *memory.Config) { m.HalfDuplex, m.OutBytesPerCycle = false, math.Inf(1) },
+	} {
+		mem := memory.OCMConfig()
+		edit(&mem)
+		cfg := config.Corona()
+		cfg.MemOverride = &mem
+		if _, err := NewClient().Run(context.Background(), cfg, quickSpec(1), 100, 1); !errors.As(err, &ce) {
+			t.Fatalf("Run with %s: got %v, want *ConfigError", name, err)
+		}
+		if _, err := NewClient().Compare(context.Background(), quickSpec(1), 100, 1, cfg); !errors.As(err, &ce) {
+			t.Fatalf("Compare with %s: got %v, want *ConfigError", name, err)
+		}
+		if _, err := NewClient().Submit(context.Background(), NewMatrixSweep(
+			[]config.System{cfg}, AllWorkloads()[:1], 100, 1)); !errors.As(err, &ce) {
+			t.Fatalf("Submit with %s: got %v, want synchronous *ConfigError", name, err)
 		}
 	}
 

@@ -171,12 +171,13 @@ func newSystemPool() *systemPool {
 	return &systemPool{free: make(map[string][]*System), running: make(map[string]int)}
 }
 
-// machineKey is cfg's pool key: its canonical JSON, or "" (never pooled) for
-// the rare configuration JSON cannot encode, such as a NaN memory rate.
+// machineKey is cfg's pool key: its canonical JSON. Every configuration
+// reaching the pool has passed System.Validate, which rejects the
+// non-finite memory rates JSON cannot encode.
 func machineKey(cfg config.System) string {
 	b, err := json.Marshal(cfg)
 	if err != nil {
-		return ""
+		panic(fmt.Sprintf("core: validated configuration %s does not encode: %v", cfg.Name(), err))
 	}
 	return string(b)
 }
@@ -229,9 +230,6 @@ func (p *systemPool) get(key string, cfg config.System) (*System, error) {
 }
 
 func (p *systemPool) put(key string, sys *System) {
-	if key == "" {
-		return
-	}
 	if _, ok := sys.Net.(noc.Resetter); !ok {
 		return
 	}

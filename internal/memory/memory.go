@@ -13,6 +13,7 @@ package memory
 
 import (
 	"fmt"
+	"math"
 
 	"corona/internal/sim"
 )
@@ -97,6 +98,24 @@ func (c Config) PerControllerBytesPerSec() float64 {
 		bpc += c.OutBytesPerCycle
 	}
 	return bpc * 5e9
+}
+
+// Validate reports whether c describes a buildable controller: a positive,
+// finite link rate (and read-data rate on a full-duplex channel), at least
+// one bank and a positive queue depth. A non-finite rate is rejected in
+// either mode: it would schedule transfers at no meaningful cycle, and the
+// configuration's JSON encoding (the sweep cache and pool key) would fail.
+func (c Config) Validate() error {
+	rate := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	switch {
+	case !rate(c.InBytesPerCycle) || c.Banks <= 0 || c.QueueDepth <= 0:
+		return fmt.Errorf("memory: invalid config %+v", c)
+	case !c.HalfDuplex && !rate(c.OutBytesPerCycle):
+		return fmt.Errorf("memory: full-duplex config needs a positive, finite OutBytesPerCycle, got %v", c.OutBytesPerCycle)
+	case math.IsNaN(c.OutBytesPerCycle) || math.IsInf(c.OutBytesPerCycle, 0):
+		return fmt.Errorf("memory: non-finite OutBytesPerCycle %v", c.OutBytesPerCycle)
+	}
+	return nil
 }
 
 // AggregateBytesPerSec returns the 64-controller aggregate bandwidth.
@@ -237,11 +256,8 @@ type Controller struct {
 
 // NewController builds controller id with config cfg on kernel k.
 func NewController(k *sim.Kernel, cfg Config, id int) *Controller {
-	if cfg.InBytesPerCycle <= 0 || cfg.Banks <= 0 || cfg.QueueDepth <= 0 {
-		panic(fmt.Sprintf("memory: invalid config %+v", cfg))
-	}
-	if !cfg.HalfDuplex && cfg.OutBytesPerCycle <= 0 {
-		panic("memory: full-duplex config requires OutBytesPerCycle")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	c := &Controller{k: k, cfg: cfg, id: id, banks: make([]sim.Time, cfg.Banks)}
 	// Seed the booking lists with the queue's worth of capacity so the gap

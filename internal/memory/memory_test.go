@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -322,6 +323,10 @@ func TestNewControllerValidation(t *testing.T) {
 		{},
 		{InBytesPerCycle: 1, Banks: 0, QueueDepth: 1},
 		{InBytesPerCycle: 1, Banks: 1, QueueDepth: 1, HalfDuplex: false, OutBytesPerCycle: 0},
+		{InBytesPerCycle: math.NaN(), Banks: 1, QueueDepth: 1, HalfDuplex: true},
+		{InBytesPerCycle: math.Inf(1), Banks: 1, QueueDepth: 1, HalfDuplex: true},
+		{InBytesPerCycle: 1, Banks: 1, QueueDepth: 1, HalfDuplex: true, OutBytesPerCycle: math.NaN()},
+		{InBytesPerCycle: 1, Banks: 1, QueueDepth: 1, HalfDuplex: false, OutBytesPerCycle: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		func() {

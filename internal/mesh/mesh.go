@@ -104,7 +104,7 @@ type outPort struct {
 
 // Mesh implements noc.Network.
 type Mesh struct {
-	noc.MsgPool // per-network message free list (Acquire / Consume recycles)
+	noc.Endpoints // pool, delivery, injection epochs and counters
 
 	k   *sim.Kernel
 	cfg Config
@@ -114,14 +114,10 @@ type Mesh struct {
 	// router-major (index router*numDirs + dir): one contiguous block, so
 	// the per-hop pipeline pays a single bounds check and no pointer chase
 	// per port access.
-	ports   []outPort
-	deliver []noc.DeliverFunc
+	ports []outPort
 	// injectCount tracks stage-0 packets per cluster per class against
 	// InjectQueue, laid out cluster-major (cluster*numClasses + class).
 	injectCount []int
-	// epochs counts injection slots freed per cluster, over both classes
-	// (InjectEpochs).
-	epochs []uint64
 
 	// slots parks in-flight packets for the typed hop, tail and eject
 	// events; pktFree recycles retired packets (keeping their routed-path
@@ -130,7 +126,6 @@ type Mesh struct {
 	slots   sim.Slots[*packet]
 	pktFree []*packet
 
-	stats noc.Stats
 	// LinkBusyCycles accumulates occupancy across all links for utilization.
 	LinkBusyCycles uint64
 }
@@ -206,7 +201,7 @@ func (e *tailEvent) OnEvent(now sim.Time, data uint64) {
 	if data&tailInject != 0 {
 		src := int(data & refMask)
 		m.injectCount[src*numClasses+class]--
-		m.epochs[src]++
+		m.SlotFreed(src)
 	} else {
 		up := unpackRef(data)
 		m.port(up.router, up.d).credits[class]++
@@ -248,10 +243,7 @@ func (e *ejectEvent) OnEvent(_ sim.Time, data uint64) {
 	p := m.slots.Take(data)
 	msg := p.m
 	m.freePacket(p)
-	m.stats.Messages++
-	m.stats.Bytes += uint64(msg.Size)
-	m.stats.HopTraversals += uint64(msg.Hops)
-	m.deliver[msg.Dst](msg)
+	m.Deliver(msg)
 }
 
 // newPacket returns a recycled (or fresh) packet wrapper; its path buffer
@@ -289,11 +281,12 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 			cfg.Width, cfg.Height, 1<<16))
 	}
 	m := &Mesh{
-		k: k, cfg: cfg, n: n,
+		Endpoints:   noc.NewEndpoints(k, cfg.Name, n),
+		k:           k,
+		cfg:         cfg,
+		n:           n,
 		ports:       make([]outPort, n*int(numDirs)),
-		deliver:     make([]noc.DeliverFunc, n),
 		injectCount: make([]int, n*numClasses),
-		epochs:      make([]uint64, n),
 	}
 	for r := 0; r < n; r++ {
 		for d := dir(0); d < numDirs; d++ {
@@ -310,9 +303,6 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 	}
 	return m
 }
-
-// Name implements noc.Network.
-func (m *Mesh) Name() string { return m.cfg.Name }
 
 // Reset implements noc.Resetter: restore the construction state in place,
 // keeping the message pool, packet pool, and grown queue capacity. Delivery
@@ -334,20 +324,10 @@ func (m *Mesh) Reset() {
 		}
 	}
 	clear(m.injectCount)
-	clear(m.epochs)
 	m.slots.Reset()
-	m.stats = noc.Stats{}
+	m.Endpoints.Reset()
 	m.LinkBusyCycles = 0
 }
-
-// Clusters implements noc.Network.
-func (m *Mesh) Clusters() int { return m.n }
-
-// Stats returns message/byte/hop counters.
-func (m *Mesh) Stats() noc.Stats { return m.stats }
-
-// SetDeliver implements noc.Network.
-func (m *Mesh) SetDeliver(cluster int, fn noc.DeliverFunc) { m.deliver[cluster] = fn }
 
 func (m *Mesh) xy(r int) (int, int) { return r % m.cfg.Width, r / m.cfg.Width }
 func (m *Mesh) id(x, y int) int     { return y*m.cfg.Width + x }
@@ -398,17 +378,11 @@ func (m *Mesh) Hops(src, dst int) int {
 
 // Send implements noc.Network.
 func (m *Mesh) Send(msg *noc.Message) bool {
-	if !noc.Valid(msg, m.n) {
-		panic(noc.Validate(msg, m.n))
-	}
-	if msg.Src == msg.Dst {
-		panic(fmt.Sprintf("mesh: message %d is cluster-local (src == dst == %d)", msg.ID, msg.Src))
-	}
+	m.Check(msg)
 	cl := classOf(msg.Kind)
 	if m.injectCount[msg.Src*numClasses+cl] >= m.cfg.InjectQueue {
 		return false
 	}
-	msg.Inject = m.k.Now()
 	msg.Hops = m.Hops(msg.Src, msg.Dst)
 	p := m.newPacket()
 	p.m = msg
@@ -421,10 +395,6 @@ func (m *Mesh) Send(msg *noc.Message) bool {
 	m.tryGrant(first)
 	return true
 }
-
-// InjectEpochs implements noc.Network: a cluster's injection slot (of either
-// class) frees when the packet's tail leaves the first link.
-func (m *Mesh) InjectEpochs() []uint64 { return m.epochs }
 
 // Consume implements noc.Network: the hub drained msg, freeing its slot in
 // the ejection buffer of msg's virtual network and recycling the message.

@@ -17,11 +17,7 @@
 // pooling rules"); in steady state the Send→Consume path allocates nothing.
 package noc
 
-import (
-	"fmt"
-
-	"corona/internal/sim"
-)
+import "fmt"
 
 // Kind classifies a message for routing and accounting.
 type Kind uint8
@@ -77,11 +73,6 @@ type Message struct {
 	Size int // bytes on the wire
 	Kind Kind
 
-	// Issue is when the requester generated the transaction (for end-to-end
-	// latency); Inject is when the network accepted it.
-	Issue  sim.Time
-	Inject sim.Time
-
 	// Hops is filled in by mesh networks with the number of router-to-router
 	// link traversals, for the 196 pJ/hop power model. Optical networks leave
 	// it zero and account power separately.
@@ -101,8 +92,9 @@ type Message struct {
 }
 
 // MsgPool is a per-network message free list. Network implementations embed
-// it to satisfy the Acquire half of the ownership cycle and call Release
-// from Consume, the mandatory retirement point; after the pool has grown to
+// it (the built-in fabrics through Endpoints) to satisfy the Acquire half of
+// the ownership cycle and call Release from Consume, the mandatory
+// retirement point; after the pool has grown to
 // the network's peak in-flight population, the Send→Consume path performs
 // no allocation. A MsgPool belongs to one network on one kernel goroutine;
 // it is not synchronized.
@@ -151,7 +143,8 @@ type Network interface {
 	Clusters() int
 	// Acquire returns a zeroed message from the network's free list for the
 	// caller to fill and Send. Implementations embed MsgPool, which provides
-	// it (and whose Release their Consume calls to close the cycle).
+	// it, usually through Endpoints (and whose Release their Consume calls
+	// to close the cycle).
 	Acquire() *Message
 	// Send injects msg. It returns false when the source's injection queue is
 	// full; the caller must retry later (back pressure).
@@ -164,6 +157,8 @@ type Network interface {
 	// slice is live: the network increments it in place, never reallocates
 	// it, and Reset zeroes it in place, so a caller may keep it for the
 	// network's lifetime. A fabric that never refuses returns zeros.
+	// Endpoints implements it for the built-in fabrics, which call
+	// Endpoints.SlotFreed wherever a message leaves an injection queue.
 	InjectEpochs() []uint64
 	// SetDeliver installs the delivery callback for a destination cluster.
 	SetDeliver(cluster int, fn DeliverFunc)
@@ -200,32 +195,18 @@ type Stats struct {
 	HopTraversals uint64 // mesh only: sum over messages of per-hop link uses
 }
 
-// Valid reports whether a message is internally consistent for a network of
-// n clusters. It inlines into the senders' injection hot paths; on failure
-// they call Validate for the descriptive error.
-func Valid(m *Message, n int) bool {
-	return m != nil && uint(m.Src) < uint(n) && uint(m.Dst) < uint(n) && m.Size > 0
-}
-
 // Validate checks a message for internal consistency against a network of n
 // clusters, returning a descriptive error for invalid input.
 func Validate(m *Message, n int) error {
-	if !Valid(m, n) {
-		return validateError(m, n)
+	switch {
+	case m == nil:
+		return fmt.Errorf("noc: nil message")
+	case m.Src < 0 || m.Src >= n:
+		return fmt.Errorf("noc: message %d source %d out of range [0,%d)", m.ID, m.Src, n)
+	case m.Dst < 0 || m.Dst >= n:
+		return fmt.Errorf("noc: message %d destination %d out of range [0,%d)", m.ID, m.Dst, n)
+	case m.Size <= 0:
+		return fmt.Errorf("noc: message %d has non-positive size %d", m.ID, m.Size)
 	}
 	return nil
-}
-
-// validateError builds Validate's descriptive error off the hot path.
-func validateError(m *Message, n int) error {
-	if m == nil {
-		return fmt.Errorf("noc: nil message")
-	}
-	if m.Src < 0 || m.Src >= n {
-		return fmt.Errorf("noc: message %d source %d out of range [0,%d)", m.ID, m.Src, n)
-	}
-	if m.Dst < 0 || m.Dst >= n {
-		return fmt.Errorf("noc: message %d destination %d out of range [0,%d)", m.ID, m.Dst, n)
-	}
-	return fmt.Errorf("noc: message %d has non-positive size %d", m.ID, m.Size)
 }

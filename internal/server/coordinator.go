@@ -254,10 +254,12 @@ func (q *cellQueue) fromPending(w *worker) []int {
 }
 
 // straggler returns an open, unfinished lease with no copy in flight that
-// is at least SpeculationAfter old and delivers below a quarter of the
+// is at least SpeculationAfter old and delivers at most a quarter of the
 // median cells/s, or nil. The median is over the campaign's first-hand
 // leases that are open or whose cells are all merged: a failed lease's
 // cells live on in a later lease, and copies only echo their original.
+// A zero median still picks a lease that has delivered nothing, so a
+// stalled lease beside a failed one is copied rather than waited out.
 // Callers hold q.mu.
 func (q *cellQueue) straggler(now time.Time) *lease {
 	var rates []float64
@@ -267,12 +269,9 @@ func (q *cellQueue) straggler(now time.Time) *lease {
 		}
 	}
 	med := median(rates)
-	if med <= 0 {
-		return nil
-	}
 	for _, l := range q.leases {
 		if l.ended.IsZero() && l.of == nil && !l.copied && slices.Contains(l.done, false) &&
-			now.Sub(l.started) >= q.s.tuning.SpeculationAfter && l.rate(now) < 0.25*med {
+			now.Sub(l.started) >= q.s.tuning.SpeculationAfter && l.rate(now) <= 0.25*med {
 			return l
 		}
 	}

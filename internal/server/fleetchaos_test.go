@@ -514,6 +514,48 @@ func TestFleetSpeculatesAgainAfterFailedCopy(t *testing.T) {
 	}
 }
 
+// TestFleetSpeculatesBesideFailedPeer stalls one worker's result stream
+// while it keeps answering heartbeats, and fails the other worker's first
+// lease. The failed lease leaves the median, so the stalled lease's zero
+// rate is the only one left; the idle worker must still copy it rather
+// than wait for the campaign's deadline.
+func TestFleetSpeculatesBesideFailedPeer(t *testing.T) {
+	scenario := strings.Replace(fleetScenario, `"seed": 23`, `"seed": 23, "timeout": "10s"`, 1)
+	want := singleNodeReference(t, scenario)
+	_, stallBackend := newTestServer(t, Options{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			<-r.Context().Done()
+			return
+		}
+		stallBackend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(stalled.Close)
+	_, backend := newTestServer(t, Options{})
+	var submits atomic.Int64
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && submits.Add(1) == 1 {
+			writeError(w, http.StatusInternalServerError, "first lease broken on purpose")
+			return
+		}
+		backend.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	_, coord := newTestServer(t, Options{
+		Peers:  []*Client{fastPeer(stalled.URL), fastPeer(flaky.URL)},
+		Tuning: FleetTuning{SpeculationAfter: 100 * time.Millisecond},
+	})
+
+	v, resp := postScenario(t, coord, scenario)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitStatus(t, coord, v.ID, statusDone)
+	if got := sortedNDJSON(t, coord, v.ID); !slices.Equal(got, want) {
+		t.Error("merged NDJSON with a stalled lease beside a failed one differs from a single-node run")
+	}
+}
+
 // TestFleetPartitionMidShard cuts a worker's link mid-stream — cells already
 // delivered — and requires the coordinator to re-dispatch only the missing
 // remainder, merged output byte-identical, no duplicates. With CORONA_CHAOS

@@ -77,9 +77,6 @@ type Options struct {
 	// a job already fan out over the client's worker pool, so more runners
 	// trade per-job latency for cross-job fairness.
 	Runners int
-	// MaxBodyBytes bounds the scenario JSON accepted by POST /v1/jobs.
-	// Default 1 MiB.
-	MaxBodyBytes int64
 	// RetainJobs bounds how many finished jobs (and their accumulated cell
 	// results) stay queryable: when a submission would exceed it, the oldest
 	// terminal jobs are evicted, and the Store drops them too (compacting
@@ -106,16 +103,18 @@ type Options struct {
 	Tuning FleetTuning
 }
 
+// maxBodyBytes bounds the scenario JSON accepted by POST /v1/jobs.
+const maxBodyBytes = 1 << 20
+
 // Server owns the job registry, the bounded queue, and the runner pool.
 // Create one with New, mount Handler on an http.Server, and Close it on
 // shutdown.
 type Server struct {
-	client  *core.Client
-	maxBody int64
-	retain  int
-	depth   int // configured queue depth (the admission bound)
-	st      *store.Store
-	log     *slog.Logger
+	client *core.Client
+	retain int
+	depth  int // configured queue depth (the admission bound)
+	st     *store.Store
+	log    *slog.Logger
 
 	// Fleet coordination (empty on a plain daemon): the workers (each a
 	// dispatch client plus its health state), the availability tuning, the
@@ -155,9 +154,6 @@ func New(opts Options) *Server {
 	if opts.Runners <= 0 {
 		opts.Runners = 1
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 20
-	}
 	if opts.RetainJobs <= 0 {
 		opts.RetainJobs = 256
 	}
@@ -167,7 +163,6 @@ func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		client:  opts.Client,
-		maxBody: opts.MaxBodyBytes,
 		retain:  opts.RetainJobs,
 		depth:   opts.QueueDepth,
 		st:      opts.Store,
@@ -827,12 +822,12 @@ func parseExtras(body []byte, total int) (timeout time.Duration, subset []int, e
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("scenario body exceeds %d bytes", s.maxBody))
+				fmt.Sprintf("scenario body exceeds %d bytes", maxBodyBytes))
 		} else {
 			writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		}

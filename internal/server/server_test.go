@@ -192,6 +192,28 @@ func TestSubmitRejectsInvalidScenarios(t *testing.T) {
 	}
 }
 
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	// A valid scenario padded with whitespace past the bound: the size
+	// check, not the parser, must reject it.
+	body := tinyScenario + strings.Repeat(" ", maxBodyBytes)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("HTTP %d, want 413", resp.StatusCode)
+	}
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("scenario body exceeds %d bytes", maxBodyBytes); e.Error != want {
+		t.Fatalf("error %q, want %q", e.Error, want)
+	}
+}
+
 func TestUnknownJobIs404(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/results"} {

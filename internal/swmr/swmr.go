@@ -72,25 +72,16 @@ type srcQueue struct {
 
 // Crossbar implements noc.Network.
 type Crossbar struct {
-	noc.MsgPool // per-network message free list (Acquire / Consume recycles)
+	noc.Endpoints // pool, delivery, injection epochs and counters
 
 	k   *sim.Kernel
 	cfg Config
 	// arb arbitrates destination receivers; nil unless TunedReceivers.
 	arb *arbiter.TokenRing
 
-	queues  []srcQueue // per source
-	deliver []noc.DeliverFunc
+	queues  []srcQueue  // per source
+	credits noc.Credits // per destination receive-buffer pool
 
-	credits    []int           // per destination receive-buffer pool
-	creditWait []sim.Fifo[int] // per destination: sources waiting, FIFO
-	// epochs counts injection slots freed per source (InjectEpochs).
-	epochs []uint64
-
-	// slots parks in-flight messages for the typed delivery event.
-	slots sim.Slots[*noc.Message]
-
-	stats noc.Stats
 	// BusyCycles accumulates channel occupancy for utilization reporting.
 	BusyCycles uint64
 }
@@ -119,7 +110,7 @@ func (e *releaseEvent) OnEvent(_ sim.Time, data uint64) {
 	x := (*Crossbar)(e)
 	src := int(data)
 	x.queues[src].msgs.Pop()
-	x.epochs[src]++
+	x.SlotFreed(src)
 	x.advance(src)
 }
 
@@ -130,17 +121,6 @@ type rxFreeEvent Crossbar
 func (e *rxFreeEvent) OnEvent(_ sim.Time, data uint64) {
 	src, dst := unpack2(data)
 	(*Crossbar)(e).arb.Release(dst, src)
-}
-
-// deliverEvent fires when the light reaches the destination's drop filters.
-type deliverEvent Crossbar
-
-func (e *deliverEvent) OnEvent(_ sim.Time, data uint64) {
-	x := (*Crossbar)(e)
-	m := x.slots.Take(data)
-	x.stats.Messages++
-	x.stats.Bytes += uint64(m.Size)
-	x.deliver[m.Dst](m)
 }
 
 // Granted implements arbiter.GrantHandler for the tuned-receiver
@@ -160,25 +140,17 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 		panic(fmt.Sprintf("swmr: invalid config %+v", cfg))
 	}
 	x := &Crossbar{
-		k:          k,
-		cfg:        cfg,
-		queues:     make([]srcQueue, cfg.Clusters),
-		deliver:    make([]noc.DeliverFunc, cfg.Clusters),
-		credits:    make([]int, cfg.Clusters),
-		creditWait: make([]sim.Fifo[int], cfg.Clusters),
-		epochs:     make([]uint64, cfg.Clusters),
+		Endpoints: noc.NewEndpoints(k, "swmr", cfg.Clusters),
+		k:         k,
+		cfg:       cfg,
+		queues:    make([]srcQueue, cfg.Clusters),
+		credits:   noc.NewCredits("swmr", cfg.Clusters, cfg.RecvBuffer),
 	}
 	if cfg.TunedReceivers {
 		x.arb = arbiter.New(k, cfg.Clusters, cfg.Clusters, cfg.PropSpeed)
 	}
-	for i := range x.credits {
-		x.credits[i] = cfg.RecvBuffer
-	}
 	return x
 }
-
-// Name implements noc.Network.
-func (x *Crossbar) Name() string { return "swmr" }
 
 // Reset implements noc.Resetter: restore the construction state in place,
 // keeping the message pool and grown queue capacity. Delivery callbacks are
@@ -189,44 +161,22 @@ func (x *Crossbar) Reset() {
 		q.msgs.Reset()
 		q.active = false
 	}
-	for d := range x.credits {
-		x.credits[d] = x.cfg.RecvBuffer
-		x.creditWait[d].Reset()
-	}
-	clear(x.epochs)
-	x.slots.Reset()
+	x.credits.Reset()
+	x.Endpoints.Reset()
 	if x.arb != nil {
 		x.arb.Reset()
 	}
-	x.stats = noc.Stats{}
 	x.BusyCycles = 0
-}
-
-// Clusters implements noc.Network.
-func (x *Crossbar) Clusters() int { return x.cfg.Clusters }
-
-// Stats implements noc.Network.
-func (x *Crossbar) Stats() noc.Stats { return x.stats }
-
-// SetDeliver implements noc.Network.
-func (x *Crossbar) SetDeliver(cluster int, fn noc.DeliverFunc) {
-	x.deliver[cluster] = fn
 }
 
 // Send implements noc.Network: enqueue on the source's channel FIFO.
 // Cluster-local traffic never enters the optics, so src == dst panics.
 func (x *Crossbar) Send(m *noc.Message) bool {
-	if !noc.Valid(m, x.cfg.Clusters) {
-		panic(noc.Validate(m, x.cfg.Clusters))
-	}
-	if m.Src == m.Dst {
-		panic(fmt.Sprintf("swmr: message %d is cluster-local (src == dst == %d)", m.ID, m.Src))
-	}
+	x.Check(m)
 	q := &x.queues[m.Src]
 	if q.msgs.Len() >= x.cfg.InjectQueue {
 		return false
 	}
-	m.Inject = x.k.Now()
 	q.msgs.Push(m)
 	if !q.active {
 		q.active = true
@@ -235,24 +185,15 @@ func (x *Crossbar) Send(m *noc.Message) bool {
 	return true
 }
 
-// InjectEpochs implements noc.Network: a slot of src's channel FIFO frees
-// when the head message's tail leaves the channel (releaseEvent).
-func (x *Crossbar) InjectEpochs() []uint64 { return x.epochs }
-
 // Consume implements noc.Network: the hub drained one message from
 // cluster's receive buffer, freeing a credit and recycling the message.
 // Like the MWSR crossbar, each cluster has a single buffer pool, so only
 // the freed credit matters.
 func (x *Crossbar) Consume(cluster int, m *noc.Message) {
 	x.Release(m)
-	if wait := &x.creditWait[cluster]; !wait.Empty() {
+	if src, ok := x.credits.Return(cluster); ok {
 		// Hand the credit straight to the waiting writer.
-		x.k.ScheduleEvent(0, (*creditEvent)(x), pack2(wait.Pop(), cluster))
-		return
-	}
-	x.credits[cluster]++
-	if x.credits[cluster] > x.cfg.RecvBuffer {
-		panic(fmt.Sprintf("swmr: credit overflow at cluster %d", cluster))
+		x.k.ScheduleEvent(0, (*creditEvent)(x), pack2(src, cluster))
 	}
 }
 
@@ -267,11 +208,8 @@ func (x *Crossbar) advance(src int) {
 	dst := q.msgs.Front().Dst
 	// Step 1: acquire a receive-buffer credit at dst. The head waits here on
 	// back pressure — and everything queued behind it waits too (HOL).
-	if x.credits[dst] > 0 {
-		x.credits[dst]--
+	if x.credits.Take(dst, src) {
 		x.haveCredit(src)
-	} else {
-		x.creditWait[dst].Push(src)
 	}
 }
 
@@ -297,7 +235,7 @@ func (x *Crossbar) transmit(src, dst int) {
 	prop := x.propagation(src, dst)
 	x.BusyCycles += uint64(tx)
 
-	x.k.ScheduleEvent(tx+prop, (*deliverEvent)(x), x.slots.Put(m))
+	x.DeliverAfter(tx+prop, m)
 	if x.arb != nil {
 		// A tuned receiver stays filtering this channel until the tail
 		// arrives, so the token re-injects at tx+prop — and the source's

@@ -52,24 +52,15 @@ type srcDstQueue struct {
 
 // Crossbar implements noc.Network.
 type Crossbar struct {
-	noc.MsgPool // per-network message free list (Acquire / Consume recycles)
+	noc.Endpoints // pool, delivery, injection epochs and counters
 
 	k   *sim.Kernel
 	cfg Config
 	arb *arbiter.TokenRing
 
 	queues  [][]srcDstQueue // [src][dst]
-	deliver []noc.DeliverFunc
+	credits noc.Credits     // per destination channel's receive buffer
 
-	credits    []int           // per destination channel
-	creditWait []sim.Fifo[int] // per destination: src clusters waiting, FIFO
-	// epochs counts injection slots freed per source (InjectEpochs).
-	epochs []uint64
-
-	// slots parks in-flight messages for the typed delivery event.
-	slots sim.Slots[*noc.Message]
-
-	stats noc.Stats
 	// BusyCycles accumulates channel occupancy for utilization reporting.
 	BusyCycles uint64
 }
@@ -105,17 +96,6 @@ func (e *releaseEvent) OnEvent(_ sim.Time, data uint64) {
 	x.advance(src, dst)
 }
 
-// deliverEvent fires when the light reaches the destination's detectors.
-type deliverEvent Crossbar
-
-func (e *deliverEvent) OnEvent(_ sim.Time, data uint64) {
-	x := (*Crossbar)(e)
-	m := x.slots.Take(data)
-	x.stats.Messages++
-	x.stats.Bytes += uint64(m.Size)
-	x.deliver[m.Dst](m)
-}
-
 // Granted implements arbiter.GrantHandler: the destination channel's token
 // was diverted for cluster, so the head message transmits.
 func (x *Crossbar) Granted(channel, cluster int) { x.transmit(cluster, channel) }
@@ -131,24 +111,18 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 		panic(fmt.Sprintf("xbar: invalid config %+v", cfg))
 	}
 	x := &Crossbar{
-		k:          k,
-		cfg:        cfg,
-		arb:        arbiter.New(k, cfg.Clusters, cfg.Clusters, cfg.TokenSpeed),
-		queues:     make([][]srcDstQueue, cfg.Clusters),
-		deliver:    make([]noc.DeliverFunc, cfg.Clusters),
-		credits:    make([]int, cfg.Clusters),
-		creditWait: make([]sim.Fifo[int], cfg.Clusters),
-		epochs:     make([]uint64, cfg.Clusters),
+		Endpoints: noc.NewEndpoints(k, "xbar", cfg.Clusters),
+		k:         k,
+		cfg:       cfg,
+		arb:       arbiter.New(k, cfg.Clusters, cfg.Clusters, cfg.TokenSpeed),
+		queues:    make([][]srcDstQueue, cfg.Clusters),
+		credits:   noc.NewCredits("xbar", cfg.Clusters, cfg.RecvBuffer),
 	}
 	for i := range x.queues {
 		x.queues[i] = make([]srcDstQueue, cfg.Clusters)
-		x.credits[i] = cfg.RecvBuffer
 	}
 	return x
 }
-
-// Name implements noc.Network.
-func (x *Crossbar) Name() string { return "xbar" }
 
 // Reset implements noc.Resetter: restore the construction state in place,
 // keeping the message pool and grown queue capacity. Delivery callbacks are
@@ -161,46 +135,21 @@ func (x *Crossbar) Reset() {
 			q.active = false
 		}
 	}
-	for d := range x.credits {
-		x.credits[d] = x.cfg.RecvBuffer
-		x.creditWait[d].Reset()
-	}
-	clear(x.epochs)
-	x.slots.Reset()
+	x.credits.Reset()
+	x.Endpoints.Reset()
 	x.arb.Reset()
-	x.stats = noc.Stats{}
 	x.BusyCycles = 0
-}
-
-// Clusters implements noc.Network.
-func (x *Crossbar) Clusters() int { return x.cfg.Clusters }
-
-// Stats returns message/byte counters.
-func (x *Crossbar) Stats() noc.Stats { return x.stats }
-
-// Arbiter exposes the token ring for statistics.
-func (x *Crossbar) Arbiter() *arbiter.TokenRing { return x.arb }
-
-// SetDeliver implements noc.Network.
-func (x *Crossbar) SetDeliver(cluster int, fn noc.DeliverFunc) {
-	x.deliver[cluster] = fn
 }
 
 // Send implements noc.Network: enqueue on the (src,dst) injection FIFO.
 // Cluster-local traffic never enters the optics; the hub must handle it
 // without the network, so src == dst panics.
 func (x *Crossbar) Send(m *noc.Message) bool {
-	if !noc.Valid(m, x.cfg.Clusters) {
-		panic(noc.Validate(m, x.cfg.Clusters))
-	}
-	if m.Src == m.Dst {
-		panic(fmt.Sprintf("xbar: message %d is cluster-local (src == dst == %d)", m.ID, m.Src))
-	}
+	x.Check(m)
 	q := &x.queues[m.Src][m.Dst]
 	if q.msgs.Len() >= x.cfg.InjectQueue {
 		return false
 	}
-	m.Inject = x.k.Now()
 	q.msgs.Push(m)
 	if !q.active {
 		q.active = true
@@ -209,23 +158,14 @@ func (x *Crossbar) Send(m *noc.Message) bool {
 	return true
 }
 
-// InjectEpochs implements noc.Network: a slot of one of src's (src,dst)
-// injection FIFOs frees when its head message transmits.
-func (x *Crossbar) InjectEpochs() []uint64 { return x.epochs }
-
 // Consume implements noc.Network: the hub drained one message from cluster's
 // receive buffer, freeing a credit and recycling the message. The crossbar
 // has a single buffer pool per cluster, so only the freed credit matters.
 func (x *Crossbar) Consume(cluster int, m *noc.Message) {
 	x.Release(m)
-	if wait := &x.creditWait[cluster]; !wait.Empty() {
+	if src, ok := x.credits.Return(cluster); ok {
 		// Hand the credit straight to the waiting writer.
-		x.k.ScheduleEvent(0, (*creditEvent)(x), pack2(wait.Pop(), cluster))
-		return
-	}
-	x.credits[cluster]++
-	if x.credits[cluster] > x.cfg.RecvBuffer {
-		panic(fmt.Sprintf("xbar: credit overflow at cluster %d", cluster))
+		x.k.ScheduleEvent(0, (*creditEvent)(x), pack2(src, cluster))
 	}
 }
 
@@ -237,12 +177,9 @@ func (x *Crossbar) advance(src, dst int) {
 		q.active = false
 		return
 	}
-	// Step 1: acquire a receive-buffer credit at dst.
-	if x.credits[dst] > 0 {
-		x.credits[dst]--
+	// Step 1: acquire a receive-buffer credit at dst, or wait for one.
+	if x.credits.Take(dst, src) {
 		x.haveCredit(src, dst)
-	} else {
-		x.creditWait[dst].Push(src)
 	}
 }
 
@@ -256,7 +193,7 @@ func (x *Crossbar) haveCredit(src, dst int) {
 func (x *Crossbar) transmit(src, dst int) {
 	q := &x.queues[src][dst]
 	m := q.msgs.Pop()
-	x.epochs[src]++
+	x.SlotFreed(src)
 
 	tx := sim.Time((m.Size + x.cfg.BytesPerCycle - 1) / x.cfg.BytesPerCycle)
 	prop := x.propagation(src, dst)
@@ -264,7 +201,7 @@ func (x *Crossbar) transmit(src, dst int) {
 
 	// Token travels in parallel with the tail of the message.
 	x.k.ScheduleEvent(tx, (*releaseEvent)(x), pack2(src, dst))
-	x.k.ScheduleEvent(tx+prop, (*deliverEvent)(x), x.slots.Put(m))
+	x.DeliverAfter(tx+prop, m)
 }
 
 // propagation returns the serpentine transit time from src's modulators to
