@@ -63,6 +63,10 @@ type TokenRing struct {
 	k     *sim.Kernel
 	n     int // clusters (ring positions)
 	speed int // cluster positions the token advances per cycle
+	// hops[d] is the whole cycles the token takes to travel d positions
+	// (d / speed, floored); rev is one full revolution.
+	hops  []sim.Time
+	rev   sim.Time
 	chans []tokenChannel
 
 	// Grants counts total grants, for utilization statistics.
@@ -85,7 +89,11 @@ func New(k *sim.Kernel, n, nchan, speed int) *TokenRing {
 		panic(fmt.Sprintf("arbiter: %d channels exceeds the %d-channel event encoding limit",
 			nchan, 1<<16))
 	}
-	t := &TokenRing{k: k, n: n, speed: speed, chans: make([]tokenChannel, nchan)}
+	t := &TokenRing{k: k, n: n, speed: speed, hops: make([]sim.Time, n),
+		rev: sim.Time((n + speed - 1) / speed), chans: make([]tokenChannel, nchan)}
+	for d := range t.hops {
+		t.hops[d] = sim.Time(d / speed)
+	}
 	for i := range t.chans {
 		t.chans[i] = tokenChannel{
 			holder:       -1,
@@ -117,9 +125,7 @@ func (t *TokenRing) Reset() {
 func (t *TokenRing) Clusters() int { return t.n }
 
 // RevolutionCycles returns the cycles for one full token revolution.
-func (t *TokenRing) RevolutionCycles() sim.Time {
-	return sim.Time((t.n + t.speed - 1) / t.speed)
-}
+func (t *TokenRing) RevolutionCycles() sim.Time { return t.rev }
 
 // PendingCount returns the number of outstanding requests for channel.
 func (t *TokenRing) PendingCount(channel int) int { return len(t.chans[channel].pending) }
@@ -185,7 +191,9 @@ func (t *TokenRing) commit(channel int) {
 	best := -1
 	var bestETA sim.Time
 	for i, w := range c.pending {
-		dist := (w.cluster - pos) % t.n
+		// Both positions lie in [0, n), so one conditional wrap replaces
+		// the modulus.
+		dist := w.cluster - pos
 		if dist < 0 {
 			dist += t.n
 		}
@@ -195,11 +203,11 @@ func (t *TokenRing) commit(channel int) {
 		// achievable channel utilization under full contention — contradicting
 		// the paper's "token transfer time is low and channel utilization is
 		// high". Sub-cycle arrivals grant within the current cycle.
-		eta := now + sim.Time(dist/t.speed)
+		eta := now + t.hops[dist]
 		// Self-reacquire exclusion: the last releaser's detector cannot divert
 		// its own token until one revolution after injection.
 		if w.cluster == c.lastReleaser {
-			min := c.lastRelease + t.RevolutionCycles()
+			min := c.lastRelease + t.rev
 			if eta < min {
 				eta = min
 			}

@@ -202,7 +202,8 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// mshrEntry is one outstanding line miss and its merged requester count.
+// mshrEntry is one outstanding line miss and its merged requester count; a
+// zero count marks an empty table slot.
 type mshrEntry struct {
 	line  uint64
 	count int
@@ -211,13 +212,17 @@ type mshrEntry struct {
 // MSHR is a miss-status holding register file: it tracks outstanding line
 // misses, merges secondary misses onto the primary, and bounds the number of
 // in-flight misses (the finite-MSHR back pressure the paper models). The
-// file is a flat entry slice searched linearly — at the architectural
-// capacities involved (tens of entries) that beats a hash map on the
-// Allocate/Complete hot path, and the entry order is unobservable: no
-// simulation decision ever iterates the file.
+// file indexes lines with a fixed open-addressing table of at least twice
+// its capacity: linear probing from a multiplicative hash of the line, and
+// backward-shift deletion, so no tombstones build up and Allocate,
+// Complete and Lookup take constant expected time however full the file
+// is. The slot order is unobservable: no simulation decision ever iterates
+// the file.
 type MSHR struct {
-	cap     int
-	entries []mshrEntry
+	cap   int
+	n     int
+	shift uint // 64 - log2(len(table)), for the hash's top bits
+	table []mshrEntry
 	// Stats.
 	PrimaryMisses   uint64
 	SecondaryMerges uint64
@@ -229,49 +234,68 @@ func NewMSHR(cap int) *MSHR {
 	if cap <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHR{cap: cap, entries: make([]mshrEntry, 0, cap)}
+	size, bits := 2, uint(1)
+	for size < 2*cap {
+		size, bits = size*2, bits+1
+	}
+	return &MSHR{cap: cap, shift: 64 - bits, table: make([]mshrEntry, size)}
 }
 
-// find returns line's entry index, or -1.
-func (m *MSHR) find(line uint64) int {
-	for i := range m.entries {
-		if m.entries[i].line == line {
-			return i
+// home returns line's preferred table slot (Fibonacci hashing: the top bits
+// of the product mix every bit of the line number).
+func (m *MSHR) home(line uint64) int { return int((line * 0x9E3779B97F4A7C15) >> m.shift) }
+
+// slot returns line's table index and whether the line is present; when it
+// is absent, the index is the empty slot that ends its probe sequence.
+func (m *MSHR) slot(line uint64) (int, bool) {
+	mask := len(m.table) - 1
+	for i := m.home(line); ; i = (i + 1) & mask {
+		e := &m.table[i]
+		if e.count == 0 {
+			return i, false
+		}
+		if e.line == line {
+			return i, true
 		}
 	}
-	return -1
 }
 
 // Len returns the number of occupied entries.
-func (m *MSHR) Len() int { return len(m.entries) }
+func (m *MSHR) Len() int { return m.n }
 
 // Cap returns the entry capacity.
 func (m *MSHR) Cap() int { return m.cap }
 
 // Lookup reports whether a miss for line is already outstanding.
-func (m *MSHR) Lookup(line uint64) bool { return m.find(line) >= 0 }
+func (m *MSHR) Lookup(line uint64) bool {
+	_, ok := m.slot(line)
+	return ok
+}
 
 // Allocate registers a miss for line. primary is true when this is the first
 // outstanding miss for the line (the caller must issue the memory request);
 // ok is false when the file is full and the miss must stall.
 func (m *MSHR) Allocate(line uint64) (primary, ok bool) {
-	if i := m.find(line); i >= 0 {
-		m.entries[i].count++
+	i, found := m.slot(line)
+	if found {
+		m.table[i].count++
 		m.SecondaryMerges++
 		return false, true
 	}
-	if len(m.entries) >= m.cap {
+	if m.n >= m.cap {
 		m.FullStalls++
 		return false, false
 	}
-	m.entries = append(m.entries, mshrEntry{line: line, count: 1})
+	m.table[i] = mshrEntry{line: line, count: 1}
+	m.n++
 	m.PrimaryMisses++
 	return true, true
 }
 
-// Reset drops every entry and zeroes the counters, keeping capacity.
+// Reset drops every entry and zeroes the counters, keeping the table.
 func (m *MSHR) Reset() {
-	m.entries = m.entries[:0]
+	clear(m.table)
+	m.n = 0
 	m.PrimaryMisses, m.SecondaryMerges, m.FullStalls = 0, 0, 0
 }
 
@@ -279,13 +303,23 @@ func (m *MSHR) Reset() {
 // on it. Completing a line with no entry panics: it indicates a protocol
 // bug, not a recoverable condition.
 func (m *MSHR) Complete(line uint64) int {
-	i := m.find(line)
-	if i < 0 {
+	i, found := m.slot(line)
+	if !found {
 		panic(fmt.Sprintf("cache: MSHR completion for absent line %#x", line))
 	}
-	n := m.entries[i].count
-	last := len(m.entries) - 1
-	m.entries[i] = m.entries[last]
-	m.entries = m.entries[:last]
+	n := m.table[i].count
+	m.n--
+	// Backward-shift deletion: pull each later entry of the probe run back
+	// into the hole when the hole lies on its probe path (it is no farther
+	// from the entry than the entry's home is), so lookups never need
+	// tombstones.
+	mask := len(m.table) - 1
+	for j := (i + 1) & mask; m.table[j].count != 0; j = (j + 1) & mask {
+		if (j-m.home(m.table[j].line))&mask >= (j-i)&mask {
+			m.table[i] = m.table[j]
+			i = j
+		}
+	}
+	m.table[i] = mshrEntry{}
 	return n
 }

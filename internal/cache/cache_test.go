@@ -242,3 +242,81 @@ func TestMSHRLookup(t *testing.T) {
 		t.Fatal("Cap wrong")
 	}
 }
+
+// TestMSHRMatchesMap drives the open-addressing MSHR file and a map with
+// random Allocate, Complete and Lookup sequences — merges, full-file
+// stalls, and lines chosen to share home slots, including the table's last
+// slots so probe runs wrap — and requires identical answers, counters and
+// occupancy after every operation, with every outstanding line still found.
+func TestMSHRMatchesMap(t *testing.T) {
+	rng := sim.NewRand(20081016)
+	for _, capacity := range []int{1, 2, 3, 7, 16, 64} {
+		m := NewMSHR(capacity)
+		// Lines crowding three home slots, the last two at the table's end,
+		// plus a few arbitrary ones.
+		size := len(m.table)
+		var pool []uint64
+		for line := uint64(0); len(pool) < 3*capacity+4; line++ {
+			if h := m.home(line); h == 0 || h == size-1 || h == size-2 {
+				pool = append(pool, line)
+			}
+		}
+		for i := 0; i < capacity; i++ {
+			pool = append(pool, rng.Uint64())
+		}
+		for round := 0; round < 3; round++ {
+			ref := map[uint64]int{}
+			var stalls, merges, primaries uint64
+			for op := 0; op < 4000; op++ {
+				line := pool[rng.Intn(len(pool))]
+				switch rng.Intn(3) {
+				case 0, 1:
+					primary, ok := m.Allocate(line)
+					wantPrimary, wantOK := false, true
+					switch {
+					case ref[line] > 0:
+						ref[line]++
+						merges++
+					case len(ref) >= capacity:
+						wantOK = false
+						stalls++
+					default:
+						ref[line] = 1
+						wantPrimary = true
+						primaries++
+					}
+					if primary != wantPrimary || ok != wantOK {
+						t.Fatalf("cap %d op %d: Allocate(%#x) = (%v, %v), want (%v, %v)",
+							capacity, op, line, primary, ok, wantPrimary, wantOK)
+					}
+				case 2:
+					n, outstanding := ref[line]
+					if !outstanding {
+						if m.Lookup(line) {
+							t.Fatalf("cap %d op %d: Lookup(%#x) found a retired line", capacity, op, line)
+						}
+						continue
+					}
+					if got := m.Complete(line); got != n {
+						t.Fatalf("cap %d op %d: Complete(%#x) = %d, want %d", capacity, op, line, got, n)
+					}
+					delete(ref, line)
+				}
+				if m.Len() != len(ref) || m.FullStalls != stalls || m.SecondaryMerges != merges || m.PrimaryMisses != primaries {
+					t.Fatalf("cap %d op %d: Len %d stalls %d merges %d primaries %d, want %d %d %d %d",
+						capacity, op, m.Len(), m.FullStalls, m.SecondaryMerges, m.PrimaryMisses,
+						len(ref), stalls, merges, primaries)
+				}
+				for l := range ref {
+					if !m.Lookup(l) {
+						t.Fatalf("cap %d op %d: outstanding line %#x not found", capacity, op, l)
+					}
+				}
+			}
+			m.Reset()
+			if m.Len() != 0 || m.Lookup(pool[0]) {
+				t.Fatalf("cap %d: Reset left entries", capacity)
+			}
+		}
+	}
+}

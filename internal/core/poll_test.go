@@ -93,7 +93,7 @@ func TestPollRunJoinsAcrossWindow(t *testing.T) {
 	s.K.RunUntil(252)
 	var words []uint64
 	for hub := 0; hub < members; hub++ {
-		p := uint64(hub)<<pollHubShift | uint64(hub+1)<<pollDstShift | uint64(s.refusalMemo(hub))
+		p := uint64(hub)<<pollHubShift | uint64(hub+1)<<pollDstShift | uint64(refusalMemo(s.epochs, hub))
 		words = append(words, p)
 		s.schedulePoll(p)
 	}
@@ -118,6 +118,14 @@ func TestPollRunJoinsAcrossWindow(t *testing.T) {
 	if !s.polls.empty() {
 		t.Fatal("the pending polls hold more than one run")
 	}
+}
+
+func (q *pollRing) empty() bool { return q.head == q.tail }
+
+func (q *pollRing) pop() uint64 {
+	p := q.buf[q.head&uint32(len(q.buf)-1)]
+	q.head++
+	return p
 }
 
 // TestPollRingGrowsInOrder fills the ring while its contents wrap around

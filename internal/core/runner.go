@@ -136,7 +136,7 @@ func ReplayRunner(sys *System, name string, buckets [][]trace.Record) (*Runner, 
 		r.requests += len(b)
 	}
 	sys.Latency.Reset(r.requests)
-	sys.SetMSHRFreeHook(func(cluster int) { r.pump(cluster) })
+	sys.replay = r
 	return r, nil
 }
 
@@ -188,27 +188,29 @@ func (r *Runner) Run(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, &CanceledError{Completed: 0, Total: r.requests, Err: err}
 	}
+	// The system pins the runner, and through it the replayed stream, only
+	// until the replay returns: a pooled machine must not keep a finished
+	// cell's stream alive.
+	defer func() { r.sys.replay = nil }()
 	for c := 0; c < r.sys.Cfg.Clusters; c++ {
 		r.pump(c)
 	}
 	done := ctx.Done()
-	sinceCheck := 0
 	for r.sys.Completed() < r.requests {
-		if !r.sys.K.Step() {
+		// The retirement that completes the replay stops the kernel, so a
+		// batch ends on exactly that event.
+		if r.sys.K.RunLimit(cancelCheckEvents) == 0 {
 			return Result{}, fmt.Errorf("core: deadlock with %d of %d requests completed",
 				r.sys.Completed(), r.requests)
 		}
-		if done == nil {
+		if done == nil || r.sys.Completed() >= r.requests {
 			continue
 		}
-		if sinceCheck++; sinceCheck >= cancelCheckEvents {
-			sinceCheck = 0
-			select {
-			case <-done:
-				return Result{}, &CanceledError{
-					Completed: r.sys.Completed(), Total: r.requests, Err: ctx.Err()}
-			default:
-			}
+		select {
+		case <-done:
+			return Result{}, &CanceledError{
+				Completed: r.sys.Completed(), Total: r.requests, Err: ctx.Err()}
+		default:
 		}
 	}
 	return r.collect(), nil

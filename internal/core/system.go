@@ -52,7 +52,6 @@ import (
 type txn struct {
 	id      uint64
 	cluster int
-	home    int
 	line    uint64
 	write   bool
 	issue   sim.Time
@@ -99,9 +98,10 @@ type System struct {
 	// (noc.Network.InjectEpochs), read by the refusal memo.
 	epochs []uint64
 
-	// onMSHRFree, when set, is called with the cluster id whenever that
-	// cluster retires a transaction; the runner uses it to resume issue.
-	onMSHRFree func(cluster int)
+	// replay is the Runner replaying on this system, from ReplayRunner
+	// until its Run returns: each retirement resumes the cluster's issue,
+	// and the replay's last one stops the kernel.
+	replay *Runner
 }
 
 // hub is one cluster's message router (Figure 2b).
@@ -147,16 +147,6 @@ func newPollRing(clusters int) pollRing {
 	return pollRing{buf: make([]uint64, n)}
 }
 
-func (q *pollRing) empty() bool { return q.head == q.tail }
-
-func (q *pollRing) front() uint64 { return q.buf[q.head&uint32(len(q.buf)-1)] }
-
-func (q *pollRing) pop() uint64 {
-	p := q.buf[q.head&uint32(len(q.buf)-1)]
-	q.head++
-	return p
-}
-
 func (q *pollRing) push(p uint64) {
 	if int(q.tail-q.head) == len(q.buf) {
 		buf := make([]uint64, 2*len(q.buf))
@@ -195,34 +185,50 @@ func (e *submitLocalEvent) OnEvent(_ sim.Time, data uint64) {
 // A re-arm leaves a pollEvent as the tail of the bucket two cycles ahead,
 // and re-arming schedules nothing else, so a member that re-arms right
 // after another joins that run directly, whichever wheel level holds it.
+//
+// The ring's indices stay in locals for the whole run, and a re-armed
+// member is written straight to the tail: every member pops one word
+// before it pushes at most one, so the write always has room. Only a
+// member that drives its queue hands the indices back, because pumpOut
+// may arm polls of its own.
 type pollEvent System
 
 func (e *pollEvent) OnEvent(sim.Time, uint64) {
 	s := (*System)(e)
+	q := &s.polls
+	buf, head, tail := q.buf, q.head, q.tail
+	mask := uint32(len(buf) - 1)
+	epochs := s.epochs
 	var folded uint64
 	rearmed := false // the previous member re-armed
 	for {
-		p := s.polls.pop()
+		p := buf[head&mask]
+		head++
 		hub := int(p >> pollHubShift & pollFieldMask)
-		if memo := uint32(p); memo != 0 && memo == s.refusalMemo(hub) {
-			if rearmed {
-				s.polls.push(p &^ pollRunStart)
-			} else {
-				s.schedulePoll(p &^ pollRunStart)
+		if memo := uint32(p); memo != 0 && memo == refusalMemo(epochs, hub) {
+			p &^= pollRunStart
+			if !rearmed {
+				p |= s.joinOrStartRun()
 				rearmed = true
 			}
+			buf[tail&mask] = p
+			tail++
 		} else {
 			rearmed = false
+			q.head, q.tail = head, tail
 			h := s.hubs[hub]
 			dst := int(p >> pollDstShift & pollFieldMask)
 			h.outArmed[dst] = false
 			h.pumpOut(dst)
+			buf, head, tail = q.buf, q.head, q.tail
+			mask = uint32(len(buf) - 1)
 		}
-		if s.polls.empty() || s.polls.front()&pollRunStart != 0 {
+		if head == tail || buf[head&mask]&pollRunStart != 0 {
 			break
 		}
 		folded++
 	}
+	q.head, q.tail = head, tail
 	s.K.CountExecuted(folded)
 }
 
@@ -249,7 +255,7 @@ type retireEvent hub
 
 func (e *retireEvent) OnEvent(_ sim.Time, data uint64) {
 	h := (*hub)(e)
-	h.sys.retire(h.sys.txnSlots.Take(data))
+	h.sys.retire(data)
 }
 
 // remoteRetryEvent re-presents a delivered request to a previously full
@@ -337,15 +343,12 @@ func (s *System) Reset() error {
 	s.txnSlots.Reset()
 	s.msgSlots.Reset()
 	s.polls.head, s.polls.tail = 0, 0
-	s.onMSHRFree = nil
+	s.replay = nil
 	return nil
 }
 
 // Completed returns the number of retired transactions.
 func (s *System) Completed() int { return s.completed }
-
-// SetMSHRFreeHook installs the runner's issue-resume callback.
-func (s *System) SetMSHRFreeHook(fn func(cluster int)) { s.onMSHRFree = fn }
 
 // Issue injects one L2 miss at the current simulation time. It returns false
 // when the cluster's MSHR file is full (the caller must retry after a
@@ -362,24 +365,23 @@ func (s *System) Issue(cluster int, addr uint64, write bool) bool {
 		return true // merged onto an outstanding miss
 	}
 	s.nextID++
-	t := txn{
+	home := traffic.HomeOf(addr, s.Cfg.Clusters)
+	slot := s.txnSlots.Put(txn{
 		id:      s.nextID,
 		cluster: cluster,
-		home:    traffic.HomeOf(addr, s.Cfg.Clusters),
 		line:    line,
 		write:   write,
 		issue:   s.K.Now(),
-	}
-	slot := s.txnSlots.Put(t)
-	if t.home == cluster {
+	})
+	if home == cluster {
 		// Local transaction: hub -> MC directly, no network.
 		s.K.ScheduleEvent(sim.Time(s.Cfg.HubLatency), (*submitLocalEvent)(h), slot)
 		return true
 	}
 	m := s.Net.Acquire()
-	m.ID, m.Src, m.Dst = t.id, t.cluster, t.home
+	m.ID, m.Src, m.Dst = s.nextID, cluster, home
 	m.Kind, m.Size = noc.KindRequest, noc.RequestBytes
-	if t.write {
+	if write {
 		m.Kind, m.Size = noc.KindWriteback, noc.WritebackBytes
 	}
 	m.Payload = slot
@@ -410,7 +412,7 @@ func (h *hub) send(m *noc.Message) {
 func (h *hub) armRetry(dst int) {
 	if !h.outArmed[dst] {
 		h.outArmed[dst] = true
-		h.sys.schedulePoll(uint64(h.id)<<pollHubShift | uint64(dst)<<pollDstShift | uint64(h.sys.refusalMemo(h.id)))
+		h.sys.schedulePoll(uint64(h.id)<<pollHubShift | uint64(dst)<<pollDstShift | uint64(refusalMemo(h.sys.epochs, h.id)))
 	}
 }
 
@@ -419,21 +421,27 @@ func (h *hub) armRetry(dst int) {
 // poll holds exactly the FIFO position an event of its own would take, and
 // otherwise starts a run with a new kernel event. Runs dispatch in the order
 // they were created, so their members sit back to back in s.polls.
-func (s *System) schedulePoll(p uint64) {
+func (s *System) schedulePoll(p uint64) { s.polls.push(p | s.joinOrStartRun()) }
+
+// joinOrStartRun places a poll due 2 cycles from now: it returns 0 when the
+// poll joins the newest run, and otherwise schedules a new run's kernel
+// event and returns pollRunStart for the poll's word.
+func (s *System) joinOrStartRun() uint64 {
 	at := s.K.Now() + 2
-	if !s.K.TailIs(at, (*pollEvent)(s)) {
-		p |= pollRunStart
-		s.K.AtEvent(at, (*pollEvent)(s), 0)
+	if s.K.TailIs(at, (*pollEvent)(s)) {
+		return 0
 	}
-	s.polls.push(p)
+	s.K.AtEvent(at, (*pollEvent)(s), 0)
+	return pollRunStart
 }
 
 // refusalMemo identifies a hub's injection state for the refusal memo: the
-// network's injection epoch for the hub plus one, in 32 bits (zero, after a
-// wrap, means no memo). A head the network refused keeps being refused
-// until the epoch moves, and truncating is safe because a false match would
-// need 2^32 injection slots to free between two polls two cycles apart.
-func (s *System) refusalMemo(hub int) uint32 { return uint32(s.epochs[hub]) + 1 }
+// network's injection epoch for the hub (from the live slice epochs) plus
+// one, in 32 bits (zero, after a wrap, means no memo). A head the network
+// refused keeps being refused until the epoch moves, and truncating is safe
+// because a false match would need 2^32 injection slots to free between two
+// polls two cycles apart.
+func refusalMemo(epochs []uint64, hub int) uint32 { return uint32(epochs[hub]) + 1 }
 
 // pumpOut injects as many queued messages for dst as the network accepts,
 // then arms a single retry poll on back pressure.
@@ -456,7 +464,7 @@ func (h *hub) deliver(m *noc.Message) {
 	case noc.KindResponse:
 		slot := m.Payload
 		h.sys.Net.Consume(h.id, m) // recycles m; slot outlives it
-		h.sys.retire(h.sys.txnSlots.Take(slot))
+		h.sys.retire(slot)
 	default:
 		panic(fmt.Sprintf("core: hub %d received unexpected %v", h.id, m.Kind))
 	}
@@ -489,7 +497,7 @@ func (h *hub) submitLocal(slot uint64) {
 // request is stack-allocated: Submit copies it by value and the completion
 // carries the transaction's slot, so the whole exchange allocates nothing.
 func (h *hub) trySubmit(slot uint64, done sim.Handler) bool {
-	t := h.sys.txnSlots.Get(slot)
+	t := h.sys.txnSlots.At(slot)
 	req := memory.Request{
 		ID:          t.id,
 		Addr:        t.line * noc.LineBytes,
@@ -510,7 +518,7 @@ func (h *hub) trySubmit(slot uint64, done sim.Handler) bool {
 // respond sends the completion back to the requester (full line for reads, a
 // small ack for writebacks); the transaction keeps its slot for the ride.
 func (h *hub) respond(slot uint64) {
-	t := h.sys.txnSlots.Get(slot)
+	t := h.sys.txnSlots.At(slot)
 	m := h.sys.Net.Acquire()
 	m.ID, m.Src, m.Dst = t.id, h.id, t.cluster
 	m.Kind, m.Size = noc.KindResponse, noc.ResponseBytes
@@ -521,14 +529,19 @@ func (h *hub) respond(slot uint64) {
 	h.send(m)
 }
 
-// retire completes a transaction at its requesting cluster: MSHR entry (and
-// all merged requesters) release, latency accounting, issue-resume hook.
-func (s *System) retire(t txn) {
-	h := s.hubs[t.cluster]
-	merged := h.mshr.Complete(t.line)
+// retire completes the transaction parked in slot at its requesting
+// cluster: MSHR entry (and all merged requesters) release, latency
+// accounting, then the replay's issue resumes — or, on its last
+// completion, the kernel stops, so the replay ends on the very event that
+// completed it.
+func (s *System) retire(slot uint64) {
+	t := s.txnSlots.At(slot)
+	cluster, write := t.cluster, t.write
+	merged := s.hubs[cluster].mshr.Complete(t.line)
 	lat := (s.K.Now() - t.issue).Ns()
+	s.txnSlots.Free(slot)
 	wire := uint64(noc.RequestBytes + noc.ResponseBytes)
-	if t.write {
+	if write {
 		wire = noc.WritebackBytes + noc.RequestBytes
 	}
 	for i := 0; i < merged; i++ {
@@ -536,8 +549,12 @@ func (s *System) retire(t txn) {
 		s.completed++
 	}
 	s.WireBytes += wire
-	if s.onMSHRFree != nil {
-		s.onMSHRFree(t.cluster)
+	if r := s.replay; r != nil {
+		if s.completed >= r.requests {
+			s.K.Stop()
+		} else {
+			r.pump(cluster)
+		}
 	}
 }
 

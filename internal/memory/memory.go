@@ -123,8 +123,8 @@ func (c Config) AggregateBytesPerSec(controllers int) float64 {
 	return c.PerControllerBytesPerSec() * float64(controllers)
 }
 
-// Request is one memory transaction submitted by the hub. Submit copies the
-// request by value into the controller's in-flight registry and never
+// Request is one memory transaction submitted by the hub. Submit copies what
+// the completion needs into the controller's in-flight registry and never
 // retains the pointer, so callers may pass a stack-allocated Request — the
 // hub's per-transaction submissions heap-allocate nothing.
 type Request struct {
@@ -193,11 +193,15 @@ func (l *link) reserve(now, at sim.Time, bytes int, bytesPerCycle float64) (star
 	return t, t + dur
 }
 
-// inflightReq is one submitted transaction awaiting its finish event; the
-// request is held by value so the caller's Request never escapes.
+// inflightReq is what the finish event needs of one submitted transaction:
+// its completion handler and data word, its bytes on the wire and its
+// submit time. Copying these out of the Request keeps the caller's Request
+// from escaping.
 type inflightReq struct {
-	r     Request
-	start sim.Time
+	done     sim.Handler
+	doneData uint64
+	bytes    uint64
+	start    sim.Time
 }
 
 // spaceWaiter is one queued NotifySpaceEvent registration.
@@ -219,10 +223,10 @@ func (e *finishEvent) OnEvent(now sim.Time, data uint64) {
 		c.k.ScheduleEvent(0, w.h, w.data)
 	}
 	c.Served++
-	c.BytesMoved += uint64(f.r.ReqBytes + f.r.RspBytes)
+	c.BytesMoved += f.bytes
 	c.TotalLatency += now - f.start
-	if f.r.DoneHandler != nil {
-		f.r.DoneHandler.OnEvent(now, f.r.DoneData)
+	if f.done != nil {
+		f.done.OnEvent(now, f.doneData)
 	}
 }
 
@@ -242,7 +246,8 @@ type Controller struct {
 	queued  int
 	waiters sim.Fifo[spaceWaiter]
 
-	// inflight parks (request, issue time) pairs for the typed finish event.
+	// inflight parks each transaction's completion for the typed finish
+	// event.
 	inflight sim.Slots[inflightReq]
 
 	// Stats.
@@ -315,7 +320,8 @@ func (c *Controller) Submit(r *Request) bool {
 		return false
 	}
 	c.queued++
-	start := c.k.Now()
+	f := inflightReq{done: r.DoneHandler, doneData: r.DoneData,
+		bytes: uint64(r.ReqBytes + r.RspBytes), start: c.k.Now()}
 
 	// 1. Command (and write data) transfer toward memory.
 	_, cmdEnd := c.inLink.reserve(c.k.Now(), c.k.Now(), r.ReqBytes, c.cfg.InBytesPerCycle)
@@ -330,7 +336,7 @@ func (c *Controller) Submit(r *Request) bool {
 	accessDone := bankStart + c.cfg.AccessCycles
 
 	if r.Write {
-		c.k.AtEvent(accessDone, (*finishEvent)(c), c.inflight.Put(inflightReq{r: *r, start: start}))
+		c.k.AtEvent(accessDone, (*finishEvent)(c), c.inflight.Put(f))
 		return true
 	}
 	// 3. Read data return on the outbound direction (or the shared fiber).
@@ -339,7 +345,7 @@ func (c *Controller) Submit(r *Request) bool {
 		bpc = c.cfg.InBytesPerCycle
 	}
 	_, dataEnd := c.outLink.reserve(c.k.Now(), accessDone+c.chainDelay(), r.RspBytes, bpc)
-	c.k.AtEvent(dataEnd, (*finishEvent)(c), c.inflight.Put(inflightReq{r: *r, start: start}))
+	c.k.AtEvent(dataEnd, (*finishEvent)(c), c.inflight.Put(f))
 	return true
 }
 

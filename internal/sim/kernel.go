@@ -20,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -153,7 +154,7 @@ type Kernel struct {
 	levels  [wheelLevels]wheelLevel
 	pending int // events resident in the wheel levels and the overflow heap
 	// cur0 is the level-0 occupancy scan cursor: every occ word below it is
-	// empty, so dispatch scans start there instead of at word zero. popNext
+	// empty, so dispatch scans start there instead of at word zero. RunLimit
 	// raises it (events cannot be scheduled before the clock, which dispatch
 	// has advanced to the found bucket); it resets to zero whenever base moves.
 	cur0 int
@@ -219,7 +220,16 @@ func (k *Kernel) AtEvent(t Time, h Handler, data uint64) {
 	// Near-future events dominate: t-base underflows huge for t < base, so
 	// one unsigned compare selects the level-0 window.
 	if t-k.base < span0 {
-		k.push(0, int(t)&wheelMask, event{when: t, h: h, data: data})
+		idx := int(t) & wheelMask
+		// An occupied bucket with room in its tail chunk — most schedules
+		// into a busy cycle — takes the event in place; its occupancy bit
+		// is already set.
+		if f := &k.levels[0].buckets[idx]; f.tail != nil && f.w < chunkCap {
+			f.tail.ev[f.w] = slot{h, data}
+			f.w++
+			return
+		}
+		k.push(0, idx, event{when: t, h: h, data: data})
 		return
 	}
 	k.schedule(event{when: t, h: h, data: data})
@@ -312,9 +322,11 @@ func (k *Kernel) newChunk() *chunk {
 	return c
 }
 
-// freeChunk returns c to the pool. Its stale slots are overwritten on reuse
-// rather than cleared: they can only reference handlers of this kernel's
-// own simulation, which outlives them.
+// freeChunk returns c, whose slots are all clear, to the pool. A pooled
+// kernel outlives the simulations that schedule on it — a reset machine
+// replays one cell after another — so a stale slot would keep a finished
+// run's handler, and everything that handler reaches, alive: dispatch
+// clears each slot it consumes, and release clears the chunks it drops.
 func (k *Kernel) freeChunk(c *chunk) {
 	c.next = k.free
 	k.free = c
@@ -327,6 +339,7 @@ func (k *Kernel) release(level, idx int) {
 	f := &lv.buckets[idx]
 	for c := f.head; c != nil; {
 		next := c.next
+		clear(c.ev[:])
 		k.freeChunk(c)
 		c = next
 	}
@@ -375,38 +388,6 @@ func (k *Kernel) scan0() (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// popNext removes and returns the earliest (when, seq) event. Called only
-// with pending > 0.
-func (k *Kernel) popNext() event {
-	for {
-		if len(k.overflow) > 0 && k.overflow[0].when < k.base {
-			k.pending--
-			return k.heapPop().event
-		}
-		if idx, ok := k.scan0(); ok {
-			k.cur0 = idx >> 6
-			k.pending--
-			lv := &k.levels[0]
-			f := &lv.buckets[idx]
-			c := f.head
-			s := c.ev[f.r]
-			f.r++
-			if c == f.tail {
-				if f.r == f.w {
-					*f = fifo{}
-					lv.occ[idx>>6] &^= 1 << (idx & 63)
-					k.freeChunk(c)
-				}
-			} else if f.r == chunkCap {
-				f.head, f.r = c.next, 0
-				k.freeChunk(c)
-			}
-			return event{k.base + Time(idx), s.h, s.data}
-		}
-		k.advance()
-	}
 }
 
 // peek returns the earliest pending timestamp without dispatching. It may
@@ -533,25 +514,10 @@ func (k *Kernel) heapPop() heapEvent {
 
 // Step executes the single earliest event and returns true, or returns false
 // if no events remain.
-func (k *Kernel) Step() bool {
-	if k.pending == 0 {
-		return false
-	}
-	// The event leaves its bucket before dispatch, so the handler's own
-	// scheduling may reuse the freed chunk slot.
-	ev := k.popNext()
-	k.now = ev.when
-	k.executed++
-	ev.h.OnEvent(ev.when, ev.data)
-	return true
-}
+func (k *Kernel) Step() bool { return k.RunLimit(1) == 1 }
 
 // Run executes events until the queue is empty or Stop is called.
-func (k *Kernel) Run() {
-	k.stopped = false
-	for !k.stopped && k.Step() {
-	}
-}
+func (k *Kernel) Run() { k.RunLimit(math.MaxUint64) }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled at t execute.
@@ -569,18 +535,73 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 }
 
-// RunLimit executes at most n further events; it returns the number executed.
-// Useful as a safety net in tests.
+// RunLimit executes at most n further events, stopping early when the queue
+// empties or an event calls Stop; it returns the number executed. It is the
+// kernel's one dispatch loop (Step and Run call it): it drains each level-0
+// bucket — one timestamp — in a single inner loop, so the occupancy scan and
+// the clock update run once per timestamp rather than once per event.
 func (k *Kernel) RunLimit(n uint64) uint64 {
 	k.stopped = false
 	var i uint64
-	for i = 0; i < n && !k.stopped; i++ {
-		if !k.Step() {
-			break
+	for i < n && !k.stopped && k.pending > 0 {
+		if len(k.overflow) > 0 && k.overflow[0].when < k.base {
+			ev := k.heapPop().event
+			k.pending--
+			k.now = ev.when
+			k.executed++
+			i++
+			ev.h.OnEvent(ev.when, ev.data)
+			continue
 		}
+		idx, ok := k.scan0()
+		if !ok {
+			k.advance()
+			continue
+		}
+		k.cur0 = idx >> 6
+		i += k.drain(idx, n-i)
 	}
 	return i
 }
 
-// Stop halts Run/RunUntil after the currently executing event returns.
+// drain dispatches up to n (>= 1) events from the occupied level-0 bucket
+// idx and returns how many it ran. While the bucket holds events it is the
+// earliest source: the overflow heap's below-window residents dispatched
+// before it, and a handler schedules nothing before the clock, so an event
+// it adds for this timestamp appends behind the ones queued. drain returns
+// early when an event calls Stop or the bucket empties; a bucket refilled
+// later is found again by the occupancy scan.
+func (k *Kernel) drain(idx int, n uint64) uint64 {
+	lv := &k.levels[0]
+	f := &lv.buckets[idx]
+	now := k.base + Time(idx)
+	k.now = now
+	for i := uint64(1); ; i++ {
+		c := f.head
+		s := c.ev[f.r]
+		c.ev[f.r] = slot{}
+		f.r++
+		if c == f.tail {
+			if f.r == f.w {
+				*f = fifo{}
+				lv.occ[idx>>6] &^= 1 << (idx & 63)
+				k.freeChunk(c)
+			}
+		} else if f.r == chunkCap {
+			f.head, f.r = c.next, 0
+			k.freeChunk(c)
+		}
+		k.pending--
+		k.executed++
+		// The event left its bucket first, so the handler's own scheduling
+		// may reuse the freed chunk slot.
+		s.h.OnEvent(now, s.data)
+		if i == n || k.stopped || f.head == nil {
+			return i
+		}
+	}
+}
+
+// Stop halts Run, RunUntil or RunLimit after the currently executing event
+// returns; events still queued for its timestamp stay queued, in order.
 func (k *Kernel) Stop() { k.stopped = true }

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // funcEvent adapts a func() to Handler for tests that schedule closures.
@@ -379,5 +382,67 @@ func TestKernelTailIs(t *testing.T) {
 	k.ScheduleEvent(7, a, 0)
 	if !k.TailIs(7, a) {
 		t.Fatal("a reset kernel does not report a new tail")
+	}
+}
+
+// countHandler counts its dispatches. It is too large for the runtime's
+// tiny-object allocator, which would let a neighbour keep it alive.
+type countHandler struct {
+	n int
+	_ [2]uint64
+}
+
+func (h *countHandler) OnEvent(Time, uint64) { h.n++ }
+
+// scheduleSpread schedules n events for h on every tier: a same-cycle
+// burst over several chunks, level-1 and level-2 buckets, and the overflow
+// heap.
+func scheduleSpread(k *Kernel, h Handler, n int) {
+	for i := 0; i < n; i++ {
+		for _, d := range []Time{5, span0 + 3, span1 + 7, 2 * span2} {
+			k.ScheduleEvent(d, h, uint64(i))
+		}
+	}
+}
+
+// TestKernelReleasesHandlers checks that a kernel, which a pooled machine
+// keeps across runs, holds no reference to a handler whose events have all
+// run, nor — after Reset — to one whose events were still queued.
+func TestKernelReleasesHandlers(t *testing.T) {
+	k := NewKernel()
+	ran := scheduleAndForget(k, func() { k.Run() })
+	if !collected(ran) {
+		t.Error("the kernel keeps a handler whose events have all run")
+	}
+	queued := scheduleAndForget(k, func() { k.RunLimit(chunkCap + 2) }) // stop partway through the burst
+	k.Reset()
+	if !collected(queued) {
+		t.Error("the kernel keeps a handler whose events Reset dropped")
+	}
+	runtime.KeepAlive(k)
+}
+
+// scheduleAndForget schedules events on every tier for a new handler, calls
+// run, and returns a channel closed once the handler is garbage collected.
+func scheduleAndForget(k *Kernel, run func()) <-chan struct{} {
+	h := &countHandler{}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(h, func(*countHandler) { close(freed) })
+	scheduleSpread(k, h, 3*chunkCap)
+	run()
+	return freed
+}
+
+// collected runs a garbage collection and reports whether the object whose
+// finalizer closes freed was collected, waiting for the finalizer to run.
+func collected(freed <-chan struct{}) bool {
+	runtime.GC()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	select {
+	case <-freed:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }

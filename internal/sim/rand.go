@@ -51,14 +51,28 @@ func (r *Rand) Geometric(p float64) uint64 {
 	if p <= 0 {
 		panic("sim: Geometric with non-positive p")
 	}
-	// Inverse-CDF sampling; count failures before first success.
+	// Bernoulli trials: count the failures before the first success, a
+	// trial failing when its Float64 draw is >= p. A draw is its top 53
+	// bits over 2^53, and scaling by a power of two is exact, so comparing
+	// those bits against p·2^53 decides every trial exactly as Float64
+	// would; the state stays in a local for the loop.
+	thresh := p * (1 << 53)
+	x := r.state
 	var n uint64
-	for r.Float64() >= p {
+	for {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+		// Success is any draw that is not >= p, a NaN p included.
+		if !(float64((x*0x2545F4914F6CDD1D)>>11) >= thresh) {
+			break
+		}
 		n++
 		if n > 1<<20 { // pathological p; bound the loop
 			break
 		}
 	}
+	r.state = x
 	return n
 }
 

@@ -110,3 +110,52 @@ func TestRandPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// geometricRef is the Bernoulli loop Geometric replaced, kept as its
+// oracle: one Float64 draw per trial, counting draws >= p.
+func geometricRef(r *Rand, p float64) uint64 {
+	if p >= 1 {
+		return 0
+	}
+	var n uint64
+	for r.Float64() >= p {
+		n++
+		if n > 1<<20 {
+			break
+		}
+	}
+	return n
+}
+
+// TestRandGeometricMatchesFloat64Loop checks that Geometric returns the
+// same count and leaves the same generator state as the Float64 loop, over
+// many p and seeds: ordinary, tiny (the loop bound), near-one, power-of-two
+// and NaN probabilities, and p one ulp either side of a draw's grid.
+func TestRandGeometricMatchesFloat64Loop(t *testing.T) {
+	ps := []float64{
+		1e-9, 1e-6, 0.001, 0.01, 0.0625, 0.1, 0.25, 1.0 / 3, 0.5, 0.75, 0.9,
+		0.999999, math.Nextafter(1, 0), 0x1p-53, 3 * 0x1p-54, math.Nextafter(0.5, 0),
+		math.Nextafter(0.5, 1), 5e-324, math.NaN(),
+	}
+	pick := NewRand(20081016)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, pick.Float64())
+	}
+	for _, p := range ps {
+		seeds, draws := uint64(40), 5
+		if p < 1e-5 {
+			seeds, draws = 3, 1 // each draw runs to the 2^20-trial bound
+		}
+		for seed := uint64(0); seed < seeds; seed++ {
+			a, b := NewRand(seed*0x9E3779B97F4A7C15+1), NewRand(seed*0x9E3779B97F4A7C15+1)
+			for draw := 0; draw < draws; draw++ {
+				if got, want := a.Geometric(p), geometricRef(b, p); got != want {
+					t.Fatalf("p=%v seed %d draw %d: Geometric = %d, Float64 loop = %d", p, seed, draw, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("p=%v seed %d: generator state differs after the draws", p, seed)
+			}
+		}
+	}
+}

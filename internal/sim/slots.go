@@ -35,11 +35,16 @@ func (s *Slots[T]) Take(id uint64) T {
 
 // Get returns the value in slot id without freeing it — for payloads shared
 // by several in-flight events (free the slot with the last one).
-func (s *Slots[T]) Get(id uint64) T {
+func (s *Slots[T]) Get(id uint64) T { return *s.At(id) }
+
+// At returns a pointer to the value in slot id, for reading or updating it
+// in place. The pointer is valid only until the next Put, which may move the
+// storage.
+func (s *Slots[T]) At(id uint64) *T {
 	if id >= uint64(len(s.items)) {
 		panic(fmt.Sprintf("sim: slot %d out of range (%d allocated)", id, len(s.items)))
 	}
-	return s.items[id]
+	return &s.items[id]
 }
 
 // Free releases slot id for reuse and clears its storage so the registry

@@ -111,10 +111,15 @@ type diffDriver struct {
 	budget uint64 // remaining child spawns, to terminate the cascade
 	// children picks an event's child delays; nil means childDelays.
 	children func(id, budget uint64) []Time
+	// stop, when set, picks the events that call Stop once they have run.
+	stop func(id uint64) bool
 }
 
 func (d *diffDriver) OnEvent(now Time, id uint64) {
 	d.got = append(d.got, refEvent{when: now, id: id})
+	if d.stop != nil && d.stop(id) {
+		defer d.k.Stop()
+	}
 	children := d.children
 	if children == nil {
 		children = childDelays
@@ -243,6 +248,73 @@ func TestWheelChunkBurstsMatchHeap(t *testing.T) {
 		if k.Pending() != 0 {
 			t.Fatalf("trial %d: %d events still pending after Run", trial, k.Pending())
 		}
+	}
+}
+
+// TestRunLimitDrainMatchesHeap drives the bucket-draining RunLimit in
+// batches of random size, with events that call Stop — most often partway
+// through a same-cycle burst — and checks its dispatch order against the
+// reference heap, each batch's count against the events it ran, and that a
+// batch ends early only on a Stop or an empty queue.
+func TestRunLimitDrainMatchesHeap(t *testing.T) {
+	rng := NewRand(19)
+	midBucket := 0
+	for trial := 0; trial < 40; trial++ {
+		children := childDelays
+		if trial%2 == 1 {
+			children = burstChildren
+		}
+		k := NewKernel()
+		ref := &refKernel{}
+		wd := &diffDriver{k: k, budget: 1500, children: children,
+			stop: func(id uint64) bool { return id%7 == 3 }}
+		rd := &refDriver{r: ref, budget: 1500, children: children}
+		for i := 0; i < 60+rng.Intn(100); i++ {
+			d := delayMix[rng.Intn(len(delayMix))]
+			if i%3 == 0 {
+				d = Time(rng.Intn(4)) // same-cycle bursts from the start
+			}
+			k.ScheduleEvent(d, wd, wd.nextID)
+			ref.schedule(d, rd.nextID)
+			wd.nextID++
+			rd.nextID++
+		}
+		for k.Pending() > 0 {
+			before, executed := len(wd.got), k.Executed()
+			limit := uint64(1 + rng.Intn(3*chunkCap))
+			n := k.RunLimit(limit)
+			ran := uint64(len(wd.got) - before)
+			if n != ran || k.Executed()-executed != ran || n == 0 || n > limit {
+				t.Fatalf("trial %d: RunLimit(%d) returned %d, ran %d events, Executed moved %d",
+					trial, limit, n, ran, k.Executed()-executed)
+			}
+			for _, e := range wd.got[before : len(wd.got)-1] {
+				if e.id%7 == 3 {
+					t.Fatalf("trial %d: RunLimit(%d) ran on past event %d's Stop", trial, limit, e.id)
+				}
+			}
+			if last := wd.got[len(wd.got)-1].id; n < limit && k.Pending() > 0 && last%7 != 3 {
+				t.Fatalf("trial %d: RunLimit(%d) stopped after %d events with %d pending and no Stop",
+					trial, limit, n, k.Pending())
+			}
+			if when, ok := k.peek(); ok && when == k.Now() {
+				midBucket++
+			}
+		}
+		for {
+			e, ok := ref.step()
+			if !ok {
+				break
+			}
+			rd.dispatch(e)
+		}
+		compareDispatch(t, trial, wd.got, rd.got)
+		if k.Now() != ref.now {
+			t.Fatalf("trial %d: final clock %d, reference %d", trial, k.Now(), ref.now)
+		}
+	}
+	if midBucket == 0 {
+		t.Fatal("no batch ended partway through a timestamp's events")
 	}
 }
 
