@@ -13,10 +13,12 @@ import (
 // Consume, which recycles it. Two ways to break that discipline are caught
 // statically:
 //
-//  1. Constructing a noc.Message (or a mesh packet) by composite literal
-//     outside its pool. A literal message bypasses the free list, so the
+//  1. Constructing a noc.Message by composite literal outside its pool, or
+//     a mesh packet anywhere but the one Put that parks it in the mesh's
+//     packet arena. A literal message bypasses the free list, so the
 //     steady-state zero-allocation property silently erodes, and Consume
-//     recycles a message the pool never owned.
+//     recycles a message the pool never owned; a packet built elsewhere
+//     is state the arena does not own.
 //
 //  2. Acquiring a message that provably cannot reach a consumer: the result
 //     is discarded, or the variable holding it is only ever written to
@@ -28,8 +30,8 @@ import (
 // consumer; only the unambiguous leak is reported.
 var PoolFlow = &analysis.Analyzer{
 	Name: "poolflow",
-	Doc: "forbid noc.Message/mesh packet literals outside their pools and flag " +
-		"Acquire results that cannot reach Send/Consume",
+	Doc: "forbid noc.Message literals outside their pool and mesh packet literals " +
+		"outside their arena, and flag Acquire results that cannot reach Send/Consume",
 	Run: runPoolFlow,
 }
 
@@ -52,7 +54,7 @@ func runPoolFlow(pass *analysis.Pass) error {
 				}
 				if isNamedFrom(t, "packet", isMeshPkg) {
 					pass.Reportf(n.Pos(),
-						"mesh packet composite literal bypasses the packet pool: route construction through newPacket")
+						"mesh packet composite literal bypasses the packet arena: build packets only where Send parks them in it")
 				}
 			case *ast.FuncDecl:
 				if n.Body != nil && !pass.InTestFile(n.Pos()) {

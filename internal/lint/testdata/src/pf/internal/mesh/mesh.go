@@ -1,27 +1,22 @@
-// Package mesh exercises the poolflow analyzer's packet rule: packet
-// wrappers come from the pool feeder, nowhere else — including inside the
-// package itself.
+// Package mesh exercises the poolflow analyzer's packet rule: packets are
+// built only where Send parks them in the arena, nowhere else — including
+// inside the package itself.
 package mesh
 
 type packet struct {
-	stage int
-	path  []int
+	dst, class int
 }
 
 type Mesh struct {
-	free []*packet
+	arena []packet
 }
 
-func (m *Mesh) newPacket() *packet {
-	if n := len(m.free); n > 0 {
-		p := m.free[n-1]
-		m.free = m.free[:n-1]
-		return p
-	}
-	//lint:allow poolflow the pool's own feeder is the one sanctioned construction site
-	return &packet{path: make([]int, 0, 8)}
+func (m *Mesh) Send(dst int) int {
+	//lint:allow poolflow Send is the arena's one construction site
+	m.arena = append(m.arena, packet{dst: dst})
+	return len(m.arena) - 1
 }
 
-func (m *Mesh) stray() *packet {
-	return &packet{stage: 1} // want `mesh packet composite literal bypasses the packet pool`
+func (m *Mesh) stray() packet {
+	return packet{class: 1} // want `mesh packet composite literal bypasses the packet arena`
 }

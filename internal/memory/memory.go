@@ -148,8 +148,14 @@ type Request struct {
 // must be able to slip in front of a data transfer booked for 100 cycles
 // from now, or the half-duplex fiber degenerates into one transaction at a
 // time.
+//
+// The list holds busy time, not bookings: a new window that touches a
+// neighbour joins it, so back-to-back transfers stay one window and the
+// search walks gaps instead of every queued transfer. Every window is at
+// least one cycle long, so the first fit depends only on the union of
+// busy time, and merging changes no booking.
 type link struct {
-	booked []ival // sorted, disjoint busy windows
+	booked []ival // sorted, disjoint, non-adjacent busy windows
 }
 
 type ival struct {
@@ -187,10 +193,23 @@ func (l *link) reserve(now, at sim.Time, bytes int, bytesPerCycle float64) (star
 			t = iv.end
 		}
 	}
-	l.booked = append(l.booked, ival{})
-	copy(l.booked[idx+1:], l.booked[idx:])
-	l.booked[idx] = ival{start: t, end: t + dur}
-	return t, t + dur
+	end = t + dur
+	joinPrev := idx > 0 && l.booked[idx-1].end == t
+	joinNext := idx < len(l.booked) && l.booked[idx].start == end
+	switch {
+	case joinPrev && joinNext:
+		l.booked[idx-1].end = l.booked[idx].end
+		l.booked = append(l.booked[:idx], l.booked[idx+1:]...)
+	case joinPrev:
+		l.booked[idx-1].end = end
+	case joinNext:
+		l.booked[idx].start = t
+	default:
+		l.booked = append(l.booked, ival{})
+		copy(l.booked[idx+1:], l.booked[idx:])
+		l.booked[idx] = ival{start: t, end: end}
+	}
+	return t, end
 }
 
 // inflightReq is what the finish event needs of one submitted transaction:
@@ -255,7 +274,8 @@ type Controller struct {
 	BytesMoved uint64
 	// QueueFullRefusals counts Submit back-pressure events.
 	QueueFullRefusals uint64
-	// BusySample accumulates queue occupancy for mean-depth reporting.
+	// TotalLatency sums each served transaction's time from Submit to
+	// completion, for MeanLatencyNs.
 	TotalLatency sim.Time
 }
 

@@ -81,11 +81,17 @@ func classOf(k noc.Kind) int {
 	}
 }
 
+// packet is one in-flight message's state. It lives by value in the mesh's
+// arena from Send to eject, and its arena index is its handle in the port
+// queues and in the hop, tail and eject event data. The route is not
+// stored: each hop asks toward for the next dimension-order port.
 type packet struct {
 	m     *noc.Message
-	path  []portRef
-	stage int
+	at    portRef // the port whose queue holds the packet, or that granted it
+	up    uint64  // credit target when the tail leaves at: upstream packRef, or tailInject|src
+	dst   int
 	class int
+	ser   sim.Time // link occupancy, ceil(Size / BytesPerCycle)
 }
 
 type portRef struct {
@@ -97,7 +103,7 @@ type outPort struct {
 	busyUntil sim.Time
 	wakeAt    sim.Time // earliest pending wake event, to dedupe
 	wakeSet   bool
-	q         [numClasses]sim.Fifo[*packet]
+	q         [numClasses]sim.Fifo[uint32] // arena indices
 	credits   [numClasses]int
 	rr        int
 }
@@ -110,21 +116,26 @@ type Mesh struct {
 	cfg Config
 	n   int
 
+	// col and row are each router's coordinates, for routing and Hops;
+	// step is the router-index offset of the neighbour behind each link
+	// direction.
+	col, row []int
+	step     [numDirs]int
+
 	// ports is the flat [router][dir] output-port array, laid out
 	// router-major (index router*numDirs + dir): one contiguous block, so
 	// the per-hop pipeline pays a single bounds check and no pointer chase
 	// per port access.
 	ports []outPort
-	// injectCount tracks stage-0 packets per cluster per class against
-	// InjectQueue, laid out cluster-major (cluster*numClasses + class).
+	// injectCount tracks packets still in their source's injection queue
+	// per cluster per class against InjectQueue, laid out cluster-major
+	// (cluster*numClasses + class).
 	injectCount []int
 
-	// slots parks in-flight packets for the typed hop, tail and eject
-	// events; pktFree recycles retired packets (keeping their routed-path
-	// buffers) so the steady-state Send→eject cycle allocates neither
-	// packets nor paths.
-	slots   sim.Slots[*packet]
-	pktFree []*packet
+	// pkts is the packet arena: every in-flight packet, by value. Once it
+	// has grown to the peak in-flight population, the Send→eject cycle
+	// allocates nothing.
+	pkts sim.Slots[packet]
 
 	// LinkBusyCycles accumulates occupancy across all links for utilization.
 	LinkBusyCycles uint64
@@ -133,7 +144,7 @@ type Mesh struct {
 var _ noc.Network = (*Mesh)(nil)
 
 // Mesh kernel events run on the typed fast path via named views of the Mesh:
-// port references, classes, and packet slot indices pack into the data word,
+// port references, classes, and packet arena indices pack into the data word,
 // so the per-hop pipeline — the busiest scheduler client in the mesh
 // configurations — allocates nothing in steady state.
 
@@ -155,7 +166,7 @@ func unpackRef(data uint64) portRef {
 // A tail event's data word: the credit target's port reference, or the
 // source cluster when tailInject is set, in the low refBits; the class;
 // the flags; the granted port's reference (tailWake); and the packet's
-// slot index (tailHop).
+// arena index (tailHop).
 const (
 	tailClassShift = refBits
 	tailInject     = 1 << (refBits + 1)
@@ -188,8 +199,8 @@ func (m *Mesh) wakeUp(now sim.Time, ref portRef) {
 
 // tailEvent runs everything due when a granted packet's tail leaves its
 // port, in the order separate events would have run: it returns the
-// upstream input-buffer credit (or frees the source's injection slot at
-// stage 0), then advances the head when it reaches the next router at the
+// upstream input-buffer credit (or frees the source's injection slot),
+// then advances the head when it reaches the next router at the
 // same cycle (tailHop), then wakes the port as its link frees (tailWake).
 // grant schedules nothing else in between, so the folded parts hold the
 // FIFO positions their own events would have taken.
@@ -224,46 +235,27 @@ type hopEvent Mesh
 
 func (e *hopEvent) OnEvent(_ sim.Time, data uint64) { (*Mesh)(e).hop(data) }
 
-func (m *Mesh) hop(slot uint64) {
-	p := m.slots.Take(slot)
-	p.stage++
-	next := p.path[p.stage]
-	np := m.port(next.router, next.d)
-	np.q[p.class].Push(p)
-	m.tryGrant(next)
+// hop moves packet idx from the port it was granted on into the neighbour
+// router, queueing it at that router's next dimension-order port.
+func (m *Mesh) hop(idx uint64) {
+	p := m.pkts.At(idx)
+	r := p.at.router + m.step[p.at.d]
+	p.up = packRef(p.at)
+	p.at = portRef{r, m.toward(r, p.dst)}
+	m.port(r, p.at.d).q[p.class].Push(uint32(idx))
+	m.tryGrant(p.at)
 }
 
 // ejectEvent delivers a packet's tail into the destination hub. The packet
-// wrapper retires (and recycles) here; the message itself stays live until
-// the hub's Consume.
+// leaves the arena here, before Deliver, which may Send again; the message
+// itself stays live until the hub's Consume.
 type ejectEvent Mesh
 
 func (e *ejectEvent) OnEvent(_ sim.Time, data uint64) {
 	m := (*Mesh)(e)
-	p := m.slots.Take(data)
-	msg := p.m
-	m.freePacket(p)
+	msg := m.pkts.At(data).m
+	m.pkts.Free(data)
 	m.Deliver(msg)
-}
-
-// newPacket returns a recycled (or fresh) packet wrapper; its path buffer
-// keeps the capacity of earlier routes, and a fresh one is sized for the
-// longest possible DOR path up front so route never grows it.
-func (m *Mesh) newPacket() *packet {
-	if n := len(m.pktFree); n > 0 {
-		p := m.pktFree[n-1]
-		m.pktFree = m.pktFree[:n-1]
-		return p
-	}
-	//lint:allow poolflow this is the pool's own feeder: the one sanctioned packet construction site
-	return &packet{path: make([]portRef, 0, m.cfg.Width+m.cfg.Height-1)}
-}
-
-// freePacket recycles a retired packet wrapper.
-func (m *Mesh) freePacket(p *packet) {
-	p.m = nil
-	p.stage = 0
-	m.pktFree = append(m.pktFree, p)
 }
 
 // New builds a mesh on kernel k.
@@ -287,8 +279,12 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 		n:           n,
 		ports:       make([]outPort, n*int(numDirs)),
 		injectCount: make([]int, n*numClasses),
+		col:         make([]int, n),
+		row:         make([]int, n),
+		step:        [numDirs]int{dirEast: 1, dirWest: -1, dirNorth: -cfg.Width, dirSouth: cfg.Width},
 	}
 	for r := 0; r < n; r++ {
+		m.col[r], m.row[r] = r%cfg.Width, r/cfg.Width
 		for d := dir(0); d < numDirs; d++ {
 			for c := 0; c < numClasses; c++ {
 				if d == dirEject {
@@ -305,7 +301,7 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 }
 
 // Reset implements noc.Resetter: restore the construction state in place,
-// keeping the message pool, packet pool, and grown queue capacity. Delivery
+// keeping the message pool, packet arena, and grown queue capacity. Delivery
 // callbacks are left installed; a reusing System overwrites them via
 // SetDeliver.
 func (m *Mesh) Reset() {
@@ -324,41 +320,28 @@ func (m *Mesh) Reset() {
 		}
 	}
 	clear(m.injectCount)
-	m.slots.Reset()
+	m.pkts.Reset()
 	m.Endpoints.Reset()
 	m.LinkBusyCycles = 0
 }
 
-func (m *Mesh) xy(r int) (int, int) { return r % m.cfg.Width, r / m.cfg.Width }
-func (m *Mesh) id(x, y int) int     { return y*m.cfg.Width + x }
-
-// route computes the dimension-order (X then Y) path — one output port per
-// hop plus the final ejection port — into the caller's buffer, reusing its
-// capacity.
-func (m *Mesh) route(src, dst int, path []portRef) []portRef {
-	x, y := m.xy(src)
-	dx, dy := m.xy(dst)
-	path = path[:0]
-	for x != dx {
+// toward returns the dimension-order (X then Y) output port at router r
+// for a packet bound to dst: east or west until the column matches, then
+// south or north until the row does, then ejection.
+func (m *Mesh) toward(r, dst int) dir {
+	if x, dx := m.col[r], m.col[dst]; x != dx {
 		if x < dx {
-			path = append(path, portRef{m.id(x, y), dirEast})
-			x++
-		} else {
-			path = append(path, portRef{m.id(x, y), dirWest})
-			x--
+			return dirEast
 		}
+		return dirWest
 	}
-	for y != dy {
+	if y, dy := m.row[r], m.row[dst]; y != dy {
 		if y < dy {
-			path = append(path, portRef{m.id(x, y), dirSouth})
-			y++
-		} else {
-			path = append(path, portRef{m.id(x, y), dirNorth})
-			y--
+			return dirSouth
 		}
+		return dirNorth
 	}
-	path = append(path, portRef{dst, dirEject})
-	return path
+	return dirEject
 }
 
 func abs(v int) int {
@@ -371,9 +354,7 @@ func abs(v int) int {
 // Hops returns the link-traversal count between two clusters (excluding
 // ejection), used by the 196 pJ/hop power model.
 func (m *Mesh) Hops(src, dst int) int {
-	x, y := m.xy(src)
-	dx, dy := m.xy(dst)
-	return abs(dx-x) + abs(dy-y)
+	return abs(m.col[dst]-m.col[src]) + abs(m.row[dst]-m.row[src])
 }
 
 // Send implements noc.Network.
@@ -384,14 +365,16 @@ func (m *Mesh) Send(msg *noc.Message) bool {
 		return false
 	}
 	msg.Hops = m.Hops(msg.Src, msg.Dst)
-	p := m.newPacket()
-	p.m = msg
-	p.class = cl
-	p.path = m.route(msg.Src, msg.Dst, p.path)
 	m.injectCount[msg.Src*numClasses+cl]++
-	first := p.path[0]
-	port := m.port(first.router, first.d)
-	port.q[cl].Push(p)
+	first := portRef{msg.Src, m.toward(msg.Src, msg.Dst)}
+	bpc := m.cfg.BytesPerCycle
+	//lint:allow poolflow Send is the arena's one construction site: a packet is parked here and freed at eject
+	idx := m.pkts.Put(packet{m: msg, at: first, up: tailInject | uint64(msg.Src),
+		dst: msg.Dst, class: cl, ser: sim.Time((msg.Size + bpc - 1) / bpc)})
+	if idx > maxTailSlot {
+		panic(fmt.Sprintf("mesh: %d packets in flight exceed the tail event's index field", idx+1))
+	}
+	m.port(first.router, first.d).q[cl].Push(uint32(idx))
 	m.tryGrant(first)
 	return true
 }
@@ -404,11 +387,6 @@ func (m *Mesh) Consume(cluster int, msg *noc.Message) {
 	port := m.port(cluster, dirEject)
 	port.credits[class]++
 	m.tryGrant(portRef{cluster, dirEject})
-}
-
-// serialization returns the link occupancy of a message.
-func (m *Mesh) serialization(size int) sim.Time {
-	return sim.Time((size + m.cfg.BytesPerCycle - 1) / m.cfg.BytesPerCycle)
 }
 
 // tryGrant attempts to start the next eligible packet on a port, observing
@@ -427,7 +405,7 @@ func (m *Mesh) tryGrant(ref portRef) {
 	for i := 0; i < numClasses; i++ {
 		if !port.q[cl].Empty() && port.credits[cl] != 0 {
 			port.rr = (cl + 1) & (numClasses - 1)
-			m.grant(ref, port, port.q[cl].Pop())
+			m.grant(ref, port, uint64(port.q[cl].Pop()))
 			return
 		}
 		cl = (cl + 1) & (numClasses - 1)
@@ -447,31 +425,23 @@ func armWake(port *outPort, at sim.Time) bool {
 	return true
 }
 
-func (m *Mesh) grant(ref portRef, port *outPort, p *packet) {
-	s := m.serialization(p.m.Size)
+func (m *Mesh) grant(ref portRef, port *outPort, idx uint64) {
+	p := m.pkts.At(idx)
+	s := p.ser
 	port.busyUntil = m.k.Now() + s
 	port.credits[p.class]--
 	if ref.d != dirEject {
 		m.LinkBusyCycles += uint64(s)
 	}
 
-	// The upstream input-buffer slot (previous link's credit), or at stage
-	// 0 the source's injection slot, frees when the packet's tail leaves
-	// this router, and the link frees with it: one tail event does both.
-	tail := uint64(p.class) << tailClassShift
-	if p.stage > 0 {
-		tail |= packRef(p.path[p.stage-1])
-	} else {
-		tail |= tailInject | uint64(p.m.Src)
-	}
+	// The upstream input-buffer slot (previous link's credit), or the
+	// source's injection slot, frees when the packet's tail leaves this
+	// router, and the link frees with it: one tail event does both.
+	tail := uint64(p.class)<<tailClassShift | p.up
 	if ref.d != dirEject && s == m.cfg.HopLatency {
 		// The head reaches the next router as the tail leaves: the hop
 		// folds into the tail event too.
-		slot := m.slots.Put(p)
-		if slot > maxTailSlot {
-			panic(fmt.Sprintf("mesh: %d packets in flight exceed the tail event's slot field", slot+1))
-		}
-		tail |= tailHop | slot<<tailSlotShift
+		tail |= tailHop | idx<<tailSlotShift
 	}
 	if armWake(port, port.busyUntil) {
 		tail |= tailWake | packRef(ref)<<tailRefShift
@@ -480,10 +450,10 @@ func (m *Mesh) grant(ref portRef, port *outPort, p *packet) {
 
 	if ref.d == dirEject {
 		// Tail reaches the hub after head latency plus serialization.
-		m.k.ScheduleEvent(m.cfg.HopLatency+s, (*ejectEvent)(m), m.slots.Put(p))
+		m.k.ScheduleEvent(m.cfg.HopLatency+s, (*ejectEvent)(m), idx)
 	} else if tail&tailHop == 0 {
 		// Head arrives at the next router after HopLatency (cut-through).
-		m.k.ScheduleEvent(m.cfg.HopLatency, (*hopEvent)(m), m.slots.Put(p))
+		m.k.ScheduleEvent(m.cfg.HopLatency, (*hopEvent)(m), idx)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,23 +44,82 @@ func TestBisectionBandwidth(t *testing.T) {
 	}
 }
 
-func TestDimensionOrderRouting(t *testing.T) {
-	h := newHarness(t, HMeshConfig())
-	// From (1,1)=9 to (3,2)=19: X first (E,E), then Y (S), then eject.
-	path := h.m.route(9, 19, nil)
-	want := []portRef{{9, dirEast}, {10, dirEast}, {11, dirSouth}, {19, dirEject}}
-	if len(path) != len(want) {
-		t.Fatalf("path len = %d, want %d", len(path), len(want))
+// route is the dimension-order (X then Y) path each packet used to carry:
+// one output port per hop plus the final ejection port. It stays here as
+// the reference toward is checked against.
+func route(cfg Config, src, dst int) []portRef {
+	w := cfg.Width
+	x, y := src%w, src/w
+	dx, dy := dst%w, dst/w
+	var path []portRef
+	for x != dx {
+		if x < dx {
+			path = append(path, portRef{y*w + x, dirEast})
+			x++
+		} else {
+			path = append(path, portRef{y*w + x, dirWest})
+			x--
+		}
 	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path[%d] = %+v, want %+v", i, path[i], want[i])
+	for y != dy {
+		if y < dy {
+			path = append(path, portRef{y*w + x, dirSouth})
+			y++
+		} else {
+			path = append(path, portRef{y*w + x, dirNorth})
+			y--
+		}
+	}
+	return append(path, portRef{dst, dirEject})
+}
+
+// walk follows toward from src to dst the way hop moves a packet, giving
+// up after more steps than any dimension-order path can take.
+func walk(m *Mesh, src, dst int) []portRef {
+	var path []portRef
+	for r := src; len(path) <= m.cfg.Width+m.cfg.Height; {
+		d := m.toward(r, dst)
+		path = append(path, portRef{r, d})
+		if d == dirEject {
+			break
+		}
+		r += m.step[d]
+	}
+	return path
+}
+
+// TestTowardMatchesRoute walks toward for every (src, dst) pair, the
+// local one included, on the 8x8 preset and on a 4x16 mesh, and requires
+// the port sequence the stored route gave.
+func TestTowardMatchesRoute(t *testing.T) {
+	tall := HMeshConfig()
+	tall.Width, tall.Height = 4, 16
+	for _, cfg := range []Config{HMeshConfig(), tall} {
+		m := New(sim.NewKernel(), cfg)
+		for src := 0; src < m.n; src++ {
+			for dst := 0; dst < m.n; dst++ {
+				got, want := walk(m, src, dst), route(cfg, src, dst)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%dx%d %d->%d: toward walks %v, route gives %v",
+						cfg.Width, cfg.Height, src, dst, got, want)
+				}
+			}
 		}
 	}
 }
 
+func TestDimensionOrderRouting(t *testing.T) {
+	h := newHarness(t, HMeshConfig())
+	// From (1,1)=9 to (3,2)=19: X first (E,E), then Y (S), then eject.
+	path := walk(h.m, 9, 19)
+	want := []portRef{{9, dirEast}, {10, dirEast}, {11, dirSouth}, {19, dirEject}}
+	if !slices.Equal(path, want) {
+		t.Fatalf("path = %v, want %v", path, want)
+	}
+}
+
 func TestRoutePropertyXY(t *testing.T) {
-	// Property: a DOR path never turns from Y back to X, visits adjacent
+	// Property: a DOR walk never turns from Y back to X, visits adjacent
 	// routers, has Hops(src,dst)+1 entries, and ends with ejection at dst.
 	h := newHarness(t, HMeshConfig())
 	f := func(a, b uint8) bool {
@@ -67,7 +127,7 @@ func TestRoutePropertyXY(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		path := h.m.route(src, dst, nil)
+		path := walk(h.m, src, dst)
 		if len(path) != h.m.Hops(src, dst)+1 {
 			return false
 		}
@@ -103,6 +163,44 @@ func TestRoutePropertyXY(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSendEjectAllocatesNothing requires a warmed mesh to carry a burst of
+// pooled messages from Send to Consume without allocating: packets live by
+// value in the arena and their routes are computed hop by hop. The burst
+// mixes 16-byte requests with 80-byte writebacks, whose serialization
+// equals HopLatency on HMesh, so both the hop event and the hop folded
+// into the tail event run.
+func TestSendEjectAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	m := New(k, HMeshConfig())
+	for c := 0; c < m.Clusters(); c++ {
+		m.SetDeliver(c, func(msg *noc.Message) { m.Consume(c, msg) })
+	}
+	burst := func() {
+		for src := 0; src < m.Clusters(); src++ {
+			msg := m.Acquire()
+			msg.Src, msg.Dst = src, (src*7+5)%m.Clusters()
+			if msg.Dst == src {
+				msg.Dst = (src + 1) % m.Clusters()
+			}
+			msg.Kind, msg.Size = noc.KindRequest, noc.RequestBytes
+			if src%2 == 1 {
+				msg.Kind, msg.Size = noc.KindWriteback, noc.WritebackBytes
+			}
+			if !m.Send(msg) {
+				t.Fatalf("send from %d refused", src)
+			}
+		}
+		k.Run()
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(20, burst); allocs != 0 {
+		t.Errorf("warmed Send→eject burst allocates %.1f times, want 0", allocs)
+	}
+	if n := m.pkts.Len(); n != 0 {
+		t.Errorf("%d packets left in the arena after the bursts drained", n)
 	}
 }
 
