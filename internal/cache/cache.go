@@ -5,7 +5,10 @@
 // provides the MSHR file the hub uses to track and merge outstanding misses.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -212,15 +215,21 @@ type mshrEntry struct {
 // MSHR is a miss-status holding register file: it tracks outstanding line
 // misses, merges secondary misses onto the primary, and bounds the number of
 // in-flight misses (the finite-MSHR back pressure the paper models). The
-// file indexes lines with a fixed open-addressing table of at least twice
-// its capacity: linear probing from a multiplicative hash of the line, and
-// backward-shift deletion, so no tombstones build up and Allocate,
-// Complete and Lookup take constant expected time however full the file
-// is. The slot order is unobservable: no simulation decision ever iterates
-// the file.
+// file indexes lines with an open-addressing table: linear probing from a
+// multiplicative hash of the line, and backward-shift deletion, so no
+// tombstones build up and Allocate, Complete and Lookup take constant
+// expected time however full the file is. The table starts small and
+// doubles by rehash when an insert would fill it past a quarter, up to the
+// smallest power of two of at least twice the capacity, so a file holds
+// what its traffic needed rather than its worst case, and keeps it across
+// Reset. Doubling at a quarter rather than at half keeps probe runs about
+// as short as the full-size table's were at the same entry count. The
+// slot order is unobservable: no simulation decision ever iterates the
+// file.
 type MSHR struct {
 	cap   int
 	n     int
+	max   int  // the table's largest size: the power of two >= 2*cap
 	shift uint // 64 - log2(len(table)), for the hash's top bits
 	table []mshrEntry
 	// Stats.
@@ -229,16 +238,34 @@ type MSHR struct {
 	FullStalls      uint64
 }
 
+// mshrMinTable is the table size a new file starts with (capped at its
+// largest size): room for two entries before the first doubling.
+const mshrMinTable = 8
+
 // NewMSHR builds an MSHR file with cap entries.
 func NewMSHR(cap int) *MSHR {
 	if cap <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	size, bits := 2, uint(1)
-	for size < 2*cap {
-		size, bits = size*2, bits+1
+	m := &MSHR{cap: cap, max: 2}
+	for m.max < 2*cap {
+		m.max *= 2
 	}
-	return &MSHR{cap: cap, shift: 64 - bits, table: make([]mshrEntry, size)}
+	m.resize(min(mshrMinTable, m.max))
+	return m
+}
+
+// resize moves the entries into a new table of size slots, a power of two.
+func (m *MSHR) resize(size int) {
+	old := m.table
+	m.table = make([]mshrEntry, size)
+	m.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	for _, e := range old {
+		if e.count != 0 {
+			i, _ := m.slot(e.line)
+			m.table[i] = e
+		}
+	}
 }
 
 // home returns line's preferred table slot (Fibonacci hashing: the top bits
@@ -286,15 +313,23 @@ func (m *MSHR) Allocate(line uint64) (primary, ok bool) {
 		m.FullStalls++
 		return false, false
 	}
+	if 4*(m.n+1) > len(m.table) && len(m.table) < m.max {
+		m.resize(2 * len(m.table))
+		i, _ = m.slot(line)
+	}
 	m.table[i] = mshrEntry{line: line, count: 1}
 	m.n++
 	m.PrimaryMisses++
 	return true, true
 }
 
-// Reset drops every entry and zeroes the counters, keeping the table.
+// Reset drops every entry and zeroes the counters, keeping the grown table.
+// Backward-shift deletion leaves an emptied table all zero, so only a file
+// still holding entries is cleared.
 func (m *MSHR) Reset() {
-	clear(m.table)
+	if m.n != 0 {
+		clear(m.table)
+	}
 	m.n = 0
 	m.PrimaryMisses, m.SecondaryMerges, m.FullStalls = 0, 0, 0
 }

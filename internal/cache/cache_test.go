@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -248,26 +249,30 @@ func TestMSHRLookup(t *testing.T) {
 // stalls, and lines chosen to share home slots, including the table's last
 // slots so probe runs wrap — and requires identical answers, counters and
 // occupancy after every operation, with every outstanding line still found.
+// Each file starts with a small table that doubles once it is a quarter
+// full, up to twice its capacity, and keeps its size across Reset; the
+// slot-crowding lines are chosen afresh for every table size, so rehashing
+// is exercised on crowded probe runs too.
 func TestMSHRMatchesMap(t *testing.T) {
 	rng := sim.NewRand(20081016)
 	for _, capacity := range []int{1, 2, 3, 7, 16, 64} {
 		m := NewMSHR(capacity)
-		// Lines crowding three home slots, the last two at the table's end,
-		// plus a few arbitrary ones.
-		size := len(m.table)
+		if want := min(mshrMinTable, m.max); len(m.table) != want {
+			t.Fatalf("cap %d: new table has %d slots, want %d", capacity, len(m.table), want)
+		}
+		size := 0
 		var pool []uint64
-		for line := uint64(0); len(pool) < 3*capacity+4; line++ {
-			if h := m.home(line); h == 0 || h == size-1 || h == size-2 {
-				pool = append(pool, line)
-			}
-		}
-		for i := 0; i < capacity; i++ {
-			pool = append(pool, rng.Uint64())
-		}
 		for round := 0; round < 3; round++ {
 			ref := map[uint64]int{}
 			var stalls, merges, primaries uint64
 			for op := 0; op < 4000; op++ {
+				if len(m.table) != size {
+					if len(m.table) < size {
+						t.Fatalf("cap %d op %d: table shrank from %d to %d slots", capacity, op, size, len(m.table))
+					}
+					size = len(m.table)
+					pool = crowdingPool(m, capacity, rng, ref)
+				}
 				line := pool[rng.Intn(len(pool))]
 				switch rng.Intn(3) {
 				case 0, 1:
@@ -307,6 +312,9 @@ func TestMSHRMatchesMap(t *testing.T) {
 						capacity, op, m.Len(), m.FullStalls, m.SecondaryMerges, m.PrimaryMisses,
 						len(ref), stalls, merges, primaries)
 				}
+				if 2*m.Len() > len(m.table) || (4*m.Len() > len(m.table) && len(m.table) < m.max) || len(m.table) > m.max {
+					t.Fatalf("cap %d op %d: %d entries in %d slots (largest %d)", capacity, op, m.Len(), len(m.table), m.max)
+				}
 				for l := range ref {
 					if !m.Lookup(l) {
 						t.Fatalf("cap %d op %d: outstanding line %#x not found", capacity, op, l)
@@ -317,6 +325,39 @@ func TestMSHRMatchesMap(t *testing.T) {
 			if m.Len() != 0 || m.Lookup(pool[0]) {
 				t.Fatalf("cap %d: Reset left entries", capacity)
 			}
+			if len(m.table) != size {
+				t.Fatalf("cap %d: Reset resized the table from %d to %d slots", capacity, size, len(m.table))
+			}
+			for i, e := range m.table {
+				if e != (mshrEntry{}) {
+					t.Fatalf("cap %d: Reset left slot %d non-zero", capacity, i)
+				}
+			}
+		}
+		if size != m.max {
+			t.Fatalf("cap %d: table reached %d slots, want its largest, %d", capacity, size, m.max)
 		}
 	}
+}
+
+// crowdingPool returns the lines TestMSHRMatchesMap draws from for m's
+// current table size: lines crowding three home slots, the last two at the
+// table's end, plus a few arbitrary ones and every line still outstanding.
+func crowdingPool(m *MSHR, capacity int, rng *sim.Rand, outstanding map[uint64]int) []uint64 {
+	size := len(m.table)
+	var pool []uint64
+	for line := uint64(0); len(pool) < 3*capacity+4; line++ {
+		if h := m.home(line); h == 0 || h == size-1 || h == size-2 {
+			pool = append(pool, line)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		pool = append(pool, rng.Uint64())
+	}
+	n := len(pool)
+	for l := range outstanding {
+		pool = append(pool, l)
+	}
+	slices.Sort(pool[n:]) // map order is random; the draws must not be
+	return pool
 }

@@ -98,6 +98,13 @@ type System struct {
 	// (noc.Network.InjectEpochs), read by the refusal memo.
 	epochs []uint64
 
+	// outq holds the messages awaiting network injection, per hub and
+	// destination, with one retry poll per pair (its Flag, armRetry) —
+	// unbounded here because the MSHR file already bounds a cluster's
+	// outstanding work. A pair claims a queue only when the network first
+	// refuses it, so hubs that never see back pressure hold none.
+	outq sim.PairQueues[*noc.Message]
+
 	// replay is the Runner replaying on this system, from ReplayRunner
 	// until its Run returns: each retirement resumes the cluster's issue,
 	// and the replay's last one stops the kernel.
@@ -109,11 +116,6 @@ type hub struct {
 	sys  *System
 	id   int
 	mshr *cache.MSHR
-	// outq holds messages awaiting network injection, per destination, with
-	// one retry poll per destination (outArmed) — unbounded here because
-	// the MSHR file already bounds the cluster's outstanding work.
-	outq     []sim.Fifo[*noc.Message]
-	outArmed []bool
 }
 
 // A poll word packs one pending injection poll: the refusal memo in the low
@@ -133,7 +135,7 @@ const (
 // pending poll waits on a queued message, so a cell holds at most as many
 // as it has transactions in flight: NewSystem sizes the ring for 4 per hub,
 // which covers small cells, and a busier cell doubles it, at most up to one
-// poll per hub and destination (outArmed).
+// poll per hub and destination (the outq Flag).
 type pollRing struct {
 	buf        []uint64
 	head, tail uint32 // free-running; buf index is value & (len(buf)-1)
@@ -216,10 +218,10 @@ func (e *pollEvent) OnEvent(sim.Time, uint64) {
 		} else {
 			rearmed = false
 			q.head, q.tail = head, tail
-			h := s.hubs[hub]
 			dst := int(p >> pollDstShift & pollFieldMask)
-			h.outArmed[dst] = false
-			h.pumpOut(dst)
+			out := s.outq.Get(hub, dst)
+			out.Flag = false
+			s.hubs[hub].pumpOut(out, dst)
 			buf, head, tail = q.buf, q.head, q.tail
 			mask = uint32(len(buf) - 1)
 		}
@@ -287,6 +289,7 @@ func NewSystem(cfg config.System) (*System, error) {
 		MCs:   make([]*memory.Controller, cfg.Clusters),
 		hubs:  make([]*hub, cfg.Clusters),
 		polls: newPollRing(cfg.Clusters),
+		outq:  sim.NewPairQueues[*noc.Message](cfg.Clusters),
 	}
 	fab, _ := noc.Lookup(cfg.Fabric) // Validate guarantees registration
 	net, err := fab.Build(k, cfg.Params())
@@ -305,11 +308,7 @@ func NewSystem(cfg config.System) (*System, error) {
 	mcfg := cfg.MemConfig()
 	for c := 0; c < cfg.Clusters; c++ {
 		s.MCs[c] = memory.NewController(k, mcfg, c)
-		h := &hub{
-			sys: s, id: c, mshr: cache.NewMSHR(cfg.MSHRs),
-			outq:     make([]sim.Fifo[*noc.Message], cfg.Clusters),
-			outArmed: make([]bool, cfg.Clusters),
-		}
+		h := &hub{sys: s, id: c, mshr: cache.NewMSHR(cfg.MSHRs)}
 		s.hubs[c] = h
 		s.Net.SetDeliver(c, h.deliver)
 	}
@@ -318,8 +317,10 @@ func NewSystem(cfg config.System) (*System, error) {
 
 // Reset returns the system to its just-constructed state, reusing every
 // grown buffer: the kernel's chunk pool, the network's queues and pools, the
-// controllers' booking lists, the hubs' MSHR files and injection queues, and
-// the latency tail's heap. It fails when the fabric does not support in-place
+// controllers' booking lists, the hubs' MSHR tables and claimed injection
+// queues, and the latency tail's heap. It touches only what the last cell
+// used: the kernel's occupied buckets, the claimed queues, the MSHR tables
+// left holding entries. It fails when the fabric does not support in-place
 // reset (no noc.Resetter); callers fall back to building a fresh system.
 func (s *System) Reset() error {
 	r, ok := s.Net.(noc.Resetter)
@@ -333,11 +334,8 @@ func (s *System) Reset() error {
 	}
 	for _, h := range s.hubs {
 		h.mshr.Reset()
-		for dst := range h.outq {
-			h.outq[dst].Reset()
-		}
-		clear(h.outArmed)
 	}
+	s.outq.Reset()
 	s.Latency.Reset(0)
 	s.WireBytes, s.completed, s.nextID = 0, 0, 0
 	s.txnSlots.Reset()
@@ -391,27 +389,30 @@ func (s *System) Issue(cluster int, addr uint64, write bool) bool {
 
 // send injects m, queueing it only when the network (or queue order)
 // requires: an uncontended destination goes straight into the fabric, so
-// hubs that never see back pressure never grow an injection buffer.
+// hubs that never see back pressure never claim an injection queue.
 func (h *hub) send(m *noc.Message) {
-	q := &h.outq[m.Dst]
-	if q.Empty() {
+	q := h.sys.outq.Get(h.id, m.Dst)
+	if q == nil || q.Empty() {
 		if h.sys.Net.Send(m) {
 			return
 		}
+		if q == nil {
+			q = h.sys.outq.Claim(h.id, m.Dst)
+		}
 		q.Push(m)
-		h.armRetry(m.Dst)
+		h.armRetry(q, m.Dst)
 		return
 	}
 	q.Push(m)
-	h.pumpOut(m.Dst)
+	h.pumpOut(q, m.Dst)
 }
 
-// armRetry arms the (single) injection retry poll for dst. It is called
-// right after the network refused the head of outq[dst], so the poll
+// armRetry arms the (single) injection retry poll for dst, whose queue is q.
+// It is called right after the network refused q's head, so the poll
 // carries that refusal's memo.
-func (h *hub) armRetry(dst int) {
-	if !h.outArmed[dst] {
-		h.outArmed[dst] = true
+func (h *hub) armRetry(q *sim.PairQueue[*noc.Message], dst int) {
+	if !q.Flag {
+		q.Flag = true
 		h.sys.schedulePoll(uint64(h.id)<<pollHubShift | uint64(dst)<<pollDstShift | uint64(refusalMemo(h.sys.epochs, h.id)))
 	}
 }
@@ -443,13 +444,12 @@ func (s *System) joinOrStartRun() uint64 {
 // polls two cycles apart.
 func refusalMemo(epochs []uint64, hub int) uint32 { return uint32(epochs[hub]) + 1 }
 
-// pumpOut injects as many queued messages for dst as the network accepts,
-// then arms a single retry poll on back pressure.
-func (h *hub) pumpOut(dst int) {
-	q := &h.outq[dst]
+// pumpOut injects as many messages of q, dst's queue, as the network
+// accepts, then arms a single retry poll on back pressure.
+func (h *hub) pumpOut(q *sim.PairQueue[*noc.Message], dst int) {
 	for !q.Empty() {
 		if !h.sys.Net.Send(q.Front()) {
-			h.armRetry(dst)
+			h.armRetry(q, dst)
 			return
 		}
 		q.Pop()

@@ -285,13 +285,13 @@ func NewController(k *sim.Kernel, cfg Config, id int) *Controller {
 		panic(err)
 	}
 	c := &Controller{k: k, cfg: cfg, id: id, banks: make([]sim.Time, cfg.Banks)}
-	// Seed the booking lists with the queue's worth of capacity so the gap
-	// search never grows them mid-run.
-	c.inLink.booked = make([]ival, 0, cfg.QueueDepth)
+	// The booking lists start empty and grow by append. They hold busy time,
+	// so a few windows cover even a full queue, and Reset keeps what they
+	// grew.
 	if cfg.HalfDuplex {
 		c.outLink = &c.inLink // shared fiber loop
 	} else {
-		c.outLink = &link{booked: make([]ival, 0, cfg.QueueDepth)}
+		c.outLink = &link{}
 	}
 	return c
 }

@@ -349,12 +349,15 @@ func (k *Kernel) release(level, idx int) {
 
 // Reset returns the kernel to its just-constructed state — time zero, no
 // events — returning every bucket's chunks to the pool and keeping the heap's
-// capacity, so a pooled kernel's next run schedules without allocating.
+// capacity, so a pooled kernel's next run schedules without allocating. A
+// bucket holds chunks exactly when its occupancy bit is set, so Reset walks
+// the set bits of the three bitmaps, not all 768 buckets.
 func (k *Kernel) Reset() {
 	for level := range k.levels {
-		for idx := range k.levels[level].buckets {
-			if k.levels[level].buckets[idx].head != nil {
-				k.release(level, idx)
+		occ := &k.levels[level].occ
+		for w := range occ {
+			for occ[w] != 0 {
+				k.release(level, w<<6+bits.TrailingZeros64(occ[w]))
 			}
 		}
 	}

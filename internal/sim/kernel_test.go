@@ -295,12 +295,13 @@ func seedBursts(k *Kernel, left int) *burstRecorder {
 	for i := uint64(0); i < 3*chunkCap; i++ {
 		k.ScheduleEvent(Time(i%2), r, i)
 	}
-	k.ScheduleEvent(span1+5, r, 7) // a level-1 resident across the cut
+	k.ScheduleEvent(span1+5, r, 7) // a level-2 resident across the cut
 	return r
 }
 
 // TestKernelResetPartialChunks resets a burst-heavy run at points that leave
-// buckets partway through a chunk, and requires the reset kernel to then
+// buckets partway through a chunk, and once with events resident at levels 1
+// and 2 and in the overflow heap, and requires the reset kernel to then
 // behave like a new one.
 func TestKernelResetPartialChunks(t *testing.T) {
 	oracle := NewKernel()
@@ -321,6 +322,59 @@ func TestKernelResetPartialChunks(t *testing.T) {
 		if !reflect.DeepEqual(again.trace, or.trace) {
 			t.Fatalf("cut %d: reset kernel diverges from a fresh one", cut)
 		}
+	}
+
+	// Reset with events resident at every level and in the overflow heap:
+	// several buckets per level, one spanning chunks at each level.
+	seedDeep := func(k *Kernel) *burstRecorder {
+		r := seedBursts(k, 60)
+		for i := 0; i < chunkCap+2; i++ {
+			for _, at := range []Time{span0 + 3, 9 * span0, span1 + 5, 7 * span1, span2 + 9, 3*span2 + 1} {
+				k.AtEvent(at, r, uint64(at)+uint64(i))
+			}
+		}
+		return r
+	}
+	deep := NewKernel()
+	want := seedDeep(deep)
+	deep.Run()
+	k := NewKernel()
+	seedDeep(k)
+	k.RunLimit(5)
+	for level := 1; level < wheelLevels; level++ {
+		if _, ok := firstSet(&k.levels[level].occ); !ok {
+			t.Fatalf("deep cut: nothing resident at level %d", level)
+		}
+	}
+	if len(k.overflow) == 0 {
+		t.Fatal("deep cut: nothing resident in the overflow heap")
+	}
+	k.Reset()
+	for level := range k.levels {
+		lv := &k.levels[level]
+		if _, ok := firstSet(&lv.occ); ok {
+			t.Fatalf("deep cut: Reset left level %d occupied", level)
+		}
+		for idx := range lv.buckets {
+			if lv.buckets[idx].head != nil {
+				t.Fatalf("deep cut: Reset left chunks in level %d bucket %d", level, idx)
+			}
+		}
+	}
+	if k.Pending() != 0 || len(k.overflow) != 0 {
+		t.Fatalf("deep cut: Reset left pending=%d overflow=%d", k.Pending(), len(k.overflow))
+	}
+	for c := k.free; c != nil; c = c.next {
+		for _, s := range c.ev {
+			if s.h != nil {
+				t.Fatal("deep cut: a pooled chunk still holds a handler")
+			}
+		}
+	}
+	again := seedDeep(k)
+	k.Run()
+	if !reflect.DeepEqual(again.trace, want.trace) {
+		t.Fatal("deep cut: reset kernel diverges from a fresh one")
 	}
 }
 

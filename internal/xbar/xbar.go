@@ -45,11 +45,6 @@ func DefaultConfig() Config {
 	}
 }
 
-type srcDstQueue struct {
-	msgs   sim.Fifo[*noc.Message]
-	active bool // head message is progressing through credit/token/transmit
-}
-
 // Crossbar implements noc.Network.
 type Crossbar struct {
 	noc.Endpoints // pool, delivery, injection epochs and counters
@@ -58,8 +53,11 @@ type Crossbar struct {
 	cfg Config
 	arb *arbiter.TokenRing
 
-	queues  [][]srcDstQueue // [src][dst]
-	credits noc.Credits     // per destination channel's receive buffer
+	// queues are the (src,dst) injection FIFOs, claimed by a pair's first
+	// Send; a queue's Flag marks its head progressing through
+	// credit/token/transmit.
+	queues  sim.PairQueues[*noc.Message]
+	credits noc.Credits // per destination channel's receive buffer
 
 	// BusyCycles accumulates channel occupancy for utilization reporting.
 	BusyCycles uint64
@@ -115,26 +113,18 @@ func New(k *sim.Kernel, cfg Config) *Crossbar {
 		k:         k,
 		cfg:       cfg,
 		arb:       arbiter.New(k, cfg.Clusters, cfg.Clusters, cfg.TokenSpeed),
-		queues:    make([][]srcDstQueue, cfg.Clusters),
+		queues:    sim.NewPairQueues[*noc.Message](cfg.Clusters),
 		credits:   noc.NewCredits("xbar", cfg.Clusters, cfg.RecvBuffer),
-	}
-	for i := range x.queues {
-		x.queues[i] = make([]srcDstQueue, cfg.Clusters)
 	}
 	return x
 }
 
 // Reset implements noc.Resetter: restore the construction state in place,
-// keeping the message pool and grown queue capacity. Delivery callbacks are
-// left installed; a reusing System overwrites them via SetDeliver.
+// keeping the message pool and grown queue capacity; only the pairs the run
+// claimed are touched. Delivery callbacks are left installed; a reusing
+// System overwrites them via SetDeliver.
 func (x *Crossbar) Reset() {
-	for src := range x.queues {
-		for dst := range x.queues[src] {
-			q := &x.queues[src][dst]
-			q.msgs.Reset()
-			q.active = false
-		}
-	}
+	x.queues.Reset()
 	x.credits.Reset()
 	x.Endpoints.Reset()
 	x.arb.Reset()
@@ -146,13 +136,13 @@ func (x *Crossbar) Reset() {
 // without the network, so src == dst panics.
 func (x *Crossbar) Send(m *noc.Message) bool {
 	x.Check(m)
-	q := &x.queues[m.Src][m.Dst]
-	if q.msgs.Len() >= x.cfg.InjectQueue {
+	q := x.queues.Claim(m.Src, m.Dst)
+	if q.Len() >= x.cfg.InjectQueue {
 		return false
 	}
-	q.msgs.Push(m)
-	if !q.active {
-		q.active = true
+	q.Push(m)
+	if !q.Flag {
+		q.Flag = true
 		x.advance(m.Src, m.Dst)
 	}
 	return true
@@ -172,9 +162,9 @@ func (x *Crossbar) Consume(cluster int, m *noc.Message) {
 // advance starts the head message of (src,dst) through the credit/token
 // pipeline.
 func (x *Crossbar) advance(src, dst int) {
-	q := &x.queues[src][dst]
-	if q.msgs.Empty() {
-		q.active = false
+	q := x.queues.Get(src, dst)
+	if q.Empty() {
+		q.Flag = false
 		return
 	}
 	// Step 1: acquire a receive-buffer credit at dst, or wait for one.
@@ -191,8 +181,7 @@ func (x *Crossbar) haveCredit(src, dst int) {
 // transmit is step 3: modulate the message onto the channel, release the
 // token with the message tail, and deliver after propagation.
 func (x *Crossbar) transmit(src, dst int) {
-	q := &x.queues[src][dst]
-	m := q.msgs.Pop()
+	m := x.queues.Get(src, dst).Pop()
 	x.SlotFreed(src)
 
 	tx := sim.Time((m.Size + x.cfg.BytesPerCycle - 1) / x.cfg.BytesPerCycle)
