@@ -472,3 +472,53 @@ func TestClientReusesMachinesAcrossJobs(t *testing.T) {
 		requireIdle(t, c, cc)
 	})
 }
+
+// TestParallelSweepPoolsOneMachinePerConfig: cells are claimed by
+// configuration, so a Submit of the paper matrix runs each configuration's
+// cells one at a time while other configurations have cells left, and its
+// tables equal WithWorkers(1)'s. On 2 workers no configuration's cells
+// outweigh the other four's, so the Client's pool ends with exactly one
+// machine per configuration, unless the host starves one worker for
+// several cells' time and its configuration falls behind until only its
+// cells remain: the 2-worker sweep gets three attempts. On 4 workers a
+// configuration whose cells take more than a quarter of the matrix's time
+// (a mesh column can) still has cells left when the others run out, and
+// the idle workers take them on extra machines rather than wait: the pool
+// then holds at least one each.
+func TestParallelSweepPoolsOneMachinePerConfig(t *testing.T) {
+	const requests = 2000
+	seq := NewSweep(requests, 42)
+	mustSweep(t, NewClient(WithWorkers(1)), seq)
+	// machines submits the matrix on a fresh Client of the given workers
+	// and returns how many machines its pool holds per configuration.
+	machines := func(workers int) []int {
+		c := NewClient(WithWorkers(workers))
+		s := NewSweep(requests, 42)
+		mustSweep(t, c, s)
+		if sweepTables(s) != sweepTables(seq) {
+			t.Fatalf("WithWorkers(%d) tables differ from sequential", workers)
+		}
+		idle := idleMachines(c)
+		if len(idle) != len(s.Configs) {
+			t.Fatalf("WithWorkers(%d): %d configurations have machines, want %d", workers, len(idle), len(s.Configs))
+		}
+		counts := make([]int, len(s.Configs))
+		for col, cfg := range s.Configs {
+			if counts[col] = len(idle[machineKey(cfg)]); counts[col] == 0 {
+				t.Fatalf("WithWorkers(%d): no %s machine in the pool", workers, cfg.Name())
+			}
+		}
+		return counts
+	}
+	for attempt := 1; ; attempt++ {
+		counts := machines(2)
+		if slices.Max(counts) == 1 {
+			break
+		}
+		if attempt == 3 {
+			t.Fatalf("WithWorkers(2): machines per configuration %v in each of %d attempts, want one each", counts, attempt)
+		}
+		t.Logf("WithWorkers(2) attempt %d: machines per configuration %v", attempt, counts)
+	}
+	t.Logf("WithWorkers(4): machines per configuration %v", machines(4))
+}

@@ -327,11 +327,17 @@ func (s *Sweep) run(ctx context.Context, c *Client, cache *resultCache, rowSeed 
 		done     int
 		firstErr error
 	)
-	NewPool(c.workers).Run(runCtx, n, func(k int) {
-		i := k
+	cell := func(k int) int {
 		if order != nil {
-			i = order[k]
+			return order[k]
 		}
+		return k
+	}
+	// Cells are grouped by column, so a configuration runs one cell at a
+	// time while there are other configurations' cells to run, and the
+	// sweep builds and pools one machine per configuration.
+	NewPool(c.workers).run(runCtx, n, func(k int) int { return cell(k) % nc }, true, func(k int) {
+		i := cell(k)
 		w, col := i/nc, i%nc
 		defer rows[w].release()
 		cfg, spec := s.Configs[col], s.Workloads[w]

@@ -8,13 +8,13 @@ import (
 	"sync"
 )
 
-// Pool executes independent jobs over a bounded set of workers with
-// deterministic static sharding: job i is always claimed by shard i mod W.
-// Because every job in this package is an independent, self-seeded
-// simulation, the assignment only affects wall-clock time — never results —
-// but keeping it static makes scheduling reproducible too (a given shard
-// always executes the same cells in the same order, which is useful when
-// profiling or bisecting a single worker's workload).
+// Pool executes independent jobs over a bounded set of workers that claim
+// them one at a time. Every job belongs to a group, and a free worker takes
+// the lowest-index unclaimed job whose group no other worker is running;
+// jobs of one group therefore start in index order and, while other groups
+// have jobs left, one at a time. Because every job in this package is an
+// independent, self-seeded simulation placed by index, the schedule only
+// affects wall-clock time and memory — never results.
 type Pool struct {
 	workers int
 }
@@ -33,27 +33,44 @@ func NewPool(n int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Run executes job(0) .. job(n-1) across the pool and returns when all have
-// finished or ctx is done. Shard k runs jobs k, k+W, k+2W, ... in increasing
-// order; once ctx is canceled, shards stop claiming new jobs and the pool
+// finished or ctx is done. Job i belongs to shard i mod W and a shard's
+// jobs never overlap, so each shard runs k, k+W, k+2W, ... in order, one at
+// a time: state a caller keeps per shard is never shared by two running
+// jobs. Once ctx is canceled, workers stop claiming new jobs and the pool
 // drains — already-running jobs finish (or observe the cancellation
 // themselves) before Run returns, so no job is ever abandoned mid-flight on
 // a live goroutine. A nil ctx means "never canceled". A panic in any job is
 // captured and re-raised on the caller's goroutine once the workers drain.
 func (p *Pool) Run(ctx context.Context, n int, job func(i int)) {
+	w := min(p.workers, n)
+	p.run(ctx, n, func(i int) int { return i % w }, false, job)
+}
+
+// run is the one claim loop. group(i) names job i's group, and a free
+// worker takes the lowest-index unclaimed job whose group no other worker
+// is running. When every remaining job's group is busy, spill lets the
+// worker take the lowest unclaimed job anyway, so no worker idles while
+// work remains; without spill the worker retires, as a shard with no jobs
+// left would. With at least as many groups as workers, a spill happens
+// only at the tail, once the other groups have run out of jobs.
+func (p *Pool) run(ctx context.Context, n int, group func(i int) int, spill bool, job func(i int)) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
+	c := &claims{taken: make([]bool, n), busy: make(map[int]int), group: group, spill: spill}
+	work := func() {
+		for ctx.Err() == nil {
+			i, ok := c.claim()
+			if !ok {
 				return
 			}
 			job(i)
+			c.release(i)
 		}
+	}
+	w := min(p.workers, n)
+	if w <= 1 {
+		work()
 		return
 	}
 	var (
@@ -63,25 +80,65 @@ func (p *Pool) Run(ctx context.Context, n int, job func(i int)) {
 	)
 	for k := 0; k < w; k++ {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicOnce.Do(func() { panicked = r })
 				}
 			}()
-			for i := k; i < n; i += w {
-				if ctx.Err() != nil {
-					return
-				}
-				job(i)
-			}
-		}(k)
+			work()
+		}()
 	}
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// claims is a pool run's shared claim state. A job that panics never
+// releases its group, so its worker's group stays busy for the rest of the
+// run.
+type claims struct {
+	mu    sync.Mutex
+	taken []bool      // claimed jobs
+	lo    int         // every job below lo is claimed
+	busy  map[int]int // running jobs per group
+	group func(i int) int
+	spill bool
+}
+
+// claim marks and returns the next job for a free worker, or false when
+// none is left for it.
+func (c *claims) claim() (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.lo < len(c.taken) && c.taken[c.lo] {
+		c.lo++
+	}
+	pick := -1
+	for i := c.lo; i < len(c.taken); i++ {
+		if !c.taken[i] && c.busy[c.group(i)] == 0 {
+			pick = i
+			break
+		}
+	}
+	if pick < 0 {
+		if !c.spill || c.lo == len(c.taken) {
+			return 0, false
+		}
+		pick = c.lo
+	}
+	c.taken[pick] = true
+	c.busy[c.group(pick)]++
+	return pick, true
+}
+
+// release ends job i's claim on its group.
+func (c *claims) release(i int) {
+	c.mu.Lock()
+	c.busy[c.group(i)]--
+	c.mu.Unlock()
 }
 
 // CellSeed derives the RNG seed for a sweep cell from the sweep's base seed

@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"corona/internal/config"
 )
@@ -35,27 +37,138 @@ func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestPoolStaticSharding(t *testing.T) {
-	// Job i must be claimed by shard i mod W, and each shard must see its
-	// jobs in increasing order.
-	// Shard k runs its residue class k, k+w, k+2w... strictly in order, so
-	// the arrival order recorded per class must be increasing.
-	const n, w = 40, 4
-	var mu sync.Mutex
-	perShard := map[int][]int{}
-	NewPool(w).Run(context.Background(), n, func(i int) {
-		mu.Lock()
-		perShard[i%w] = append(perShard[i%w], i)
-		mu.Unlock()
-	})
-	for shard, jobs := range perShard {
-		for k := 1; k < len(jobs); k++ {
-			if jobs[k] <= jobs[k-1] {
-				t.Fatalf("shard %d saw jobs out of order: %v", shard, jobs)
-			}
+// roundBarrier holds every job until w are running, then lets that round
+// go and records the groups it held. A round that never fills (a worker
+// idling while work remains) breaks the barrier after a timeout instead of
+// hanging the test, and every later wait fails at once.
+type roundBarrier struct {
+	mu      sync.Mutex
+	w       int
+	groups  []int
+	rounds  [][]int
+	release chan struct{}
+	broken  bool
+}
+
+func newRoundBarrier(w int) *roundBarrier {
+	return &roundBarrier{w: w, release: make(chan struct{})}
+}
+
+func (b *roundBarrier) wait(group int) bool {
+	b.mu.Lock()
+	if b.broken {
+		b.mu.Unlock()
+		return false
+	}
+	ch := b.release
+	if b.groups = append(b.groups, group); len(b.groups) == b.w {
+		b.rounds = append(b.rounds, b.groups)
+		b.groups = nil
+		b.release = make(chan struct{})
+		close(ch)
+	}
+	b.mu.Unlock()
+	select {
+	case <-ch:
+		return true
+	//lint:allow determinism a wall-clock bound on a test barrier that never fills, not simulation timing
+	case <-time.After(10 * time.Second):
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if !b.broken {
+			b.broken = true
+			close(b.release)
 		}
-		if len(jobs) != n/w {
-			t.Fatalf("shard %d ran %d jobs, want %d", shard, len(jobs), n/w)
+		return false
+	}
+}
+
+// TestPoolClaimsByGroup pins the claim rule with jobs that block until the
+// pool's W workers are all running one: every job runs once, running jobs
+// never share a group while there are at least as many groups as workers,
+// and with fewer groups a worker takes a busy group's job instead of
+// idling. Run's shards (i mod W) are groups that never share.
+func TestPoolClaimsByGroup(t *testing.T) {
+	const w = 4
+	cases := []struct {
+		name   string
+		groups int
+		group  func(i int) int
+		shards bool // through Run, whose groups are the shards
+		shared bool // a round may hold two jobs of one group
+	}{
+		// Neighbours share a group, so taking jobs in plain index order
+		// would run two of one group at once.
+		{name: "groups=workers", groups: w, group: func(i int) int { return i / 2 % w }},
+		{name: "groups>workers", groups: 2*w + 1, group: func(i int) int { return i % (2*w + 1) }},
+		{name: "groups<workers", groups: 2, group: func(i int) int { return i % 2 }, shared: true},
+		{name: "Run", groups: w, group: func(i int) int { return i % w }, shards: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 12 * w
+			counts := make([]int32, n)
+			var mu sync.Mutex
+			started := make([][]int, tc.groups) // per group, in start order
+			b := newRoundBarrier(w)
+			job := func(i int) {
+				atomic.AddInt32(&counts[i], 1)
+				mu.Lock()
+				started[tc.group(i)] = append(started[tc.group(i)], i)
+				mu.Unlock()
+				if !b.wait(tc.group(i)) {
+					t.Errorf("job %d: the pool never had %d jobs running", i, w)
+				}
+			}
+			if tc.shards {
+				NewPool(w).Run(context.Background(), n, job)
+			} else {
+				NewPool(w).run(context.Background(), n, tc.group, true, job)
+			}
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("job %d ran %d times", i, c)
+				}
+			}
+			if len(b.rounds) != n/w {
+				t.Fatalf("%d full rounds, want %d", len(b.rounds), n/w)
+			}
+			for g, jobs := range started {
+				if !tc.shared && !sort.IntsAreSorted(jobs) {
+					t.Fatalf("group %d started its jobs out of order: %v", g, jobs)
+				}
+			}
+			for r, round := range b.rounds {
+				seen := map[int]bool{}
+				for _, g := range round {
+					if seen[g] && !tc.shared {
+						t.Fatalf("round %d ran two jobs of group %d: %v", r, g, round)
+					}
+					seen[g] = true
+				}
+				if tc.shared && len(seen) != tc.groups {
+					t.Fatalf("round %d ran groups %v, want all %d", r, round, tc.groups)
+				}
+			}
+		})
+	}
+}
+
+// TestPoolCancelStopsClaiming: once ctx is canceled no worker claims
+// another job, and Run returns only after the running ones finish.
+func TestPoolCancelStopsClaiming(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started, finished atomic.Int32
+		NewPool(workers).run(ctx, 100, func(i int) int { return i % 5 }, true, func(i int) {
+			if started.Add(1) == 10 {
+				cancel()
+			}
+			finished.Add(1)
+		})
+		cancel()
+		if s, f := started.Load(), finished.Load(); s != f || s < 10 || s >= 10+int32(workers) {
+			t.Fatalf("workers=%d: %d jobs started and %d finished after a cancel at the 10th", workers, s, f)
 		}
 	}
 }

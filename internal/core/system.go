@@ -22,11 +22,12 @@
 //
 // Sweep is the experiment matrix behind the figures, and a Client is the
 // one way to run it. The engine fans the independent (configuration,
-// workload) cells out over the Client's bounded, statically sharded worker
-// pool (Pool) with derived per-workload seeds (CellSeed), its optional
-// on-disk result cache and its pool of reset-in-place machines, producing
-// tables that are byte-identical for every worker count; the scheme and its
-// guarantee are documented in docs/DETERMINISM.md.
+// workload) cells out over the Client's bounded worker pool (Pool), whose
+// workers claim cells so that no two run one configuration at once while
+// others have cells left, with derived per-workload seeds (CellSeed), its
+// optional on-disk result cache and its pool of reset-in-place machines,
+// producing tables that are byte-identical for every worker count; the
+// scheme and its guarantee are documented in docs/DETERMINISM.md.
 //
 // Execution is context-aware end to end: every run takes a context.Context
 // and returns (Result, error) — invalid input is a *ConfigError, a stopped

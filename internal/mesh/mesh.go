@@ -106,6 +106,7 @@ type outPort struct {
 	q         [numClasses]sim.Fifo[uint32] // arena indices
 	credits   [numClasses]int
 	rr        int
+	used      bool // queued a packet since the last Reset
 }
 
 // Mesh implements noc.Network.
@@ -114,7 +115,6 @@ type Mesh struct {
 
 	k   *sim.Kernel
 	cfg Config
-	n   int
 
 	// col and row are each router's coordinates, for routing and Hops;
 	// step is the router-index offset of the neighbour behind each link
@@ -127,6 +127,13 @@ type Mesh struct {
 	// the per-hop pipeline pays a single bounds check and no pointer chase
 	// per port access.
 	ports []outPort
+	// used lists the ports that queued a packet since the last Reset. Every
+	// other port change (a grant, a wake, a returned credit) follows a
+	// packet queued there, so these are the only ports Reset restores.
+	used []int32
+	// credits is a port's per-class credit count at construction, by
+	// direction.
+	credits [numDirs]int
 	// injectCount tracks packets still in their source's injection queue
 	// per cluster per class against InjectQueue, laid out cluster-major
 	// (cluster*numClasses + class).
@@ -242,8 +249,19 @@ func (m *Mesh) hop(idx uint64) {
 	r := p.at.router + m.step[p.at.d]
 	p.up = packRef(p.at)
 	p.at = portRef{r, m.toward(r, p.dst)}
-	m.port(r, p.at.d).q[p.class].Push(uint32(idx))
+	m.push(p.at, p.class, idx)
 	m.tryGrant(p.at)
+}
+
+// push queues packet idx of class at port ref, recording the port as used.
+func (m *Mesh) push(ref portRef, class int, idx uint64) {
+	i := ref.router*int(numDirs) + int(ref.d)
+	port := &m.ports[i]
+	if !port.used {
+		port.used = true
+		m.used = append(m.used, int32(i))
+	}
+	port.q[class].Push(uint32(idx))
 }
 
 // ejectEvent delivers a packet's tail into the destination hub. The packet
@@ -276,7 +294,6 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 		Endpoints:   noc.NewEndpoints(k, cfg.Name, n),
 		k:           k,
 		cfg:         cfg,
-		n:           n,
 		ports:       make([]outPort, n*int(numDirs)),
 		injectCount: make([]int, n*numClasses),
 		col:         make([]int, n),
@@ -285,40 +302,39 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 	}
 	for r := 0; r < n; r++ {
 		m.col[r], m.row[r] = r%cfg.Width, r/cfg.Width
-		for d := dir(0); d < numDirs; d++ {
-			for c := 0; c < numClasses; c++ {
-				if d == dirEject {
-					// Eject credits are shared across classes through the
-					// hub's receive buffer; split the pool evenly.
-					m.port(r, d).credits[c] = cfg.RecvBuffer / numClasses
-				} else {
-					m.port(r, d).credits[c] = cfg.LinkBuffer
-				}
-			}
-		}
+	}
+	for d := range m.credits {
+		m.credits[d] = cfg.LinkBuffer
+	}
+	// Eject credits are shared across classes through the hub's receive
+	// buffer; split the pool evenly.
+	m.credits[dirEject] = cfg.RecvBuffer / numClasses
+	for i := range m.ports {
+		m.ports[i].reset(m.credits[i%int(numDirs)])
 	}
 	return m
 }
 
+// reset restores the port to its construction state with the given
+// credits per class, keeping its queues' grown capacity.
+func (p *outPort) reset(credits int) {
+	p.busyUntil, p.wakeAt, p.wakeSet, p.rr, p.used = 0, 0, false, 0, false
+	for c := range p.q {
+		p.q[c].Reset()
+		p.credits[c] = credits
+	}
+}
+
 // Reset implements noc.Resetter: restore the construction state in place,
-// keeping the message pool, packet arena, and grown queue capacity. Delivery
+// keeping the message pool, packet arena, and grown queue capacity. Only
+// the ports the last cell queued packets on are touched. Delivery
 // callbacks are left installed; a reusing System overwrites them via
 // SetDeliver.
 func (m *Mesh) Reset() {
-	for r := 0; r < m.n; r++ {
-		for d := dir(0); d < numDirs; d++ {
-			p := m.port(r, d)
-			p.busyUntil, p.wakeAt, p.wakeSet, p.rr = 0, 0, false, 0
-			for c := 0; c < numClasses; c++ {
-				p.q[c].Reset()
-				if d == dirEject {
-					p.credits[c] = m.cfg.RecvBuffer / numClasses
-				} else {
-					p.credits[c] = m.cfg.LinkBuffer
-				}
-			}
-		}
+	for _, i := range m.used {
+		m.ports[i].reset(m.credits[i%int32(numDirs)])
 	}
+	m.used = m.used[:0]
 	clear(m.injectCount)
 	m.pkts.Reset()
 	m.Endpoints.Reset()
@@ -374,7 +390,7 @@ func (m *Mesh) Send(msg *noc.Message) bool {
 	if idx > maxTailSlot {
 		panic(fmt.Sprintf("mesh: %d packets in flight exceed the tail event's index field", idx+1))
 	}
-	m.port(first.router, first.d).q[cl].Push(uint32(idx))
+	m.push(first, cl, idx)
 	m.tryGrant(first)
 	return true
 }

@@ -96,8 +96,8 @@ func TestTowardMatchesRoute(t *testing.T) {
 	tall.Width, tall.Height = 4, 16
 	for _, cfg := range []Config{HMeshConfig(), tall} {
 		m := New(sim.NewKernel(), cfg)
-		for src := 0; src < m.n; src++ {
-			for dst := 0; dst < m.n; dst++ {
+		for src := 0; src < m.Clusters(); src++ {
+			for dst := 0; dst < m.Clusters(); dst++ {
 				got, want := walk(m, src, dst), route(cfg, src, dst)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%dx%d %d->%d: toward walks %v, route gives %v",

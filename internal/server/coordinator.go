@@ -402,8 +402,10 @@ func (q *cellQueue) release(l *lease, err error) bool {
 }
 
 // splitShards chunks the (ascending) indices into at most n contiguous,
-// near-equal runs — the static sharding a fleet inherits from the sweep
-// engine: which worker owns a cell affects wall-clock only, never results.
+// near-equal runs, one first lease per worker; the cell queue re-leases
+// what a worker leaves. As in the sweep engine, whose workers claim cells
+// by configuration, which worker runs a cell affects wall-clock only,
+// never results.
 func splitShards(indices []int, n int) [][]int {
 	n = min(n, len(indices))
 	shards := make([][]int, 0, n)

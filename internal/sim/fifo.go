@@ -41,7 +41,9 @@ func (q *Fifo[T]) Front() T { return q.buf[q.head] }
 // the buffer, at a cost proportional to the queue's contents rather than
 // its peak depth.
 func (q *Fifo[T]) Reset() {
-	clear(q.buf[q.head:])
+	if q.head < len(q.buf) {
+		clear(q.buf[q.head:])
+	}
 	q.buf = q.buf[:0]
 	q.head = 0
 }
