@@ -154,9 +154,11 @@ func TestBarrierArrivalWhilePulsePendingPanics(t *testing.T) {
 	b.Broadcast(&noc.Message{ID: 1, Src: 3, Dst: -1, Size: 1600, Kind: noc.KindInvalidate})
 	b.Broadcast(&noc.Message{ID: 2, Src: 5, Dst: -1, Size: 16, Kind: noc.KindInvalidate})
 	br.Arrive(5, nil)
-	k.RunUntil(50)
+	// Run every event through cycle 50, then stop.
+	k.AtEvent(51, funcEvent(k.Stop), 0)
+	k.Run()
 	if br.waiting[5] || br.pending[5] == nil {
-		t.Fatalf("at cycle 50 cluster 5 waiting=%v, pulse pending=%v; want released with its pulse pending",
+		t.Fatalf("after cycle 50 cluster 5 waiting=%v, pulse pending=%v; want released with its pulse pending",
 			br.waiting[5], br.pending[5] != nil)
 	}
 	defer func() {

@@ -167,34 +167,6 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Invalidate drops addr's line if present, returning whether it was present
-// and whether it was dirty (needing a writeback in MOESI's O/M states).
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			present, dirty = true, lines[i].dirty
-			lines[i] = line{}
-			return present, dirty
-		}
-	}
-	return false, false
-}
-
-// Occupancy returns the fraction of valid lines (0..1).
-func (c *Cache) Occupancy() float64 {
-	var valid int
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.valid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(len(c.sets)*c.cfg.Ways)
-}
-
 // Reset returns the cache to its just-constructed state (all lines invalid,
 // counters zero), reusing the backing array.
 func (c *Cache) Reset() {

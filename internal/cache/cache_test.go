@@ -85,22 +85,6 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(L1DConfig())
-	c.Access(0x40, true)
-	present, dirty := c.Invalidate(0x40)
-	if !present || !dirty {
-		t.Fatalf("Invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
-	if c.Contains(0x40) {
-		t.Fatal("line survives invalidation")
-	}
-	present, _ = c.Invalidate(0x40)
-	if present {
-		t.Fatal("double invalidation reported present")
-	}
-}
-
 func TestContainsDoesNotTouchLRU(t *testing.T) {
 	c := New(Config{Name: "t", SizeBytes: 2 * 64, Ways: 2, LineBytes: 64})
 	c.Access(0<<6, false)
@@ -109,17 +93,6 @@ func TestContainsDoesNotTouchLRU(t *testing.T) {
 	r := c.Access(2<<6, false)
 	if r.VictimAddr != 0<<6 {
 		t.Errorf("victim = %#x, want %#x (Contains must not refresh LRU)", r.VictimAddr, 0<<6)
-	}
-}
-
-func TestOccupancy(t *testing.T) {
-	c := New(Config{Name: "t", SizeBytes: 4 * 64, Ways: 2, LineBytes: 64})
-	if c.Occupancy() != 0 {
-		t.Fatal("empty cache occupancy != 0")
-	}
-	c.Access(0, false)
-	if got := c.Occupancy(); got != 0.25 {
-		t.Fatalf("occupancy = %v, want 0.25", got)
 	}
 }
 

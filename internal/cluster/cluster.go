@@ -24,7 +24,6 @@ const (
 	CoresPerCluster   = 4
 	ThreadsPerCore    = 4
 	ThreadsPerCluster = CoresPerCluster * ThreadsPerCore
-	IssueWidth        = 2
 	SIMDWidth         = 4 // 64 b floating point SIMD lanes
 	FrequencyGHz      = 5
 )

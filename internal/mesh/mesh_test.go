@@ -497,6 +497,12 @@ func (p *pumper) OnEvent(_ sim.Time, src uint64) {
 	p.k.ScheduleEvent(2, p, src)
 }
 
+// stopEvent ends a saturation run: scheduled at horizon+1 before any traffic
+// lands there, it lets every event through the horizon run, then stops.
+type stopEvent struct{ k *sim.Kernel }
+
+func (s stopEvent) OnEvent(sim.Time, uint64) { s.k.Stop() }
+
 func TestMeshVsXBarShapedBandwidth(t *testing.T) {
 	// Saturate the bisection with uniform random traffic: HMesh should move
 	// roughly twice the bytes LMesh does in the same horizon.
@@ -515,8 +521,8 @@ func TestMeshVsXBarShapedBandwidth(t *testing.T) {
 		for c := 0; c < 64; c++ {
 			p.OnEvent(0, uint64(c))
 		}
-		k.RunUntil(4000)
-		k.Stop()
+		k.AtEvent(4001, stopEvent{k}, 0)
+		k.Run()
 		return bytes
 	}
 	hb := run(HMeshConfig())

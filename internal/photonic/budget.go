@@ -5,8 +5,6 @@ import (
 	"math"
 )
 
-func dbmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
-func mwToDBm(mw float64) float64  { return 10 * math.Log10(mw) }
 func fractionToDB(f float64) float64 {
 	if f <= 0 {
 		return math.Inf(1)
@@ -51,12 +49,6 @@ func (b *LinkBudget) MarginDB() float64 { return b.ReceivedDBm() - b.Sensitivity
 
 // Closes reports whether the link budget closes.
 func (b *LinkBudget) Closes() bool { return b.MarginDB() >= 0 }
-
-// RequiredLaunchDBm returns the minimum per-wavelength laser power for the
-// budget to close with the given margin.
-func (b *LinkBudget) RequiredLaunchDBm(marginDB float64) float64 {
-	return b.SensitivityDBm + b.TotalLossDB() + marginDB
-}
 
 // String renders the budget as a small report.
 func (b *LinkBudget) String() string {

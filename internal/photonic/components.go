@@ -1,15 +1,15 @@
-// Package photonic models the nanophotonic building blocks of Section 2 of
-// the paper — ring resonators, waveguides, splitters, and mode-locked comb
-// lasers — at the analytic level the architecture needs: device counts
-// (Table 2), optical loss/laser power budgets, and propagation timing.
+// Package photonic derives what Corona's architecture needs from the
+// nanophotonic devices of Section 2 of the paper, at the analytic level:
+// device counts (Table 2), optical loss/laser power budgets, ring yield,
+// and propagation timing. Waveguides and splitters are modelled as types;
+// ring resonators, comb lasers and the optical clock enter only through
+// the constants below and the geometry's 8-clock serpentine.
 //
 // No electromagnetic simulation is performed; the paper itself treats these
 // devices through a handful of constants (2–3 dB/cm waveguide loss, 10 Gb/s
 // per wavelength, 64-wavelength combs, 2 cm of waveguide per 5 GHz clock),
 // and those constants are what the interconnect models consume.
 package photonic
-
-import "fmt"
 
 // Physical and architectural constants from Sections 2–3 of the paper.
 const (
@@ -44,50 +44,6 @@ const (
 	// CouplerLossDB is the fiber-to-stack coupling loss for off-stack links.
 	CouplerLossDB = 1.0
 )
-
-// RingRole distinguishes the three uses of a ring resonator (Figure 1).
-type RingRole uint8
-
-// Ring resonator roles.
-const (
-	RoleModulator RingRole = iota // encodes data onto a CW wavelength
-	RoleInjector                  // diverts a wavelength between waveguides
-	RoleDetector                  // absorbs a wavelength into a SiGe junction
-)
-
-// String names the role.
-func (r RingRole) String() string {
-	switch r {
-	case RoleModulator:
-		return "modulator"
-	case RoleInjector:
-		return "injector"
-	case RoleDetector:
-		return "detector"
-	default:
-		return fmt.Sprintf("role(%d)", uint8(r))
-	}
-}
-
-// Ring is a ring resonator tuned to one wavelength index within a comb.
-// Bringing it on resonance couples its wavelength; off resonance the
-// wavelength passes by (Figure 1a/b).
-type Ring struct {
-	Role        RingRole
-	Wavelength  int // index within the 64-wavelength comb
-	onResonance bool
-}
-
-// SetResonance tunes the ring on or off resonance (charge injection in the
-// real device).
-func (r *Ring) SetResonance(on bool) { r.onResonance = on }
-
-// OnResonance reports whether the ring is currently resonant.
-func (r *Ring) OnResonance() bool { return r.onResonance }
-
-// Couples reports whether the ring interacts with wavelength w: it must be
-// resonant and tuned to w.
-func (r *Ring) Couples(w int) bool { return r.onResonance && r.Wavelength == w }
 
 // Waveguide is a length of on-stack silicon waveguide.
 type Waveguide struct {
@@ -130,19 +86,6 @@ func (w Waveguide) LossDB(splitTap float64) float64 {
 	return loss
 }
 
-// Laser is an on-stack mode-locked comb laser feeding power waveguides.
-type Laser struct {
-	// Wavelengths in the comb (64 per laser, Section 2).
-	Wavelengths int
-	// PowerPerWavelengthDBm is the launched power per wavelength.
-	PowerPerWavelengthDBm float64
-}
-
-// TotalPowerMW returns the total launched optical power in milliwatts.
-func (l Laser) TotalPowerMW() float64 {
-	return float64(l.Wavelengths) * dbmToMW(l.PowerPerWavelengthDBm)
-}
-
 // Splitter is a broadband splitter diverting Tap of the incoming power of
 // all wavelengths onto a branch waveguide (Section 2's final component).
 type Splitter struct {
@@ -152,9 +95,4 @@ type Splitter struct {
 // BranchLossDB is the loss seen by the diverted branch relative to input.
 func (s Splitter) BranchLossDB() float64 {
 	return SplitterExcessLossDB + fractionToDB(s.Tap)
-}
-
-// ThroughLossDB is the loss seen by the continuing trunk.
-func (s Splitter) ThroughLossDB() float64 {
-	return SplitterExcessLossDB + fractionToDB(1-s.Tap)
 }

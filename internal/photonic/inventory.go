@@ -1,6 +1,10 @@
 package photonic
 
-import "corona/internal/stats"
+import (
+	"strconv"
+
+	"corona/internal/stats"
+)
 
 // Geometry captures the architectural parameters the optical inventory and
 // timing derive from (Sections 3.2–3.3).
@@ -111,45 +115,18 @@ func InventoryTable(g Geometry) *stats.Table {
 	tab := stats.NewTable("Photonic Subsystem", "Waveguides", "Ring Resonators")
 	inv := Inventory(g)
 	for _, s := range inv {
-		tab.AddRow(s.Name, itoa(s.Waveguides), ringCount(s.Rings))
+		tab.AddRow(s.Name, strconv.Itoa(s.Waveguides), ringCount(s.Rings))
 	}
 	t := InventoryTotal(inv)
-	tab.AddRow(t.Name, itoa(t.Waveguides), "~ "+ringCount(t.Rings))
+	tab.AddRow(t.Name, strconv.Itoa(t.Waveguides), "~ "+ringCount(t.Rings))
 	return tab
 }
 
-func itoa(v int) string {
-	// small helper to avoid strconv import churn at call sites
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// ringCount formats a ring count the way the paper does (K = 1024).
+// ringCount formats a ring count the way the paper does (K = 1024), rounding
+// to the nearest K as its "≈ 1056 K" does.
 func ringCount(v int) string {
 	if v >= 1024 && v%64 == 0 {
-		k := v / 1024
-		if v%1024 != 0 {
-			// round to nearest K as the paper's "≈ 1056 K" does
-			k = (v + 512) / 1024
-		}
-		return itoa(k) + " K"
+		return strconv.Itoa((v+512)/1024) + " K"
 	}
-	return itoa(v)
+	return strconv.Itoa(v)
 }

@@ -99,56 +99,16 @@ func TestWaveguideLoss(t *testing.T) {
 	}
 }
 
-func TestRingResonance(t *testing.T) {
-	r := Ring{Role: RoleModulator, Wavelength: 5}
-	if r.Couples(5) {
-		t.Error("off-resonance ring must not couple")
-	}
-	r.SetResonance(true)
-	if !r.Couples(5) {
-		t.Error("on-resonance ring must couple its wavelength")
-	}
-	if r.Couples(6) {
-		t.Error("ring must not couple other wavelengths")
-	}
-	if !r.OnResonance() {
-		t.Error("OnResonance should be true")
-	}
-}
-
-func TestRingRoleString(t *testing.T) {
-	if RoleModulator.String() != "modulator" || RoleInjector.String() != "injector" ||
-		RoleDetector.String() != "detector" {
-		t.Error("role names wrong")
-	}
-	if !strings.HasPrefix(RingRole(9).String(), "role(") {
-		t.Error("unknown role should format numerically")
-	}
-}
-
 func TestSplitterLosses(t *testing.T) {
 	s := Splitter{Tap: 0.5}
 	// A 50/50 splitter loses ~3 dB on each side plus excess.
 	if math.Abs(s.BranchLossDB()-(SplitterExcessLossDB+3.0103)) > 0.01 {
 		t.Errorf("BranchLossDB = %v", s.BranchLossDB())
 	}
-	if math.Abs(s.ThroughLossDB()-s.BranchLossDB()) > 1e-9 {
-		t.Errorf("50/50 splitter should be symmetric")
-	}
-	// Small tap: branch lossy, trunk nearly transparent.
+	// Small tap: the branch is lossy.
 	small := Splitter{Tap: 0.01}
 	if small.BranchLossDB() < 19 {
 		t.Errorf("1%% tap branch loss = %v, want ~20 dB", small.BranchLossDB())
-	}
-	if small.ThroughLossDB() > 0.2 {
-		t.Errorf("1%% tap through loss = %v, want < 0.2 dB", small.ThroughLossDB())
-	}
-}
-
-func TestLaserPower(t *testing.T) {
-	l := Laser{Wavelengths: 64, PowerPerWavelengthDBm: 0} // 1 mW per λ
-	if math.Abs(l.TotalPowerMW()-64) > 1e-9 {
-		t.Errorf("TotalPowerMW = %v, want 64", l.TotalPowerMW())
 	}
 }
 
@@ -167,9 +127,6 @@ func TestLinkBudgetArithmetic(t *testing.T) {
 	}
 	if !b.Closes() {
 		t.Error("budget should close")
-	}
-	if got := b.RequiredLaunchDBm(3); got != -5 {
-		t.Errorf("RequiredLaunchDBm = %v, want -5", got)
 	}
 	if !strings.Contains(b.String(), "margin") {
 		t.Error("String() should include margin")
@@ -227,5 +184,9 @@ func TestRingCountFormatting(t *testing.T) {
 	}
 	if ringCount(1048576) != "1024 K" {
 		t.Errorf("ringCount(1048576) = %q", ringCount(1048576))
+	}
+	// Table 2's total, 1056.0625 K, rounds to the paper's "1056 K".
+	if ringCount(1081408) != "1056 K" {
+		t.Errorf("ringCount(1081408) = %q", ringCount(1081408))
 	}
 }

@@ -8,14 +8,17 @@
 // deterministic for a given seed.
 //
 // The scheduler is a hierarchical time wheel (calendar queue) with an
-// overflow heap. Every wheel bucket is a FIFO of event values held in
-// fixed-size chunks drawn from a per-kernel free list: a level-0 bucket
-// holds exactly one timestamp, so dispatch reads its events sequentially
-// from one chunk after another, and steady-state scheduling allocates
-// nothing. Both ScheduleEvent and Step are O(1) for the near-future events
-// that dominate cycle-accurate models. Every event is a typed Handler plus a
-// data word. The layout, the ordering guarantee, and its measured cost are
-// documented in docs/PERFORMANCE.md.
+// overflow heap. The clock always lies in the level-0 window of 256
+// one-cycle buckets, and the heap holds only events beyond the wheel's
+// 2^24-cycle horizon, so events dispatch from the wheel alone; the heap
+// refills it when dispatch rolls past the horizon. Every wheel bucket is a
+// FIFO of event values held in fixed-size chunks drawn from a per-kernel
+// free list: a level-0 bucket holds exactly one timestamp, so dispatch reads
+// its events sequentially from one chunk after another, and steady-state
+// scheduling allocates nothing. Both ScheduleEvent and Step are O(1) for the
+// near-future events that dominate cycle-accurate models. Every event is a
+// typed Handler plus a data word. The layout, the ordering guarantee, and
+// its measured cost are documented in docs/PERFORMANCE.md.
 package sim
 
 import (
@@ -149,7 +152,10 @@ type Kernel struct {
 
 	// base is the start of the level-0 window, always span0-aligned. The
 	// level-1 and level-2 spans containing it are base &^ (span1-1) and
-	// base &^ (span2-1).
+	// base &^ (span2-1). Only advance moves it, and only dispatch (which
+	// then sets the clock inside the new window) calls advance, so
+	// base <= now < base+span0 whenever a handler runs or the kernel is
+	// idle between calls.
 	base    Time
 	levels  [wheelLevels]wheelLevel
 	pending int // events resident in the wheel levels and the overflow heap
@@ -159,9 +165,9 @@ type Kernel struct {
 	// has advanced to the found bucket); it resets to zero whenever base moves.
 	cur0 int
 
-	// overflow holds events beyond the wheel's current 2^24-cycle horizon,
-	// ordered by (when, seq); it refills the wheel when dispatch rolls past
-	// the horizon.
+	// overflow holds only events at or past the end of the current level-2
+	// span (the wheel's 2^24-cycle horizon), ordered by (when, seq); it
+	// refills the wheel when dispatch rolls past the horizon.
 	overflow []heapEvent
 
 	// free heads the list of pooled chunks, reused by every bucket.
@@ -217,8 +223,8 @@ func (k *Kernel) AtEvent(t Time, h Handler, data uint64) {
 	}
 	k.seq++
 	k.pending++
-	// Near-future events dominate: t-base underflows huge for t < base, so
-	// one unsigned compare selects the level-0 window.
+	// Near-future events dominate: t >= now >= base, so one unsigned
+	// compare selects the level-0 window.
 	if t-k.base < span0 {
 		idx := int(t) & wheelMask
 		// An occupied bucket with room in its tail chunk — most schedules
@@ -244,13 +250,6 @@ func (k *Kernel) badEvent(t Time, h Handler) {
 
 // schedule files a new event that is not in the level-0 window.
 func (k *Kernel) schedule(ev event) {
-	if k.pending == 1 {
-		// The kernel was empty: snap the window back to the clock so a run
-		// that coasted far ahead (RunUntil past the last event) does not
-		// strand near-future work in the overflow heap.
-		k.base = k.now &^ (span0 - 1)
-		k.cur0 = 0
-	}
 	if !k.place(ev) {
 		k.heapPush(heapEvent{ev, k.seq})
 	}
@@ -261,23 +260,16 @@ func (k *Kernel) schedule(ev event) {
 // overflow heap. Spans are aligned, which is what makes bucket order
 // dispatch order: a timestamp enters the wheel only at its span's
 // refill/cascade boundary or later, so every append lands behind all
-// earlier-scheduled events for the same cycle.
-//
-// A timestamp below the window (possible when peek cascaded the window past
-// the clock and the next schedule lands in the gap) goes to the overflow
-// heap, which dispatch checks before the wheel; it cannot tie with a wheel
-// event, whose timestamps are all >= base.
+// earlier-scheduled events for the same cycle. ev.when is never below base:
+// a new event is at or after the clock, which lies in the window, and advance
+// refiles only events at or after the window it moved to.
 func (k *Kernel) place(ev event) bool {
 	when := ev.when
-	// when-base underflows huge for when < base, so this one compare also
-	// excludes the below-window case.
 	if when-k.base < span0 {
 		k.push(0, int(when)&wheelMask, ev)
 		return true
 	}
 	switch {
-	case when < k.base:
-		return false
 	case when < (k.base&^(span1-1))+span1:
 		k.push(1, int(when>>wheelBits)&wheelMask, ev)
 	case when < (k.base&^(span2-1))+span2:
@@ -393,23 +385,6 @@ func (k *Kernel) scan0() (int, bool) {
 	return 0, false
 }
 
-// peek returns the earliest pending timestamp without dispatching. It may
-// advance the wheel window (cascade/refill), which never reorders events.
-func (k *Kernel) peek() (Time, bool) {
-	if k.pending == 0 {
-		return 0, false
-	}
-	for {
-		if len(k.overflow) > 0 && k.overflow[0].when < k.base {
-			return k.overflow[0].when, true
-		}
-		if idx, ok := k.scan0(); ok {
-			return k.base + Time(idx), true
-		}
-		k.advance()
-	}
-}
-
 // advance moves the level-0 window forward to the next occupied region:
 // cascading the first non-empty level-1 or level-2 bucket down, or — when
 // the wheel is fully drained — jumping to the overflow heap's minimum and
@@ -522,22 +497,6 @@ func (k *Kernel) Step() bool { return k.RunLimit(1) == 1 }
 // Run executes events until the queue is empty or Stop is called.
 func (k *Kernel) Run() { k.RunLimit(math.MaxUint64) }
 
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t. Events scheduled at t execute.
-func (k *Kernel) RunUntil(t Time) {
-	k.stopped = false
-	for !k.stopped {
-		when, ok := k.peek()
-		if !ok || when > t {
-			break
-		}
-		k.Step()
-	}
-	if k.now < t {
-		k.now = t
-	}
-}
-
 // RunLimit executes at most n further events, stopping early when the queue
 // empties or an event calls Stop; it returns the number executed. It is the
 // kernel's one dispatch loop (Step and Run call it): it drains each level-0
@@ -547,15 +506,6 @@ func (k *Kernel) RunLimit(n uint64) uint64 {
 	k.stopped = false
 	var i uint64
 	for i < n && !k.stopped && k.pending > 0 {
-		if len(k.overflow) > 0 && k.overflow[0].when < k.base {
-			ev := k.heapPop().event
-			k.pending--
-			k.now = ev.when
-			k.executed++
-			i++
-			ev.h.OnEvent(ev.when, ev.data)
-			continue
-		}
 		idx, ok := k.scan0()
 		if !ok {
 			k.advance()
@@ -569,9 +519,9 @@ func (k *Kernel) RunLimit(n uint64) uint64 {
 
 // drain dispatches up to n (>= 1) events from the occupied level-0 bucket
 // idx and returns how many it ran. While the bucket holds events it is the
-// earliest source: the overflow heap's below-window residents dispatched
-// before it, and a handler schedules nothing before the clock, so an event
-// it adds for this timestamp appends behind the ones queued. drain returns
+// earliest source: every other wheel bucket and every overflow resident lies
+// later, and a handler schedules nothing before the clock, so an event it
+// adds for this timestamp appends behind the ones queued. drain returns
 // early when an event calls Stop or the bucket empties; a bucket refilled
 // later is found again by the occupancy scan.
 func (k *Kernel) drain(idx int, n uint64) uint64 {
@@ -605,6 +555,6 @@ func (k *Kernel) drain(idx int, n uint64) uint64 {
 	}
 }
 
-// Stop halts Run, RunUntil or RunLimit after the currently executing event
-// returns; events still queued for its timestamp stay queued, in order.
+// Stop halts Run or RunLimit after the currently executing event returns;
+// events still queued for its timestamp stay queued, in order.
 func (k *Kernel) Stop() { k.stopped = true }

@@ -83,28 +83,6 @@ func TestKernelPastPanics(t *testing.T) {
 	k.Run()
 }
 
-func TestKernelRunUntil(t *testing.T) {
-	k := NewKernel()
-	var count int
-	for i := Time(1); i <= 100; i++ {
-		k.AtEvent(i, funcEvent(func() { count++ }), 0)
-	}
-	k.RunUntil(50)
-	if count != 50 {
-		t.Fatalf("count = %d, want 50", count)
-	}
-	if k.Now() != 50 {
-		t.Fatalf("Now() = %d, want 50", k.Now())
-	}
-	k.RunUntil(200)
-	if count != 100 {
-		t.Fatalf("count = %d, want 100", count)
-	}
-	if k.Now() != 200 {
-		t.Fatalf("Now() = %d, want 200 (clock advances past last event)", k.Now())
-	}
-}
-
 func TestKernelStop(t *testing.T) {
 	k := NewKernel()
 	var count int
@@ -418,7 +396,9 @@ func TestKernelTailIs(t *testing.T) {
 	if k.TailIs(span0-1, a) || k.TailIs(span0-1, b) {
 		t.Fatal("the empty last bucket of the window reports a tail")
 	}
-	k.RunUntil(5)
+	if k.RunLimit(2) != 2 {
+		t.Fatal("RunLimit(2) did not run bucket 5's two events")
+	}
 	if k.TailIs(5, b) || k.TailIs(5, a) {
 		t.Fatal("a drained bucket reports a tail")
 	}

@@ -53,13 +53,6 @@ func (r *refKernel) step() (refEvent, bool) {
 	return e, true
 }
 
-func (r *refKernel) peek() (Time, bool) {
-	if len(r.pq) == 0 {
-		return 0, false
-	}
-	return r.pq[0].when, true
-}
-
 // delayMix spans every kernel tier: same-cycle ties, level-0/1/2 wheel
 // buckets, and overflow-heap territory beyond the 2^24-cycle horizon.
 var delayMix = []Time{
@@ -113,9 +106,14 @@ type diffDriver struct {
 	children func(id, budget uint64) []Time
 	// stop, when set, picks the events that call Stop once they have run.
 	stop func(id uint64) bool
+	// t, when set, checks the kernel's window invariant in every event.
+	t *testing.T
 }
 
 func (d *diffDriver) OnEvent(now Time, id uint64) {
+	if d.t != nil {
+		checkWindow(d.t, d.k)
+	}
 	d.got = append(d.got, refEvent{when: now, id: id})
 	if d.stop != nil && d.stop(id) {
 		defer d.k.Stop()
@@ -154,6 +152,23 @@ func (d *refDriver) dispatch(e refEvent) {
 	}
 }
 
+// checkWindow asserts the kernel's window invariant: the clock lies in the
+// level-0 window, and every overflow resident lies at or past the end of
+// the current level-2 span, so dispatch never needs the heap before the
+// wheel drains.
+func checkWindow(t *testing.T, k *Kernel) {
+	t.Helper()
+	if k.now < k.base || k.now-k.base >= span0 {
+		t.Fatalf("clock %d outside the level-0 window [%d, %d)", k.now, k.base, k.base+span0)
+	}
+	horizon := (k.base &^ (span2 - 1)) + span2
+	for _, e := range k.overflow {
+		if e.when < horizon {
+			t.Fatalf("overflow holds t=%d, before the level-2 span's end %d (base %d)", e.when, horizon, k.base)
+		}
+	}
+}
+
 func compareDispatch(t *testing.T, trial int, got, want []refEvent) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -170,13 +185,14 @@ func compareDispatch(t *testing.T, trial int, got, want []refEvent) {
 // TestWheelMatchesHeapKernel drives the wheel kernel and the reference heap
 // kernel over identical randomized schedules — same-cycle ties, overflow
 // bucket refills, events scheduled from inside running events — and asserts
-// identical dispatch order.
+// identical dispatch order, with the window invariant holding in every event
+// and after the run.
 func TestWheelMatchesHeapKernel(t *testing.T) {
 	rng := NewRand(20080613)
 	for trial := 0; trial < 40; trial++ {
 		k := NewKernel()
 		ref := &refKernel{}
-		wd := &diffDriver{k: k, budget: 300}
+		wd := &diffDriver{k: k, budget: 300, t: t}
 		rd := &refDriver{r: ref, budget: 300}
 
 		seed := 100 + rng.Intn(150)
@@ -189,6 +205,7 @@ func TestWheelMatchesHeapKernel(t *testing.T) {
 		}
 
 		k.Run()
+		checkWindow(t, k)
 		for {
 			e, ok := ref.step()
 			if !ok {
@@ -254,8 +271,9 @@ func TestWheelChunkBurstsMatchHeap(t *testing.T) {
 // TestRunLimitDrainMatchesHeap drives the bucket-draining RunLimit in
 // batches of random size, with events that call Stop — most often partway
 // through a same-cycle burst — and checks its dispatch order against the
-// reference heap, each batch's count against the events it ran, and that a
-// batch ends early only on a Stop or an empty queue.
+// reference heap, each batch's count against the events it ran, that a
+// batch ends early only on a Stop or an empty queue, and the window
+// invariant in every event and after every batch.
 func TestRunLimitDrainMatchesHeap(t *testing.T) {
 	rng := NewRand(19)
 	midBucket := 0
@@ -267,7 +285,7 @@ func TestRunLimitDrainMatchesHeap(t *testing.T) {
 		k := NewKernel()
 		ref := &refKernel{}
 		wd := &diffDriver{k: k, budget: 1500, children: children,
-			stop: func(id uint64) bool { return id%7 == 3 }}
+			stop: func(id uint64) bool { return id%7 == 3 }, t: t}
 		rd := &refDriver{r: ref, budget: 1500, children: children}
 		for i := 0; i < 60+rng.Intn(100); i++ {
 			d := delayMix[rng.Intn(len(delayMix))]
@@ -283,6 +301,7 @@ func TestRunLimitDrainMatchesHeap(t *testing.T) {
 			before, executed := len(wd.got), k.Executed()
 			limit := uint64(1 + rng.Intn(3*chunkCap))
 			n := k.RunLimit(limit)
+			checkWindow(t, k)
 			ran := uint64(len(wd.got) - before)
 			if n != ran || k.Executed()-executed != ran || n == 0 || n > limit {
 				t.Fatalf("trial %d: RunLimit(%d) returned %d, ran %d events, Executed moved %d",
@@ -297,7 +316,9 @@ func TestRunLimitDrainMatchesHeap(t *testing.T) {
 				t.Fatalf("trial %d: RunLimit(%d) stopped after %d events with %d pending and no Stop",
 					trial, limit, n, k.Pending())
 			}
-			if when, ok := k.peek(); ok && when == k.Now() {
+			// The clock lies in the window, so its level-0 bucket holds
+			// only events for the current timestamp.
+			if k.levels[0].buckets[int(k.Now())&wheelMask].head != nil {
 				midBucket++
 			}
 		}
@@ -363,60 +384,6 @@ func TestWheelBucketRefillMidChunk(t *testing.T) {
 	}
 	if k.Now() != 11 {
 		t.Fatalf("final clock %d, want 11", k.Now())
-	}
-}
-
-// TestWheelRunUntilMatchesHeap checks the RunUntil boundary against the
-// oracle: several successive horizons, each dispatching exactly the events
-// with timestamps <= t and leaving the clock at t.
-func TestWheelRunUntilMatchesHeap(t *testing.T) {
-	rng := NewRand(7)
-	for trial := 0; trial < 20; trial++ {
-		k := NewKernel()
-		ref := &refKernel{}
-		wd := &diffDriver{k: k, budget: 100}
-		rd := &refDriver{r: ref, budget: 100}
-		for i := 0; i < 120; i++ {
-			d := delayMix[rng.Intn(len(delayMix))]
-			k.ScheduleEvent(d, wd, wd.nextID)
-			ref.schedule(d, rd.nextID)
-			wd.nextID++
-			rd.nextID++
-		}
-		// Horizons hit bucket edges, the far heap, and a gap past all events.
-		for _, horizon := range []Time{0, 3, span0, span0 + 1, span1 - 1, 2 * span1, span2 + span1, 5 * span2} {
-			k.RunUntil(horizon)
-			for {
-				w, ok := ref.peek()
-				if !ok || w > horizon {
-					break
-				}
-				e, _ := ref.step()
-				rd.dispatch(e)
-			}
-			if ref.now < horizon {
-				ref.now = horizon
-			}
-			compareDispatch(t, trial, wd.got, rd.got)
-			if k.Now() != ref.now {
-				t.Fatalf("trial %d: clock %d after RunUntil(%d), reference %d", trial, k.Now(), horizon, ref.now)
-			}
-		}
-		// Scheduling into the gap between the clock and an advanced wheel
-		// window must still dispatch in time order (below-window heap path).
-		k.ScheduleEvent(1, wd, wd.nextID)
-		ref.schedule(1, rd.nextID)
-		wd.nextID++
-		rd.nextID++
-		k.Run()
-		for {
-			e, ok := ref.step()
-			if !ok {
-				break
-			}
-			rd.dispatch(e)
-		}
-		compareDispatch(t, trial, wd.got, rd.got)
 	}
 }
 

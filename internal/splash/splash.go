@@ -154,13 +154,3 @@ func Specs() []traffic.Spec {
 	}
 	return out
 }
-
-// ByName returns the named application model, or false.
-func ByName(name string) (App, bool) {
-	for _, a := range Apps() {
-		if a.Spec.Name == name {
-			return a, true
-		}
-	}
-	return App{}, false
-}

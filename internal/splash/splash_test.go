@@ -62,19 +62,6 @@ func TestBurstyApps(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	a, ok := ByName("FFT")
-	if !ok || a.Spec.Name != "FFT" {
-		t.Fatal("ByName(FFT) failed")
-	}
-	if a.Spec.Kind != traffic.Transpose {
-		t.Error("FFT should use the transpose pattern (all-to-all butterfly)")
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("ByName(nope) succeeded")
-	}
-}
-
 func TestSpecsGeneratorsRun(t *testing.T) {
 	// Every model must produce a valid, monotone stream.
 	for _, s := range Specs() {

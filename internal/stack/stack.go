@@ -71,9 +71,6 @@ func (d Die) String() string {
 	}
 }
 
-// Dies returns the stack's layers in order.
-func Dies() []Die { return []Die{ProcessorDie, CacheDie, AnalogDie, OpticalDie} }
-
 // TSVBudget estimates the through-silicon via counts of Figure 7:
 // signal TSVs (sTSVs) connect every L2-die communication endpoint down to
 // the analog die; power/ground/clock TSVs (pgcTSVs) pierce three die to feed

@@ -58,11 +58,11 @@ func TestTSVBudget(t *testing.T) {
 }
 
 func TestDieNames(t *testing.T) {
-	if len(Dies()) != 4 {
+	if numDies != 4 {
 		t.Fatal("stack must have 4 dies (Figure 7)")
 	}
 	want := []string{"processor/L1", "MC/directory/L2", "analog electronics", "optical"}
-	for i, d := range Dies() {
+	for i, d := range []Die{ProcessorDie, CacheDie, AnalogDie, OpticalDie} {
 		if d.String() != want[i] {
 			t.Errorf("die %d = %q, want %q", i, d, want[i])
 		}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"corona/internal/noc"
+	"corona/internal/photonic"
 	"corona/internal/sim"
 )
 
@@ -306,5 +307,29 @@ func TestRegisteredFabric(t *testing.T) {
 	}
 	if bw := f.BisectionBytesPerSec(noc.FabricParams{Clusters: 64}); bw != 64*64*5e9 {
 		t.Errorf("bisection = %v, want 20.48 TB/s", bw)
+	}
+}
+
+// TestGeometryMatchesPhotonics checks the default crossbar against the
+// paper's photonic geometry: the farthest reader pays the serpentine's
+// worst-case propagation (8 clocks, Section 3.2), and a channel moves
+// the 64 B per cycle its 256 wavelengths carry.
+func TestGeometryMatchesPhotonics(t *testing.T) {
+	g := photonic.DefaultGeometry()
+	cfg := DefaultConfig()
+	x := New(sim.NewKernel(), cfg)
+	var worst sim.Time
+	for src := 0; src < cfg.Clusters; src++ {
+		for dst := 0; dst < cfg.Clusters; dst++ {
+			if src != dst {
+				worst = max(worst, x.propagation(src, dst))
+			}
+		}
+	}
+	if want := sim.Time(g.MaxPropagationClocks()); worst != want {
+		t.Errorf("worst-case propagation = %d clocks, geometry says %d", worst, want)
+	}
+	if want := g.ChannelBytesPerCycle(); cfg.BytesPerCycle != want {
+		t.Errorf("channel width = %d B/cycle, geometry says %d", cfg.BytesPerCycle, want)
 	}
 }

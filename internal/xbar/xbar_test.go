@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"corona/internal/noc"
+	"corona/internal/photonic"
 	"corona/internal/sim"
 )
 
@@ -288,6 +289,12 @@ func (p *pumper) OnEvent(_ sim.Time, pair uint64) {
 	}
 }
 
+// stopEvent ends a saturation run: scheduled at horizon+1 before any traffic
+// lands there, it lets every event through the horizon run, then stops.
+type stopEvent struct{ k *sim.Kernel }
+
+func (s stopEvent) OnEvent(sim.Time, uint64) { s.k.Stop() }
+
 func TestAggregateBandwidth(t *testing.T) {
 	// Saturating all 64 channels simultaneously should sustain ~64 B/cycle
 	// per channel: with 63 writers per channel sending back-to-back lines the
@@ -316,8 +323,8 @@ func TestAggregateBandwidth(t *testing.T) {
 		}
 	}
 	const horizon = 2000
-	k.RunUntil(horizon)
-	k.Stop()
+	k.AtEvent(horizon+1, stopEvent{k}, 0)
+	k.Run()
 	perChannelBytesPerCycle := float64(delivered) / horizon / 64
 	// Perfect is 64 B/cycle; arbitration hand-off costs a little.
 	if perChannelBytesPerCycle < 48 {
@@ -349,4 +356,28 @@ func TestDoubleConsumePanics(t *testing.T) {
 		}
 	}()
 	x.Consume(9, delivered)
+}
+
+// TestGeometryMatchesPhotonics checks the default crossbar against the
+// paper's photonic geometry: the farthest writer pays the serpentine's
+// worst-case propagation (8 clocks, Section 3.2), and a channel moves
+// the 64 B per cycle its 256 wavelengths carry.
+func TestGeometryMatchesPhotonics(t *testing.T) {
+	g := photonic.DefaultGeometry()
+	cfg := DefaultConfig()
+	x := New(sim.NewKernel(), cfg)
+	var worst sim.Time
+	for src := 0; src < cfg.Clusters; src++ {
+		for dst := 0; dst < cfg.Clusters; dst++ {
+			if src != dst {
+				worst = max(worst, x.propagation(src, dst))
+			}
+		}
+	}
+	if want := sim.Time(g.MaxPropagationClocks()); worst != want {
+		t.Errorf("worst-case propagation = %d clocks, geometry says %d", worst, want)
+	}
+	if want := g.ChannelBytesPerCycle(); cfg.BytesPerCycle != want {
+		t.Errorf("channel width = %d B/cycle, geometry says %d", cfg.BytesPerCycle, want)
+	}
 }
