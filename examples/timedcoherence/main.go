@@ -5,8 +5,7 @@
 //
 // The experiment builds a widely shared line, upgrades one sharer to
 // Modified, and compares the invalidation latency and crossbar message cost
-// with and without the optical broadcast bus. It finishes with the bus's
-// barrier-notification generalization timing a 64-cluster barrier.
+// with and without the optical broadcast bus.
 //
 //	go run ./examples/timedcoherence
 package main
@@ -14,15 +13,11 @@ package main
 import (
 	"fmt"
 
-	"corona/internal/bus"
 	"corona/internal/cohsim"
-	"corona/internal/sim"
 )
 
 func invalidationRun(useBus bool, sharers int) (latNs float64, msgs uint64, broadcasts uint64) {
-	cfg := cohsim.DefaultConfig()
-	cfg.UseBus = useBus
-	s := cohsim.New(cfg)
+	s := cohsim.New(useBus)
 	line := uint64(0x2000)
 	var issued uint64
 	for n := 0; n <= sharers; n++ {
@@ -50,16 +45,4 @@ func main() {
 
 	fmt.Println("\nThe bus invalidates any sharer pool in one two-pass transit;")
 	fmt.Println("unicast costs ~2 crossbar messages per sharer and serializes the acks.")
-
-	// Barrier notification (Section 3.2.2's generalization).
-	k := sim.NewKernel()
-	b := bus.New(k, bus.DefaultConfig())
-	br := bus.NewBarrier(b, 64)
-	var done sim.Time
-	for c := 0; c < 64; c++ {
-		br.Arrive(c, func() { done = k.Now() })
-	}
-	k.Run()
-	fmt.Printf("\nBarrier notification: 64 simultaneous arrivals resolved in %.1f ns\n", done.Ns())
-	fmt.Println("(each cluster snoops all 64 one-byte arrival pulses and releases locally)")
 }

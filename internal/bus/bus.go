@@ -7,8 +7,8 @@
 // detectors, so all clusters snoop the message simultaneously.
 //
 // The bus exists to turn MOESI invalidations of widely shared lines into one
-// message instead of a storm of crossbar unicasts; it can also carry other
-// broadcast traffic (bandwidth-adaptive snooping, barrier notification).
+// message instead of a storm of crossbar unicasts; package cohsim is its
+// only user.
 package bus
 
 import (
@@ -60,8 +60,6 @@ type Bus struct {
 	// Broadcasts and Bytes count completed broadcasts.
 	Broadcasts uint64
 	Bytes      uint64
-	// BusyCycles accumulates modulation occupancy.
-	BusyCycles uint64
 }
 
 // New builds a broadcast bus on kernel k.
@@ -133,22 +131,6 @@ func (e *snoopEvent) OnEvent(_ sim.Time, data uint64) {
 	}
 }
 
-// Clusters returns the endpoint count.
-func (b *Bus) Clusters() int { return b.cfg.Clusters }
-
-// Reset restores the construction state in place, keeping the message pool
-// and grown queue capacity. Snoop callbacks are left installed.
-func (b *Bus) Reset() {
-	for src := range b.queues {
-		clear(b.queues[src])
-		b.queues[src] = b.queues[src][:0]
-		b.active[src] = false
-	}
-	b.slots.Reset()
-	b.arb.Reset()
-	b.Broadcasts, b.Bytes, b.BusyCycles = 0, 0, 0
-}
-
 // SetDeliver installs cluster's snoop callback.
 func (b *Bus) SetDeliver(cluster int, fn DeliverFunc) { b.deliver[cluster] = fn }
 
@@ -181,7 +163,6 @@ func (b *Bus) transmit(src int) {
 	b.queues[src] = q[1:]
 
 	tx := sim.Time((m.Size + b.cfg.BytesPerCycle - 1) / b.cfg.BytesPerCycle)
-	b.BusyCycles += uint64(tx)
 
 	b.k.ScheduleEvent(tx, (*txDoneEvent)(b), uint64(src)|uint64(m.Size)<<16)
 

@@ -1,15 +1,13 @@
 // Package coherence implements Corona's MOESI directory protocol
-// (Section 3.1.2). Each cluster's L2 is a coherence node; a directory at the
-// line's home cluster tracks the owner and sharer set. Invalidations of
-// widely shared lines ride the optical broadcast bus ("used to quickly
-// invalidate a large pool of sharers with a single message") instead of being
-// translated into a storm of crossbar unicasts.
+// (Section 3.1.2) as an untimed state machine. Each cluster's L2 is a
+// coherence node; a directory at the line's home cluster tracks the owner and
+// sharer set.
 //
 // The paper built this protocol for die-size and power estimation but did not
-// model it in the performance simulation; here it is implemented and tested
-// in full as a functional state machine with a pluggable message-counting
-// transport, and exercised against the network models in the coherence
-// example.
+// model it in the performance simulation. Package cohsim times it over the
+// crossbar and broadcast-bus models and decides which invalidations ride the
+// bus; this package only commits the state transitions and checks the MOESI
+// invariants.
 package coherence
 
 import (
@@ -47,15 +45,6 @@ func (s State) String() string {
 	}
 }
 
-// Transport receives the protocol's traffic so callers can count messages or
-// inject them into a network model. Any field may be nil.
-type Transport struct {
-	// Unicast is invoked for each point-to-point protocol message.
-	Unicast func(from, to int, kind string)
-	// Broadcast is invoked when an invalidation uses the broadcast bus.
-	Broadcast func(from int, kind string)
-}
-
 type dirEntry struct {
 	owner   int // node in M/E/O, or -1
 	sharers map[int]bool
@@ -63,11 +52,6 @@ type dirEntry struct {
 
 // Stats counts protocol events.
 type Stats struct {
-	Reads                uint64
-	Writes               uint64
-	Evictions            uint64
-	UnicastMessages      uint64
-	BroadcastMessages    uint64
 	Invalidations        uint64 // individual sharer invalidations performed
 	DataFromMemory       uint64
 	CacheToCacheForwards uint64
@@ -78,28 +62,21 @@ type Stats struct {
 // The directory is distributed by line address: home(line) = line % n,
 // matching Corona's per-cluster directories.
 type Protocol struct {
-	n int
-	// BroadcastThreshold: invalidations touching more than this many sharers
-	// use the broadcast bus; at or below it they are unicast on the crossbar.
-	BroadcastThreshold int
-
+	n      int
 	dir    map[uint64]*dirEntry
 	caches []map[uint64]State
-	tr     Transport
 	stats  Stats
 }
 
-// New builds a protocol over n nodes with the given transport.
-func New(n int, tr Transport) *Protocol {
+// New builds a protocol over n nodes.
+func New(n int) *Protocol {
 	if n <= 0 {
 		panic("coherence: need at least one node")
 	}
 	p := &Protocol{
-		n:                  n,
-		BroadcastThreshold: 3,
-		dir:                make(map[uint64]*dirEntry),
-		caches:             make([]map[uint64]State, n),
-		tr:                 tr,
+		n:      n,
+		dir:    make(map[uint64]*dirEntry),
+		caches: make([]map[uint64]State, n),
 	}
 	for i := range p.caches {
 		p.caches[i] = make(map[uint64]State)
@@ -140,20 +117,6 @@ func (p *Protocol) entry(line uint64) *dirEntry {
 	return e
 }
 
-func (p *Protocol) unicast(from, to int, kind string) {
-	p.stats.UnicastMessages++
-	if p.tr.Unicast != nil {
-		p.tr.Unicast(from, to, kind)
-	}
-}
-
-func (p *Protocol) broadcast(from int, kind string) {
-	p.stats.BroadcastMessages++
-	if p.tr.Broadcast != nil {
-		p.tr.Broadcast(from, kind)
-	}
-}
-
 func (p *Protocol) setState(node int, line uint64, s State) {
 	if s == Invalid {
 		delete(p.caches[node], line)
@@ -165,26 +128,20 @@ func (p *Protocol) setState(node int, line uint64, s State) {
 // Read performs node's load miss on line (GetS to the home directory).
 func (p *Protocol) Read(node int, line uint64) {
 	p.checkNode(node)
-	p.stats.Reads++
 	if p.caches[node][line] != Invalid {
 		return // already readable in any valid state
 	}
-	home := p.Home(line)
-	p.unicast(node, home, "GetS")
 	e := p.entry(line)
 	switch {
 	case e.owner == -1 && len(e.sharers) == 0:
 		// Uncached: memory supplies data; grant Exclusive.
 		p.stats.DataFromMemory++
-		p.unicast(home, node, "DataE")
 		e.owner = node
 		p.setState(node, line, Exclusive)
 	case e.owner != -1:
 		// An owner holds the latest data: forward cache-to-cache; owner
 		// degrades M->O / E->S(owner relinquishes ownership to sharer set).
 		owner := e.owner
-		p.unicast(home, owner, "FwdGetS")
-		p.unicast(owner, node, "Data")
 		p.stats.CacheToCacheForwards++
 		switch p.caches[owner][line] {
 		case Modified, Owned:
@@ -202,7 +159,6 @@ func (p *Protocol) Read(node int, line uint64) {
 	default:
 		// Shared, no owner: memory supplies data.
 		p.stats.DataFromMemory++
-		p.unicast(home, node, "DataS")
 		e.sharers[node] = true
 		p.setState(node, line, Shared)
 	}
@@ -212,7 +168,6 @@ func (p *Protocol) Read(node int, line uint64) {
 // invalidating all other holders.
 func (p *Protocol) Write(node int, line uint64) {
 	p.checkNode(node)
-	p.stats.Writes++
 	switch p.caches[node][line] {
 	case Modified:
 		return
@@ -221,46 +176,24 @@ func (p *Protocol) Write(node int, line uint64) {
 		p.setState(node, line, Modified)
 		return
 	}
-	home := p.Home(line)
-	p.unicast(node, home, "GetM")
 	e := p.entry(line)
 
-	// Collect every other holder to invalidate.
-	var holders []int
-	if e.owner != -1 && e.owner != node {
-		holders = append(holders, e.owner)
+	// Data source: the owner forwards if present, else memory (unless the
+	// writer already holds valid data in S/O). The forwarding owner is
+	// invalidated with the sharers.
+	switch {
+	case e.owner != -1 && e.owner != node:
+		p.stats.CacheToCacheForwards++
+		p.stats.Invalidations++
+		p.setState(e.owner, line, Invalid)
+	case p.caches[node][line] == Invalid:
+		p.stats.DataFromMemory++
 	}
 	for s := range e.sharers {
 		if s != node {
-			holders = append(holders, s)
+			p.stats.Invalidations++
+			p.setState(s, line, Invalid)
 		}
-	}
-	sort.Ints(holders) // invalidations go out in node order, not map order
-
-	// Data source: owner forwards if present, else memory (unless the writer
-	// already holds valid data in S/O).
-	switch {
-	case e.owner != -1 && e.owner != node:
-		p.unicast(home, e.owner, "FwdGetM")
-		p.unicast(e.owner, node, "Data")
-		p.stats.CacheToCacheForwards++
-	case p.caches[node][line] == Invalid:
-		p.stats.DataFromMemory++
-		p.unicast(home, node, "DataM")
-	}
-
-	// Invalidate: broadcast for large sharer pools, unicast otherwise.
-	if len(holders) > p.BroadcastThreshold {
-		p.broadcast(home, "InvAll")
-	} else {
-		for _, h := range holders {
-			p.unicast(home, h, "Inv")
-		}
-	}
-	for _, h := range holders {
-		p.stats.Invalidations++
-		p.setState(h, line, Invalid)
-		p.unicast(h, node, "InvAck")
 	}
 
 	e.owner = node
@@ -276,19 +209,14 @@ func (p *Protocol) Evict(node int, line uint64) {
 	if st == Invalid {
 		return
 	}
-	p.stats.Evictions++
-	home := p.Home(line)
 	e := p.entry(line)
 	switch st {
 	case Modified, Owned:
-		p.unicast(node, home, "PutMO")
 		p.stats.WritebacksToMemory++
 		e.owner = -1
 	case Exclusive:
-		p.unicast(node, home, "PutE")
 		e.owner = -1
 	case Shared:
-		p.unicast(node, home, "PutS")
 		delete(e.sharers, node)
 	}
 	p.setState(node, line, Invalid)

@@ -15,7 +15,7 @@ func mustOK(t *testing.T, p *Protocol) {
 }
 
 func TestColdReadGrantsExclusive(t *testing.T) {
-	p := New(4, Transport{})
+	p := New(4)
 	p.Read(1, 0x100)
 	if st := p.StateOf(1, 0x100); st != Exclusive {
 		t.Fatalf("state = %v, want E", st)
@@ -27,7 +27,7 @@ func TestColdReadGrantsExclusive(t *testing.T) {
 }
 
 func TestReadSharing(t *testing.T) {
-	p := New(4, Transport{})
+	p := New(4)
 	p.Read(0, 0x40)
 	p.Read(1, 0x40) // owner E -> S, requester S
 	if p.StateOf(0, 0x40) != Shared || p.StateOf(1, 0x40) != Shared {
@@ -40,7 +40,7 @@ func TestReadSharing(t *testing.T) {
 }
 
 func TestDirtyOwnerForwardsAndStaysOwned(t *testing.T) {
-	p := New(4, Transport{})
+	p := New(4)
 	p.Write(2, 0x80) // M at 2 (cold write miss fetches from memory once)
 	memReadsBefore := p.Stats().DataFromMemory
 	p.Read(3, 0x80)
@@ -58,7 +58,7 @@ func TestDirtyOwnerForwardsAndStaysOwned(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	p := New(8, Transport{})
+	p := New(8)
 	line := uint64(0x200)
 	p.Read(0, line)
 	for n := 1; n < 6; n++ {
@@ -80,67 +80,17 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestSilentEToMUpgrade(t *testing.T) {
-	p := New(4, Transport{})
+	p := New(4)
 	p.Read(1, 0x40) // E
-	before := p.Stats().UnicastMessages
 	p.Write(1, 0x40)
 	if p.StateOf(1, 0x40) != Modified {
 		t.Fatal("E->M upgrade failed")
 	}
-	if p.Stats().UnicastMessages != before {
-		t.Error("silent upgrade sent messages")
-	}
 	mustOK(t, p)
-}
-
-func TestBroadcastThreshold(t *testing.T) {
-	p := New(16, Transport{})
-	p.BroadcastThreshold = 3
-	line := uint64(0x1000)
-	// 2 sharers: below threshold -> unicast invalidates.
-	p.Read(0, line)
-	p.Read(1, line)
-	p.Write(2, line)
-	if p.Stats().BroadcastMessages != 0 {
-		t.Fatal("small sharer pool should not broadcast")
-	}
-	// 8 sharers: broadcast.
-	for n := 0; n < 8; n++ {
-		p.Read(n, line)
-	}
-	p.Write(9, line)
-	if p.Stats().BroadcastMessages != 1 {
-		t.Fatalf("BroadcastMessages = %d, want 1", p.Stats().BroadcastMessages)
-	}
-	mustOK(t, p)
-}
-
-func TestUnicastVsBroadcastMessageSavings(t *testing.T) {
-	// The motivation for the bus (Section 3.2.2): invalidating a wide sharer
-	// pool takes one broadcast instead of ~n unicasts.
-	run := func(threshold int) uint64 {
-		p := New(64, Transport{})
-		p.BroadcastThreshold = threshold
-		line := uint64(0x40)
-		for n := 0; n < 63; n++ {
-			p.Read(n, line)
-		}
-		before := p.Stats().UnicastMessages
-		p.Write(63, line)
-		return p.Stats().UnicastMessages - before
-	}
-	withBus := run(3)
-	noBus := run(1 << 30) // never broadcast
-	if noBus <= withBus {
-		t.Fatalf("bus saves nothing: %d unicasts with bus, %d without", withBus, noBus)
-	}
-	if noBus-withBus < 60 {
-		t.Errorf("expected ~63 unicast invalidates saved, got %d", noBus-withBus)
-	}
 }
 
 func TestEvictions(t *testing.T) {
-	p := New(4, Transport{})
+	p := New(4)
 	p.Write(0, 0x40)
 	p.Evict(0, 0x40)
 	if p.Stats().WritebacksToMemory != 1 {
@@ -163,7 +113,7 @@ func TestEvictions(t *testing.T) {
 }
 
 func TestOwnedEvictionWritesBack(t *testing.T) {
-	p := New(4, Transport{})
+	p := New(4)
 	p.Write(0, 0x40)
 	p.Read(1, 0x40) // 0: O, 1: S
 	p.Evict(0, 0x40)
@@ -183,24 +133,6 @@ func TestOwnedEvictionWritesBack(t *testing.T) {
 	mustOK(t, p)
 }
 
-func TestTransportCallbacks(t *testing.T) {
-	var uni, bro int
-	p := New(8, Transport{
-		Unicast:   func(from, to int, kind string) { uni++ },
-		Broadcast: func(from int, kind string) { bro++ },
-	})
-	for n := 0; n < 6; n++ {
-		p.Read(n, 0x40)
-	}
-	p.Write(6, 0x40)
-	if uni == 0 {
-		t.Error("no unicast callbacks")
-	}
-	if bro != 1 {
-		t.Errorf("broadcast callbacks = %d, want 1", bro)
-	}
-}
-
 // Property: under any random operation sequence the MOESI invariants hold
 // after every step, and a Write always leaves the writer in M with everyone
 // else Invalid.
@@ -208,7 +140,7 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, opsRaw uint16) bool {
 		rng := sim.NewRand(seed)
 		ops := int(opsRaw%400) + 1
-		p := New(8, Transport{})
+		p := New(8)
 		lines := []uint64{0x40, 0x80, 0xc0, 0x100, 0x140}
 		for i := 0; i < ops; i++ {
 			node := rng.Intn(8)
@@ -242,7 +174,7 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 }
 
 func TestHomeDistribution(t *testing.T) {
-	p := New(64, Transport{})
+	p := New(64)
 	if p.Home(0) != 0 || p.Home(65) != 1 || p.Home(127) != 63 {
 		t.Error("home hashing wrong")
 	}

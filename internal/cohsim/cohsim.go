@@ -1,9 +1,8 @@
 // Package cohsim is the timed coherence simulation: the MOESI directory
 // protocol of package coherence executed over the actual interconnect models
 // — protocol requests, forwards, data, and acknowledgements ride the optical
-// crossbar (or a mesh), and wide invalidations ride the optical broadcast
-// bus, with all of the networks' arbitration, serialization, and back
-// pressure in effect.
+// crossbar, and wide invalidations ride the optical broadcast bus, with all
+// of the networks' arbitration, serialization, and back pressure in effect.
 //
 // The paper designed this machinery ("the coherence scheme was included for
 // purposes of die size and power estimation, but has not yet been modeled in
@@ -18,6 +17,7 @@
 // protocol state transitions commit atomically when the timed message
 // exchange completes, so the untimed protocol engine remains the single
 // source of truth for state (and its invariant checker runs underneath).
+// This package alone decides whether an invalidation rides the bus.
 package cohsim
 
 import (
@@ -31,30 +31,18 @@ import (
 	"corona/internal/xbar"
 )
 
-// Config parameterizes the timed coherence system.
-type Config struct {
-	Clusters int
-	// UseBus enables the broadcast bus for invalidations touching more than
-	// BroadcastThreshold sharers; otherwise all invalidations are unicast.
-	UseBus             bool
-	BroadcastThreshold int
-	// MemoryCycles is the home-node memory access latency for lines no cache
-	// can supply.
-	MemoryCycles sim.Time
-	// HubCycles is the per-hop hub processing latency.
-	HubCycles sim.Time
-}
-
-// DefaultConfig returns the Corona coherence configuration.
-func DefaultConfig() Config {
-	return Config{
-		Clusters:           64,
-		UseBus:             true,
-		BroadcastThreshold: 3,
-		MemoryCycles:       sim.FromNs(20),
-		HubCycles:          4,
-	}
-}
+// Corona's coherence parameters.
+const (
+	// broadcastThreshold is the number of other holders an invalidation must
+	// exceed to ride the broadcast bus (when the bus is in use); smaller
+	// pools are unicast on the crossbar.
+	broadcastThreshold = 3
+	// memoryCycles is the home-node memory access latency (20 ns) for lines
+	// no cache can supply.
+	memoryCycles = 20 * sim.CyclesPerNs
+	// hubCycles is the per-hop hub processing latency.
+	hubCycles = 4
+)
 
 // op is one in-flight coherence transaction.
 type op struct {
@@ -72,11 +60,11 @@ type op struct {
 
 // System is the timed coherent machine.
 type System struct {
-	K     *sim.Kernel
-	cfg   Config
-	proto *coherence.Protocol
-	net   *xbar.Crossbar
-	bus   *bus.Bus
+	K      *sim.Kernel
+	useBus bool
+	proto  *coherence.Protocol
+	net    *xbar.Crossbar
+	bus    *bus.Bus
 
 	// busy lines and their waiting transactions, at each home directory.
 	busy   map[uint64][]*op
@@ -97,32 +85,28 @@ type System struct {
 	Completed uint64
 }
 
-// New builds a timed coherence system.
-func New(cfg Config) *System {
+// New builds a timed coherence system over Corona's crossbar. With useBus,
+// invalidations of more than broadcastThreshold holders ride the broadcast
+// bus; without it, every invalidation is unicast.
+func New(useBus bool) *System {
 	k := sim.NewKernel()
+	xcfg := xbar.DefaultConfig()
 	s := &System{
-		K:     k,
-		cfg:   cfg,
-		proto: coherence.New(cfg.Clusters, coherence.Transport{}),
-		net:   xbar.New(k, xbar.DefaultConfig()),
-		bus:   bus.New(k, bus.DefaultConfig()),
-		busy:  make(map[uint64][]*op),
+		K:      k,
+		useBus: useBus,
+		proto:  coherence.New(xcfg.Clusters),
+		net:    xbar.New(k, xcfg),
+		bus:    bus.New(k, bus.DefaultConfig()),
+		busy:   make(map[uint64][]*op),
 	}
-	if !cfg.UseBus {
-		s.proto.BroadcastThreshold = 1 << 30
-	} else {
-		s.proto.BroadcastThreshold = cfg.BroadcastThreshold
-	}
-	for c := 0; c < cfg.Clusters; c++ {
+	// Crossbar arrivals run the protocol's continuations. Bus snoops:
+	// invalidation broadcasts are self-acknowledging in this model — every
+	// cluster snoops in bounded time, and the second-pass arrival at the
+	// writer's own detectors confirms completion, so no ack storm is needed
+	// (one of the bus's advantages).
+	for c := 0; c < xcfg.Clusters; c++ {
 		c := c
 		s.net.SetDeliver(c, func(m *noc.Message) { s.deliver(c, m) })
-	}
-	// Bus snoops: invalidation broadcasts are self-acknowledging in this
-	// model — every cluster snoops in bounded time, and the second-pass
-	// arrival at the writer's own detectors confirms completion, so no ack
-	// storm is needed (one of the bus's advantages).
-	for c := 0; c < cfg.Clusters; c++ {
-		c := c
 		s.bus.SetDeliver(c, func(m *noc.Message) { s.snoop(c, m) })
 	}
 	return s
@@ -214,7 +198,7 @@ func (s *System) Access(node int, line uint64, write bool, done func()) {
 	st := s.proto.StateOf(node, line)
 	if (!write && st != coherence.Invalid) ||
 		(write && (st == coherence.Modified || st == coherence.Exclusive)) {
-		s.K.ScheduleEvent(s.cfg.HubCycles, (*localHitEvent)(s), s.opSlots.Put(o))
+		s.K.ScheduleEvent(hubCycles, (*localHitEvent)(s), s.opSlots.Put(o))
 		return
 	}
 	// Request travels to the home directory.
@@ -228,7 +212,7 @@ func (s *System) Access(node int, line uint64, write bool, done func()) {
 // parked in atSlots and referenced by the pooled message's payload handle.
 func (s *System) sendOrLocal(from, to int, kind noc.Kind, size int, at func()) {
 	if from == to {
-		s.K.ScheduleEvent(s.cfg.HubCycles, (*hopEvent)(s), s.atSlots.Put(at))
+		s.K.ScheduleEvent(hubCycles, (*hopEvent)(s), s.atSlots.Put(at))
 		return
 	}
 	s.nextID++
@@ -246,7 +230,7 @@ func (s *System) sendOrLocal(from, to int, kind noc.Kind, size int, at func()) {
 func (s *System) deliver(cluster int, m *noc.Message) {
 	slot := m.Payload // read before Consume recycles the message
 	s.net.Consume(cluster, m)
-	s.K.ScheduleEvent(s.cfg.HubCycles, (*hopEvent)(s), slot)
+	s.K.ScheduleEvent(hubCycles, (*hopEvent)(s), slot)
 }
 
 // snoop handles a bus broadcast at one cluster. The payload word packs the
@@ -290,7 +274,7 @@ func (s *System) serve(o *op) {
 			})
 			return
 		}
-		s.K.ScheduleEvent(s.cfg.MemoryCycles, (*hopEvent)(s), s.atSlots.Put(func() {
+		s.K.ScheduleEvent(memoryCycles, (*hopEvent)(s), s.atSlots.Put(func() {
 			s.sendOrLocal(home, o.node, noc.KindResponse, noc.ResponseBytes, commit)
 		}))
 		return
@@ -321,7 +305,7 @@ func (s *System) serve(o *op) {
 			s.sendOrLocal(owner, o.node, noc.KindResponse, noc.ResponseBytes, dataReady)
 		})
 	case s.proto.StateOf(o.node, o.line) == coherence.Invalid:
-		s.K.ScheduleEvent(s.cfg.MemoryCycles, (*hopEvent)(s), s.atSlots.Put(func() {
+		s.K.ScheduleEvent(memoryCycles, (*hopEvent)(s), s.atSlots.Put(func() {
 			s.sendOrLocal(home, o.node, noc.KindResponse, noc.ResponseBytes, dataReady)
 		}))
 	default:
@@ -332,7 +316,7 @@ func (s *System) serve(o *op) {
 	if len(holders) == 0 {
 		return
 	}
-	if s.cfg.UseBus && len(holders) > s.cfg.BroadcastThreshold {
+	if s.useBus && len(holders) > broadcastThreshold {
 		inv := s.bus.Acquire()
 		inv.ID, inv.Src, inv.Dst = o.id, home, -1
 		inv.Kind, inv.Size = noc.KindInvalidate, noc.RequestBytes
@@ -378,7 +362,7 @@ func (s *System) commitAtRequester(o *op) {
 		} else {
 			next := q[0]
 			s.busy[o.line] = q[1:]
-			s.K.ScheduleEvent(s.cfg.HubCycles, (*serveEvent)(s), s.opSlots.Put(next))
+			s.K.ScheduleEvent(hubCycles, (*serveEvent)(s), s.opSlots.Put(next))
 		}
 	}
 }

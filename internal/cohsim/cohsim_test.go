@@ -9,7 +9,7 @@ import (
 )
 
 func TestColdReadCommits(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New(true)
 	done := false
 	s.Access(5, 0x40, false, func() { done = true })
 	s.Run(1)
@@ -27,7 +27,7 @@ func TestColdReadCommits(t *testing.T) {
 }
 
 func TestLocalHitIsFast(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New(true)
 	s.Access(3, 0x40, false, nil)
 	s.Run(1)
 	s.Access(3, 0x40, false, nil) // now a pure hub hit
@@ -41,7 +41,7 @@ func TestLocalHitIsFast(t *testing.T) {
 }
 
 func TestCacheToCacheForward(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New(true)
 	s.Access(1, 0x80, true, nil) // M at 1
 	s.Run(1)
 	memBefore := s.Stats().DataFromMemory
@@ -56,7 +56,7 @@ func TestCacheToCacheForward(t *testing.T) {
 }
 
 func TestWriteInvalidatesWithTiming(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New(true)
 	line := uint64(0x1000)
 	issued := uint64(0)
 	for n := 0; n < 10; n++ {
@@ -89,9 +89,7 @@ func TestBusBeatsUnicastInvalidation(t *testing.T) {
 	// The writer is itself a sharer (an upgrade), so its data is on hand and
 	// the measured latency is purely the invalidation exchange.
 	run := func(useBus bool) (latNs float64, netMsgs uint64) {
-		cfg := DefaultConfig()
-		cfg.UseBus = useBus
-		s := New(cfg)
+		s := New(useBus)
 		var issued uint64
 		line := uint64(0x2000)
 		for n := 0; n < 41; n++ {
@@ -119,10 +117,47 @@ func TestBusBeatsUnicastInvalidation(t *testing.T) {
 	}
 }
 
+func TestBroadcastThreshold(t *testing.T) {
+	// A sharer upgrades a line held by k others. Up to broadcastThreshold
+	// others, the invalidations are unicast on the crossbar (Inv + InvAck
+	// each); one more sharer and they ride a single bus transit. The line's
+	// home (63) is not a sharer, so no invalidation is hub-local.
+	const line = 0x2000 + 63
+	upgrade := func(k int) (transits, msgs uint64) {
+		s := New(true)
+		var issued uint64
+		for n := 0; n <= k; n++ {
+			s.Access(n, line, false, nil)
+			issued++
+			s.Run(issued)
+		}
+		busBefore, netBefore := s.BusBroadcasts(), s.NetworkMessages()
+		s.Access(k, line, true, nil)
+		s.Run(issued + 1)
+		if got := s.Stats().Invalidations; got != uint64(k) {
+			t.Errorf("k=%d: Invalidations = %d, want %d", k, got, k)
+		}
+		if err := s.Protocol().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return s.BusBroadcasts() - busBefore, s.NetworkMessages() - netBefore
+	}
+	// GetM to home, then an Inv and an InvAck per other sharer.
+	if transits, msgs := upgrade(broadcastThreshold); transits != 0 || msgs != 1+2*broadcastThreshold {
+		t.Errorf("%d sharers: %d bus transits and %d crossbar messages, want 0 and %d",
+			broadcastThreshold, transits, msgs, 1+2*broadcastThreshold)
+	}
+	// GetM to home only: the bus transit replaces every Inv and InvAck.
+	if transits, msgs := upgrade(broadcastThreshold + 1); transits != 1 || msgs != 1 {
+		t.Errorf("%d sharers: %d bus transits and %d crossbar messages, want 1 and 1",
+			broadcastThreshold+1, transits, msgs)
+	}
+}
+
 func TestLineSerialization(t *testing.T) {
 	// Two concurrent writes to one line must serialize at the directory and
 	// leave exactly one Modified holder.
-	s := New(DefaultConfig())
+	s := New(true)
 	s.Access(1, 0x40, true, nil)
 	s.Access(2, 0x40, true, nil)
 	s.Run(2)
@@ -150,7 +185,7 @@ func TestTimedProtocolProperty(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		rng := sim.NewRand(seed)
 		ops := uint64(opsRaw%60) + 1
-		s := New(DefaultConfig())
+		s := New(true)
 		lines := []uint64{0x40, 0x80, 0xc0}
 		for i := uint64(0); i < ops; i++ {
 			node := rng.Intn(64)
@@ -180,7 +215,7 @@ func TestTimedProtocolProperty(t *testing.T) {
 }
 
 func TestSilentUpgrade(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New(true)
 	s.Access(7, 0x40, false, nil) // E
 	s.Run(1)
 	msgs := s.NetworkMessages()

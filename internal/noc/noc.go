@@ -23,7 +23,7 @@ import "fmt"
 type Kind uint8
 
 // Message kinds. Requests and responses implement the L2-miss transaction;
-// the coherence kinds are used by the directory protocol example.
+// the coherence kinds are used by the timed directory protocol (cohsim).
 const (
 	KindRequest Kind = iota
 	KindResponse

@@ -81,7 +81,7 @@ func CrossbarWorstCaseBudget(launchDBm float64) *LinkBudget {
 		Rings:       geom.Clusters - 1,
 		LossDBPerCm: InterconnectLossDBPerCm,
 	}
-	b.Add("serpentine waveguide", wg.LossDB(0))
+	b.Add("serpentine waveguide", wg.LossDB())
 	b.Add("active modulator", ModulatorInsertionLossDB)
 	return b
 }

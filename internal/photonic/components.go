@@ -52,8 +52,6 @@ type Waveguide struct {
 	// Rings is the number of ring resonators coupled along it (their
 	// through-loss accumulates for every wavelength passing them).
 	Rings int
-	// Splitters is the number of broadband splitters along it.
-	Splitters int
 	// LossDBPerCm overrides the propagation loss; zero selects the
 	// demonstrated-today WaveguideLossDBPerCm.
 	LossDBPerCm float64
@@ -70,20 +68,14 @@ func (w Waveguide) PropagationClocks() int {
 	return n
 }
 
-// LossDB returns the total optical loss along the waveguide in dB, given the
-// fraction of power each splitter taps off (splitTap in (0,1)).
-func (w Waveguide) LossDB(splitTap float64) float64 {
+// LossDB returns the total optical loss along the waveguide in dB:
+// propagation plus the through loss of its rings.
+func (w Waveguide) LossDB() float64 {
 	perCm := w.LossDBPerCm
 	if perCm == 0 {
 		perCm = WaveguideLossDBPerCm
 	}
-	loss := w.LengthCm * perCm
-	loss += float64(w.Rings) * RingThroughLossDB
-	if w.Splitters > 0 {
-		perSplit := SplitterExcessLossDB + fractionToDB(1-splitTap)
-		loss += float64(w.Splitters) * perSplit
-	}
-	return loss
+	return w.LengthCm*perCm + float64(w.Rings)*RingThroughLossDB
 }
 
 // Splitter is a broadband splitter diverting Tap of the incoming power of

@@ -89,13 +89,8 @@ func TestWaveguidePropagation(t *testing.T) {
 func TestWaveguideLoss(t *testing.T) {
 	wg := Waveguide{LengthCm: 2, Rings: 10}
 	want := 2*WaveguideLossDBPerCm + 10*RingThroughLossDB
-	if got := wg.LossDB(0); math.Abs(got-want) > 1e-9 {
+	if got := wg.LossDB(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("LossDB = %v, want %v", got, want)
-	}
-	// Splitters add loss.
-	wg.Splitters = 2
-	if wg.LossDB(0.01) <= want {
-		t.Error("splitters should add loss")
 	}
 }
 
@@ -139,6 +134,23 @@ func TestCrossbarWorstCaseBudgetCloses(t *testing.T) {
 	b := CrossbarWorstCaseBudget(10) // 10 dBm = 10 mW per λ
 	if !b.Closes() {
 		t.Errorf("worst-case crossbar budget does not close:\n%s", b)
+	}
+	// The figures corona-inventory prints, to its two decimals.
+	want := []BudgetSegment{
+		{"home power splitter", 18.16},
+		{"serpentine waveguide", 5.43},
+		{"active modulator", 0.50},
+	}
+	if len(b.Segments) != len(want) {
+		t.Fatalf("budget has %d segments, want %d:\n%s", len(b.Segments), len(want), b)
+	}
+	for i, w := range want {
+		if got := b.Segments[i]; got.Name != w.Name || math.Abs(got.LossDB-w.LossDB) > 0.005 {
+			t.Errorf("segment %d = %q %.4f dB, want %q %.2f dB", i, got.Name, got.LossDB, w.Name, w.LossDB)
+		}
+	}
+	if m := b.MarginDB(); math.Abs(m-5.91) > 0.005 {
+		t.Errorf("margin = %.4f dB, want 5.91 dB", m)
 	}
 	// And with a microwatt it must not.
 	b2 := CrossbarWorstCaseBudget(-30)
