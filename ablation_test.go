@@ -99,7 +99,7 @@ func BenchmarkAblationMeshBisection(b *testing.B) {
 	var names []string
 	var configs []config.System
 	for _, width := range []int{4, 8, 16, 32} {
-		cfg := config.Default(config.HMesh, config.OCM)
+		cfg := config.Custom("", "hmesh", config.OCM, nil)
 		cfg.Label = fmt.Sprintf("Mesh-%dB/OCM", width)
 		cfg.FabricParams = map[string]int{mesh.ParamBytesPerCycle: width}
 		names = append(names, fmt.Sprintf("link-bytes-per-cycle-%d", width))

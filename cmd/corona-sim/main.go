@@ -10,8 +10,9 @@
 //	corona-sim [-config XBar/OCM] -trace file.trc
 //	corona-sim -compare [-config scenario.json] [-workload Uniform]
 //
-// -config accepts either a preset label (the paper's five machines plus the
-// SWMR variant, e.g. "SWMR/OCM") or a path to a JSON scenario file (see
+// -config accepts either a preset label "<Display>/<Memory>", where Display
+// is any registered fabric's display label (e.g. "XBar/OCM", "SWMR/ECM"),
+// or a path to a JSON scenario file (see
 // examples/custom-fabric/scenario.json); a scenario's first machine is
 // simulated unless -compare runs them all. -compare runs the workload on
 // every selected configuration concurrently (one sweep pool worker per
@@ -74,7 +75,7 @@ func fail(err error) int {
 }
 
 func run() int {
-	cfgName := flag.String("config", "XBar/OCM", "preset (XBar/OCM ... LMesh/ECM, SWMR/OCM) or a JSON scenario file")
+	cfgName := flag.String("config", "XBar/OCM", "preset <Display>/<OCM|ECM>, Display being any registered fabric's display label (e.g. XBar/OCM, SWMR/ECM), or a JSON scenario file")
 	wlName := flag.String("workload", "Uniform", "workload name (Table 3: Uniform, Hot Spot, Tornado, Transpose, Barnes, ..., Water-Sp)")
 	requests := flag.Int("requests", 50000, "L2 misses to simulate")
 	seed := flag.Uint64("seed", 42, "workload generator seed")

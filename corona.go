@@ -74,10 +74,11 @@ type FabricParams = noc.FabricParams
 type Network = noc.Network
 
 // RegisterFabric adds a custom interconnect to the fabric registry, making
-// it buildable by name from CustomConfig, JSON scenarios, and sweeps. Call
-// it from an init function or before building systems; it panics on
-// duplicate or incomplete registrations. docs/ARCHITECTURE.md walks through
-// a complete example.
+// it buildable by name from CustomConfig, JSON scenarios, and sweeps, and
+// by preset name "<Display>/<Mem>" from ParseConfigName. Call it from an
+// init function or before building systems; it panics on incomplete
+// registrations or a duplicate name or display label.
+// docs/ARCHITECTURE.md walks through a complete example.
 func RegisterFabric(f Fabric) { noc.Register(f) }
 
 // Fabrics returns the registered fabric names, sorted ("hmesh", "lmesh",
@@ -92,8 +93,10 @@ func CustomConfig(label, fabric string, mem MemoryKind, params map[string]int) S
 	return config.Custom(label, fabric, mem, params)
 }
 
-// ParseConfigName resolves a preset label such as "XBar/OCM" or "SWMR/ECM",
-// rejecting unknown names with the valid vocabulary in the error.
+// ParseConfigName resolves a preset label "<Display>/<Mem>" such as
+// "XBar/OCM" or "SWMR/ECM", where Display is any registered fabric's
+// display label (a RegisterFabric one included), rejecting unknown names
+// with the registered labels in the error.
 func ParseConfigName(name string) (SystemConfig, error) { return config.ParseName(name) }
 
 // Workload describes an offered traffic pattern (see internal/traffic).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -241,6 +242,10 @@ func TestRegisterFabricEndToEnd(t *testing.T) {
 		})
 	}
 	ideal := CustomConfig("", "ideal", OCM, nil)
+	// Its display label names its presets with no code change.
+	if parsed, err := ParseConfigName("Ideal/OCM"); err != nil || !reflect.DeepEqual(parsed, ideal) {
+		t.Fatalf("ParseConfigName(Ideal/OCM) = %+v, %v, want %+v", parsed, err, ideal)
+	}
 	spec := SyntheticWorkloads()[0]
 	res := mustRun(t, ideal, spec, 1000, 5)
 	if res.Config != "Ideal/OCM" || res.Requests != 1000 {

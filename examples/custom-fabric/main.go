@@ -68,7 +68,7 @@ func main() {
 	fmt.Println("  rings and 6 W more trimming power to get there, and each source serializes")
 	fmt.Println("  its traffic through one channel in FIFO order (head-of-line blocking under")
 	fmt.Println("  fan-out). That component-cost-versus-latency trade is exactly the")
-	fmt.Println("  channel-organization argument of the paper's Section 3.2. Swap")
-	fmt.Println("  \"tuned_receivers\": 1 into the scenario to price receiver arbitration")
-	fmt.Println("  instead of N^2 receive rings; no recompile needed.")
+	fmt.Println("  channel-organization argument of the paper's Section 3.2. Edit the")
+	fmt.Println("  scenario's params (recv_buffer, inject_queue, ...) to resize either")
+	fmt.Println("  machine; no recompile needed.")
 }

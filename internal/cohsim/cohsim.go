@@ -118,13 +118,19 @@ func New(useBus bool) *System {
 // continuation chains (the `at` callbacks threaded through message payloads)
 // park in atSlots and run from hopEvent.
 
-// localHitEvent commits a transaction that its own cache already satisfies,
-// after the hub look-up latency.
+// localHitEvent commits a transaction that its own cache satisfied when it
+// was issued, after the hub look-up latency — if the copy still satisfies it
+// then. A copy demoted or invalidated meanwhile by another node's commit
+// sends the transaction to its home directory, as a miss.
 type localHitEvent System
 
 func (e *localHitEvent) OnEvent(_ sim.Time, data uint64) {
 	s := (*System)(e)
 	o := s.opSlots.Take(data)
+	if !s.satisfied(o) {
+		s.toHome(o)
+		return
+	}
 	if o.write {
 		s.proto.Write(o.node, o.line) // silent E -> M upgrade
 	}
@@ -194,15 +200,26 @@ func (s *System) home(line uint64) int { return s.proto.Home(line) }
 func (s *System) Access(node int, line uint64, write bool, done func()) {
 	s.nextID++
 	o := &op{id: s.nextID, node: node, line: line, write: write, start: s.K.Now(), done: done}
-	// Already-satisfying states commit locally after a hub look-up.
-	st := s.proto.StateOf(node, line)
-	if (!write && st != coherence.Invalid) ||
-		(write && (st == coherence.Modified || st == coherence.Exclusive)) {
+	if s.satisfied(o) {
 		s.K.ScheduleEvent(hubCycles, (*localHitEvent)(s), s.opSlots.Put(o))
 		return
 	}
-	// Request travels to the home directory.
-	s.sendOrLocal(node, s.home(line), noc.KindRequest, noc.RequestBytes, func() {
+	s.toHome(o)
+}
+
+// satisfied reports whether o's own cache satisfies it: any valid copy for
+// a read, an exclusive one (E or M) for a write.
+func (s *System) satisfied(o *op) bool {
+	st := s.proto.StateOf(o.node, o.line)
+	if o.write {
+		return st == coherence.Modified || st == coherence.Exclusive
+	}
+	return st != coherence.Invalid
+}
+
+// toHome sends o's request to its home directory.
+func (s *System) toHome(o *op) {
+	s.sendOrLocal(o.node, s.home(o.line), noc.KindRequest, noc.RequestBytes, func() {
 		s.arriveAtHome(o)
 	})
 }

@@ -228,3 +228,62 @@ func TestSilentUpgrade(t *testing.T) {
 		t.Fatalf("state = %v, want M", st)
 	}
 }
+
+// funcEvent runs a test closure as a kernel event.
+type funcEvent func()
+
+func (f funcEvent) OnEvent(sim.Time, uint64) { f() }
+
+// An access that finds its own copy sufficient commits after the hub
+// look-up only if the copy still suffices then. A write issued to an
+// Exclusive line just before another node's read demotes it must reach
+// the directory and invalidate that reader over the network, not commit as
+// a hub-only hit.
+func TestLocalWriteHitRechecksAtCommit(t *testing.T) {
+	for d := sim.Time(0); d <= 60; d++ {
+		s := New(true)
+		s.Access(1, 0x40, false, nil) // E at node 1
+		s.Run(1)
+		var order []string
+		var readMsgs uint64
+		s.Access(2, 0x40, false, func() { // demotes node 1 to S
+			order = append(order, "read")
+			readMsgs = s.NetworkMessages()
+		})
+		s.K.ScheduleEvent(d, funcEvent(func() {
+			s.Access(1, 0x40, true, func() {
+				order = append(order, "write")
+				if order[0] == "read" && s.NetworkMessages() == readMsgs {
+					t.Errorf("write issued %d cycles after the read committed after the read "+
+						"demoted its line, with no invalidation message", d)
+				}
+			})
+		}), 0)
+		s.Run(3)
+		if err := s.Protocol().CheckInvariants(); err != nil {
+			t.Errorf("d=%d: %v", d, err)
+		}
+	}
+}
+
+// A read issued to a valid copy just before another node's write
+// invalidates it must not complete on the lost copy.
+func TestLocalReadHitRechecksAtCommit(t *testing.T) {
+	for d := sim.Time(0); d <= 80; d++ {
+		s := New(true)
+		s.Access(1, 0x40, false, nil) // E at node 1
+		s.Run(1)
+		s.Access(2, 0x40, true, nil) // invalidates node 1 when it commits
+		s.K.ScheduleEvent(d, funcEvent(func() {
+			s.Access(1, 0x40, false, func() {
+				if st := s.Protocol().StateOf(1, 0x40); st == coherence.Invalid {
+					t.Errorf("read issued %d cycles after the write completed with its copy invalid", d)
+				}
+			})
+		}), 0)
+		s.Run(3)
+		if err := s.Protocol().CheckInvariants(); err != nil {
+			t.Errorf("d=%d: %v", d, err)
+		}
+	}
+}

@@ -3,7 +3,8 @@
 // interconnect, and the cluster/MSHR/hub structure — and reproduces the
 // paper's configuration tables (Tables 1, 3, and 4). The five machines of
 // Section 4 (XBar/OCM, HMesh/OCM, LMesh/OCM, HMesh/ECM, LMesh/ECM) are
-// presets over that scheme; arbitrary machines are built with Custom or
+// presets over that scheme, named "<Display>/<Memory>" after a registered
+// fabric's display label; arbitrary machines are built with Custom or
 // loaded from JSON (core.LoadScenario). See docs/ARCHITECTURE.md.
 package config
 
@@ -24,59 +25,6 @@ import (
 	_ "corona/internal/swmr"
 	_ "corona/internal/xbar"
 )
-
-// NetworkKind selects the on-stack interconnect among the paper's presets.
-// It survives the fabric registry as the preset vocabulary: parsing and
-// printing for CLIs, and a compact way to name the five machines. Arbitrary
-// fabrics are addressed by registry name in System.Fabric instead.
-type NetworkKind uint8
-
-// On-stack interconnect options (Section 4).
-const (
-	XBar NetworkKind = iota
-	HMesh
-	LMesh
-)
-
-// FabricName returns the registry name of the preset's fabric.
-func (n NetworkKind) FabricName() string {
-	switch n {
-	case XBar:
-		return "xbar"
-	case HMesh:
-		return "hmesh"
-	case LMesh:
-		return "lmesh"
-	default:
-		return fmt.Sprintf("net(%d)", uint8(n))
-	}
-}
-
-// String names the network.
-func (n NetworkKind) String() string {
-	switch n {
-	case XBar:
-		return "XBar"
-	case HMesh:
-		return "HMesh"
-	case LMesh:
-		return "LMesh"
-	default:
-		return fmt.Sprintf("net(%d)", uint8(n))
-	}
-}
-
-// ParseNetworkKind is the inverse of String. It rejects unknown names with
-// an error listing the valid ones, so a typo in a flag or JSON config fails
-// loudly instead of silently selecting a default machine.
-func ParseNetworkKind(s string) (NetworkKind, error) {
-	for _, n := range []NetworkKind{XBar, HMesh, LMesh} {
-		if s == n.String() {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("config: unknown network %q (valid: XBar, HMesh, LMesh)", s)
-}
 
 // MemoryKind selects the off-stack memory interconnect.
 type MemoryKind uint8
@@ -189,31 +137,26 @@ func Custom(label, fabric string, mem MemoryKind, params map[string]int) System 
 	}
 }
 
-// Default fills in the common structural parameters for a preset machine.
-func Default(net NetworkKind, mem MemoryKind) System {
-	return Custom("", net.FabricName(), mem, nil)
-}
-
 // Corona returns the flagship XBar/OCM configuration.
-func Corona() System { return Default(XBar, OCM) }
+func Corona() System { return Custom("", "xbar", OCM, nil) }
 
 // Combos returns the five simulated configurations in the paper's
 // baseline-first order (Figure 8's legend order).
 func Combos() []System {
 	return []System{
-		Default(LMesh, ECM),
-		Default(HMesh, ECM),
-		Default(LMesh, OCM),
-		Default(HMesh, OCM),
-		Default(XBar, OCM),
+		Custom("", "lmesh", ECM, nil),
+		Custom("", "hmesh", ECM, nil),
+		Custom("", "lmesh", OCM, nil),
+		Custom("", "hmesh", OCM, nil),
+		Corona(),
 	}
 }
 
-// ParseName resolves a preset label of the form "<Network>/<Memory>", e.g.
-// "XBar/OCM" — the vocabulary of the paper's five machines plus the SWMR
-// variant ("SWMR/OCM" etc.), which shares the preset structure.
+// ParseName resolves a preset label "<Display>/<Memory>", e.g. "XBar/OCM"
+// or "SWMR/ECM", where Display is any registered fabric's display label:
+// a fabric registered at startup gets preset names with no code change.
 func ParseName(name string) (System, error) {
-	netName, memName, ok := strings.Cut(name, "/")
+	label, memName, ok := strings.Cut(name, "/")
 	if !ok {
 		return System{}, fmt.Errorf("config: preset %q is not of the form Network/Memory (e.g. XBar/OCM)", name)
 	}
@@ -221,14 +164,12 @@ func ParseName(name string) (System, error) {
 	if err != nil {
 		return System{}, fmt.Errorf("preset %q: %w", name, err)
 	}
-	if netName == "SWMR" {
-		return Custom("", "swmr", mem, nil), nil
+	fabric, ok := noc.ByLabel(label)
+	if !ok {
+		return System{}, fmt.Errorf("preset %q: config: unknown network %q (registered: %s)",
+			name, label, strings.Join(noc.Labels(), ", "))
 	}
-	net, err := ParseNetworkKind(netName)
-	if err != nil {
-		return System{}, fmt.Errorf("preset %q: %w (or SWMR)", name, err)
-	}
-	return Default(net, mem), nil
+	return Custom("", fabric, mem, nil), nil
 }
 
 // MemConfig returns the per-controller memory configuration.
@@ -243,28 +184,19 @@ func (s System) MemConfig() memory.Config {
 }
 
 // FabricCatalog renders the registered fabrics with their analytic
-// metadata — bisection bandwidth and best-case transit at the paper's
-// 64-cluster scale — the at-a-glance design-space table the registry
+// metadata (noc.Catalog) — the at-a-glance design-space table the registry
 // opens up beyond the five fixed machines.
 func FabricCatalog() *stats.Table {
 	t := stats.NewTable("Fabric", "Label", "Bisection (TB/s)", "Min transit (cycles)", "Description")
-	for _, name := range noc.Names() {
-		f, ok := noc.Lookup(name)
-		if !ok {
-			continue
+	for _, e := range noc.Catalog() {
+		bisection, transit := "-", "-"
+		if e.BisectionTBs > 0 {
+			bisection = fmt.Sprintf("%.2f", e.BisectionTBs)
 		}
-		p := noc.FabricParams{Clusters: 64}
-		bisection := "-"
-		if f.BisectionBytesPerSec != nil {
-			if bw := f.BisectionBytesPerSec(p); bw > 0 {
-				bisection = fmt.Sprintf("%.2f", bw/1e12)
-			}
+		if e.MinTransitCycles > 0 {
+			transit = fmt.Sprintf("%d", e.MinTransitCycles)
 		}
-		transit := "-"
-		if f.MinTransitCycles > 0 {
-			transit = fmt.Sprintf("%d", f.MinTransitCycles)
-		}
-		t.AddRow(name, noc.DisplayName(name), bisection, transit, f.Description)
+		t.AddRow(e.Name, e.Display, bisection, transit, e.Description)
 	}
 	return t
 }

@@ -1,8 +1,11 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"corona/internal/noc"
 )
 
 func TestFiveCombos(t *testing.T) {
@@ -36,19 +39,16 @@ func TestCoronaIsXBarOCM(t *testing.T) {
 }
 
 func TestSubConfigAccessors(t *testing.T) {
-	if Default(HMesh, ECM).Fabric != "hmesh" {
-		t.Error("HMesh fabric name wrong")
+	fabrics := []string{"lmesh", "hmesh", "lmesh", "hmesh", "xbar"}
+	for i, c := range Combos() {
+		if c.Fabric != fabrics[i] {
+			t.Errorf("%s fabric = %q, want %q", c.Name(), c.Fabric, fabrics[i])
+		}
 	}
-	if Default(LMesh, ECM).Fabric != "lmesh" {
-		t.Error("LMesh fabric name wrong")
-	}
-	if Corona().Fabric != "xbar" {
-		t.Error("XBar fabric name wrong")
-	}
-	if Default(HMesh, OCM).MemConfig().Name != "ocm" {
+	if Custom("", "hmesh", OCM, nil).MemConfig().Name != "ocm" {
 		t.Error("OCM config wrong")
 	}
-	if Default(HMesh, ECM).MemConfig().Name != "ecm" {
+	if Custom("", "hmesh", ECM, nil).MemConfig().Name != "ecm" {
 		t.Error("ECM config wrong")
 	}
 }
@@ -95,21 +95,25 @@ func TestCustomLabelAndName(t *testing.T) {
 }
 
 func TestParseKindsRoundTrip(t *testing.T) {
-	for _, n := range []NetworkKind{XBar, HMesh, LMesh} {
-		got, err := ParseNetworkKind(n.String())
-		if err != nil || got != n {
-			t.Errorf("ParseNetworkKind(%s) = %v, %v", n, got, err)
-		}
-	}
 	for _, m := range []MemoryKind{OCM, ECM} {
 		got, err := ParseMemoryKind(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseMemoryKind(%s) = %v, %v", m, got, err)
 		}
 	}
-	if _, err := ParseNetworkKind("Xbar"); err == nil ||
-		!strings.Contains(err.Error(), "XBar") {
-		t.Errorf("case typo must fail with the valid names listed: %v", err)
+	// Every registered fabric's presets round-trip through their names.
+	for _, name := range noc.Names() {
+		for _, mem := range []MemoryKind{OCM, ECM} {
+			c := Custom("", name, mem, nil)
+			got, err := ParseName(c.Name())
+			if err != nil || !reflect.DeepEqual(got, c) {
+				t.Errorf("ParseName(%s) = %+v, %v, want %+v", c.Name(), got, err, c)
+			}
+		}
+	}
+	if _, err := ParseName("Xbar/OCM"); err == nil ||
+		!strings.Contains(err.Error(), "HMesh, LMesh, SWMR, XBar") {
+		t.Errorf("case typo must fail with the registered labels listed: %v", err)
 	}
 	if _, err := ParseMemoryKind("ocm"); err == nil {
 		t.Error("lower-case memory name must fail (String round-trip only)")
@@ -173,13 +177,10 @@ func TestFabricCatalog(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	if XBar.String() != "XBar" || HMesh.String() != "HMesh" || LMesh.String() != "LMesh" {
-		t.Error("network names wrong")
-	}
 	if OCM.String() != "OCM" || ECM.String() != "ECM" {
 		t.Error("memory names wrong")
 	}
-	if !strings.HasPrefix(NetworkKind(9).String(), "net(") || !strings.HasPrefix(MemoryKind(9).String(), "mem(") {
+	if !strings.HasPrefix(MemoryKind(9).String(), "mem(") {
 		t.Error("unknown kinds should format numerically")
 	}
 }

@@ -107,7 +107,7 @@ func TestLowDemandAllConfigsEquivalent(t *testing.T) {
 	// it in roughly the same time (speedup ~1), like Barnes et al. in Fig 8.
 	spec := quickSpec(0.3)
 	spec.LocalFrac = 0.4
-	base := mustRun(t, config.Default(config.LMesh, config.ECM), spec, 4000, 3)
+	base := mustRun(t, config.Custom("", "lmesh", config.ECM, nil), spec, 4000, 3)
 	for _, cfg := range config.Combos()[1:] {
 		r := mustRun(t, cfg, spec, 4000, 3)
 		sp := r.Speedup(base)
@@ -151,7 +151,7 @@ func TestHighDemandOrdering(t *testing.T) {
 func TestECMBandwidthCeiling(t *testing.T) {
 	// Saturating uniform traffic on an ECM system cannot exceed ~0.96 TB/s
 	// of memory bandwidth (Table 4).
-	r := mustRun(t, config.Default(config.HMesh, config.ECM), quickSpec(5), 6000, 5)
+	r := mustRun(t, config.Custom("", "hmesh", config.ECM, nil), quickSpec(5), 6000, 5)
 	if r.AchievedTBs > 1.1 {
 		t.Errorf("ECM achieved %v TB/s, above its 0.96 TB/s ceiling", r.AchievedTBs)
 	}
@@ -165,8 +165,8 @@ func TestHotSpotMemoryLimited(t *testing.T) {
 	// win over ECM, but the crossbar adds little on top (the paper's
 	// exceptional case).
 	hot := traffic.Spec{Name: "hot", Kind: traffic.HotSpot, DemandTBs: 5, HotTarget: 0}
-	ecm := mustRun(t, config.Default(config.HMesh, config.ECM), hot, 3000, 11)
-	ocm := mustRun(t, config.Default(config.HMesh, config.OCM), hot, 3000, 11)
+	ecm := mustRun(t, config.Custom("", "hmesh", config.ECM, nil), hot, 3000, 11)
+	ocm := mustRun(t, config.Custom("", "hmesh", config.OCM, nil), hot, 3000, 11)
 	xb := mustRun(t, config.Corona(), hot, 3000, 11)
 	if sp := ocm.Speedup(ecm); sp < 3 {
 		t.Errorf("OCM over ECM on Hot Spot = %.2f, want large (single-MC bandwidth ratio)", sp)
@@ -200,7 +200,7 @@ func TestXBarLatencyBeatsMesh(t *testing.T) {
 	// cycles/hop: mean latency must be lower on XBar/OCM than LMesh/OCM.
 	spec := quickSpec(0.5)
 	xb := mustRun(t, config.Corona(), spec, 3000, 17)
-	lm := mustRun(t, config.Default(config.LMesh, config.OCM), spec, 3000, 17)
+	lm := mustRun(t, config.Custom("", "lmesh", config.OCM, nil), spec, 3000, 17)
 	if xb.MeanLatencyNs >= lm.MeanLatencyNs {
 		t.Errorf("XBar latency %.1f ns >= LMesh %.1f ns", xb.MeanLatencyNs, lm.MeanLatencyNs)
 	}
@@ -212,7 +212,7 @@ func TestPowerAccounting(t *testing.T) {
 	if xb.NetworkPowerW != 26 {
 		t.Errorf("crossbar power = %v, want constant 26 W", xb.NetworkPowerW)
 	}
-	hm := mustRun(t, config.Default(config.HMesh, config.OCM), spec, 3000, 19)
+	hm := mustRun(t, config.Custom("", "hmesh", config.OCM, nil), spec, 3000, 19)
 	if hm.NetworkPowerW <= 0 {
 		t.Error("mesh dynamic power not recorded")
 	}
@@ -223,7 +223,7 @@ func TestPowerAccounting(t *testing.T) {
 		t.Error("memory interconnect power not recorded")
 	}
 	// ECM memory power must dwarf OCM's at similar traffic.
-	em := mustRun(t, config.Default(config.HMesh, config.ECM), spec, 3000, 19)
+	em := mustRun(t, config.Custom("", "hmesh", config.ECM, nil), spec, 3000, 19)
 	if em.MemoryPowerW <= xb.MemoryPowerW {
 		t.Errorf("ECM memory power %v W <= OCM %v W at lower bandwidth", em.MemoryPowerW, xb.MemoryPowerW)
 	}
@@ -325,7 +325,7 @@ func TestP99ExactAtLongRuns(t *testing.T) {
 		requests int
 		cycles   sim.Time
 	}{{131073, 16692}, {400000, 21874}} {
-		res := mustRun(t, config.Default(config.LMesh, config.ECM), spec, c.requests, 42)
+		res := mustRun(t, config.Custom("", "lmesh", config.ECM, nil), spec, c.requests, 42)
 		if want := c.cycles.Ns(); res.P99LatencyNs != want {
 			t.Errorf("%d requests: P99 = %.1f ns, want %.1f", c.requests, res.P99LatencyNs, want)
 		}
@@ -362,7 +362,7 @@ func TestTraceReplay(t *testing.T) {
 		return res
 	}
 	rf := replay(config.Corona())
-	rs := replay(config.Default(config.LMesh, config.ECM))
+	rs := replay(config.Custom("", "lmesh", config.ECM, nil))
 	if rf.Requests != 2000 || rs.Requests != 2000 {
 		t.Fatalf("replay requests = %d/%d, want 2000", rf.Requests, rs.Requests)
 	}

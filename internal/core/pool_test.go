@@ -334,7 +334,7 @@ func TestSweepCacheInvalidatedByParameters(t *testing.T) {
 // independent of its worker count, and its seed reaches the simulation.
 func TestCompareOrderAndSeeds(t *testing.T) {
 	spec := quickSpec(1)
-	configs := []config.System{config.Corona(), config.Default(config.LMesh, config.ECM)}
+	configs := []config.System{config.Corona(), config.Custom("", "lmesh", config.ECM, nil)}
 	compare := func(workers int, seed uint64) []Result {
 		t.Helper()
 		res, err := NewClient(WithWorkers(workers)).Compare(context.Background(), spec, 800, seed, configs...)

@@ -14,7 +14,7 @@ import (
 // identical Result, every field, on a mesh and a crossbar machine. Compare
 // runs at the raw seed, a Sweep cell at CellSeed(seed, workload).
 func TestEntryPointsAgree(t *testing.T) {
-	configs := []config.System{config.Default(config.HMesh, config.ECM), config.Corona()}
+	configs := []config.System{config.Custom("", "hmesh", config.ECM, nil), config.Corona()}
 	all := AllWorkloads()
 	specs := []traffic.Spec{all[0], all[1], all[4]}
 	const requests, seed = 1500, 77
@@ -76,7 +76,7 @@ func TestReplayRunnerRejectsMismatchedClusters(t *testing.T) {
 func TestPooledSweepParallelRace(t *testing.T) {
 	mk := func() *Sweep {
 		return NewMatrixSweep(
-			[]config.System{config.Default(config.HMesh, config.ECM), config.Corona()},
+			[]config.System{config.Custom("", "hmesh", config.ECM, nil), config.Corona()},
 			AllWorkloads()[:4], 600, 42)
 	}
 	seq := mk()

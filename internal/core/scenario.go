@@ -44,7 +44,8 @@ type scenarioFile struct {
 	Seed      *uint64          `json:"seed"`
 }
 
-// scenarioConfig describes one machine: either a preset label, or a
+// scenarioConfig describes one machine: either a preset label
+// ("<Display>/<Memory>" over any registered fabric, config.ParseName), or a
 // declarative fabric + memory description with optional structural sizing.
 // Omitted structural fields take the paper's defaults (64 clusters,
 // 64 MSHRs, 4-cycle hub).

@@ -10,36 +10,26 @@ import (
 	_ "corona/internal/xbar"
 )
 
-// TestInjectEpochContract holds every registered fabric (plus SWMR with
-// tuned receivers) to the InjectEpochs contract the hub's refusal memo
+// TestInjectEpochContract holds every registered fabric to the InjectEpochs contract the hub's refusal memo
 // relies on: the slice has one entry per cluster; after Send refuses a
 // message from src, Send keeps refusing it while epochs[src] is unchanged;
 // the first accept after a refusal follows an epoch change; the epoch never
 // decreases; and Reset zeroes every epoch in the same backing array, which
 // the hub keeps for the network's lifetime.
 func TestInjectEpochContract(t *testing.T) {
-	type variant struct {
-		name   string
-		fabric string
-		params map[string]int
-	}
-	var variants []variant
-	for _, name := range noc.Names() {
-		variants = append(variants, variant{name, name, nil})
-	}
-	variants = append(variants, variant{"swmr-tuned", "swmr", map[string]int{"tuned_receivers": 1}})
-	if len(variants) < 5 {
-		t.Fatalf("only %d fabric variants registered: %v", len(variants), noc.Names())
+	names := noc.Names()
+	if len(names) < 4 {
+		t.Fatalf("only %d fabrics registered: %v", len(names), names)
 	}
 
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			fab, ok := noc.Lookup(v.fabric)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			fab, ok := noc.Lookup(name)
 			if !ok {
-				t.Fatalf("fabric %q not registered", v.fabric)
+				t.Fatalf("fabric %q not registered", name)
 			}
 			k := sim.NewKernel()
-			net, err := fab.Build(k, noc.FabricParams{Clusters: 64, Params: v.params})
+			net, err := fab.Build(k, noc.FabricParams{Clusters: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +122,7 @@ func TestInjectEpochContract(t *testing.T) {
 
 			r, ok := net.(noc.Resetter)
 			if !ok {
-				t.Fatalf("%s does not implement noc.Resetter", v.name)
+				t.Fatalf("%s does not implement noc.Resetter", name)
 			}
 			k.Reset()
 			r.Reset()

@@ -61,7 +61,8 @@ type Fabric struct {
 	// Name is the registry key, by convention lower-case ("xbar", "hmesh").
 	Name string
 	// Display is the label fragment used in configuration names ("XBar" in
-	// "XBar/OCM"). Defaults to Name when empty.
+	// "XBar/OCM") and unique among registered fabrics. Register sets it to
+	// Name when empty.
 	Display string
 	// Description is a one-line summary for catalogs and error messages.
 	Description string
@@ -91,26 +92,20 @@ type Fabric struct {
 	Utilization func(n Network, elapsed sim.Time) float64
 }
 
-// label returns the display fragment for configuration names.
-func (f Fabric) label() string {
-	if f.Display != "" {
-		return f.Display
-	}
-	return f.Name
-}
-
-// registry is the process-wide fabric catalog. Built-in fabrics register
-// from init (package config imports them for side effect); user fabrics
-// register through the corona façade at startup. Reads vastly outnumber
-// writes, hence the RWMutex.
+// registry is the process-wide fabric catalog, indexed by name and by
+// display label. Built-in fabrics register from init (package config imports
+// them for side effect); user fabrics register through the corona façade at
+// startup. Reads vastly outnumber writes, hence the RWMutex.
 var registry = struct {
 	sync.RWMutex
 	fabrics map[string]Fabric
-}{fabrics: map[string]Fabric{}}
+	labels  map[string]string // display label -> name
+}{fabrics: map[string]Fabric{}, labels: map[string]string{}}
 
 // Register adds f to the fabric catalog. It panics on an empty name, a nil
-// builder, or a duplicate registration — all programmer errors that should
-// fail at startup, not mid-sweep.
+// builder, or a duplicate name or display label — all programmer errors
+// that should fail at startup, not mid-sweep. The display label names the
+// fabric's presets ("<Display>/OCM"), hence it must be unique too.
 func Register(f Fabric) {
 	if f.Name == "" {
 		panic("noc: Register with empty fabric name")
@@ -118,12 +113,19 @@ func Register(f Fabric) {
 	if f.Build == nil {
 		panic(fmt.Sprintf("noc: fabric %q registered without a builder", f.Name))
 	}
+	if f.Display == "" {
+		f.Display = f.Name
+	}
 	registry.Lock()
 	defer registry.Unlock()
 	if _, dup := registry.fabrics[f.Name]; dup {
 		panic(fmt.Sprintf("noc: fabric %q registered twice", f.Name))
 	}
+	if other, dup := registry.labels[f.Display]; dup {
+		panic(fmt.Sprintf("noc: fabric %q reuses display label %q of fabric %q", f.Name, f.Display, other))
+	}
 	registry.fabrics[f.Name] = f
+	registry.labels[f.Display] = f.Name
 }
 
 // Lookup returns the fabric registered under name.
@@ -134,23 +136,69 @@ func Lookup(name string) (Fabric, bool) {
 	return f, ok
 }
 
+// ByLabel returns the name of the fabric whose display label is label.
+func ByLabel(label string) (string, bool) {
+	registry.RLock()
+	defer registry.RUnlock()
+	name, ok := registry.labels[label]
+	return name, ok
+}
+
 // DisplayName returns the registered display label for name, or name itself
 // when unregistered (so configuration labels degrade gracefully).
 func DisplayName(name string) string {
 	if f, ok := Lookup(name); ok {
-		return f.label()
+		return f.Display
 	}
 	return name
 }
 
 // Names returns the registered fabric names, sorted.
-func Names() []string {
+func Names() []string { return sortedKeys(registry.fabrics) }
+
+// Labels returns the registered display labels, sorted.
+func Labels() []string { return sortedKeys(registry.labels) }
+
+func sortedKeys[V any](m map[string]V) []string {
 	registry.RLock()
 	defer registry.RUnlock()
-	out := make([]string, 0, len(registry.fabrics))
-	for n := range registry.fabrics {
-		out = append(out, n)
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// CatalogEntry is one registered fabric's row of the interconnect catalog:
+// its analytic metadata at the paper's 64-cluster scale, in the JSON shape
+// GET /v1/fabrics serves. Zero values mean "not stated".
+type CatalogEntry struct {
+	Name             string  `json:"name"`
+	Display          string  `json:"display"`
+	Description      string  `json:"description,omitempty"`
+	BisectionTBs     float64 `json:"bisection_tbs,omitempty"`
+	MinTransitCycles uint64  `json:"min_transit_cycles,omitempty"`
+}
+
+// Catalog returns one entry per registered fabric, sorted by name.
+func Catalog() []CatalogEntry {
+	names := Names()
+	out := make([]CatalogEntry, 0, len(names))
+	for _, name := range names {
+		f, _ := Lookup(name)
+		e := CatalogEntry{
+			Name:             name,
+			Display:          f.Display,
+			Description:      f.Description,
+			MinTransitCycles: uint64(f.MinTransitCycles),
+		}
+		if f.BisectionBytesPerSec != nil {
+			if bw := f.BisectionBytesPerSec(FabricParams{Clusters: 64}); bw > 0 {
+				e.BisectionTBs = bw / 1e12
+			}
+		}
+		out = append(out, e)
+	}
 	return out
 }

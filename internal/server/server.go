@@ -1014,35 +1014,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
-// fabricView is one row of the interconnect catalog: the registry metadata
-// at the paper's 64-cluster scale.
-type fabricView struct {
-	Name             string  `json:"name"`
-	Display          string  `json:"display"`
-	Description      string  `json:"description,omitempty"`
-	BisectionTBs     float64 `json:"bisection_tbs,omitempty"`
-	MinTransitCycles uint64  `json:"min_transit_cycles,omitempty"`
-}
-
+// handleFabrics serves the interconnect catalog, the same rows
+// corona-inventory -table fabrics prints.
 func (s *Server) handleFabrics(w http.ResponseWriter, _ *http.Request) {
-	views := []fabricView{}
-	for _, name := range noc.Names() {
-		f, ok := noc.Lookup(name)
-		if !ok {
-			continue
-		}
-		v := fabricView{
-			Name:             name,
-			Display:          noc.DisplayName(name),
-			Description:      f.Description,
-			MinTransitCycles: uint64(f.MinTransitCycles),
-		}
-		if f.BisectionBytesPerSec != nil {
-			// The analytic metadata is quoted at the paper's 64-cluster scale,
-			// matching corona-inventory -table fabrics.
-			v.BisectionTBs = f.BisectionBytesPerSec(noc.FabricParams{Clusters: 64}) / 1e12
-		}
-		views = append(views, v)
-	}
-	writeJSON(w, http.StatusOK, views)
+	writeJSON(w, http.StatusOK, noc.Catalog())
 }

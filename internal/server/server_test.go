@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"corona/internal/core"
+	"corona/internal/noc"
 )
 
 // tinyScenario is a 2-config x 1-workload matrix that simulates in
@@ -268,7 +269,7 @@ func TestFabricCatalogEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var views []fabricView
+	var views []noc.CatalogEntry
 	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
 		t.Fatal(err)
 	}

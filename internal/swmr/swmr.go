@@ -7,14 +7,10 @@
 // the send path needs no token arbitration at all: a writer's channel is
 // always its own, and a message starts transmitting as soon as the
 // destination grants a receive-buffer credit. The contention moves to the
-// receive side. In the default organization every cluster carries tuned
-// drop filters for all channels (receive-side wavelength filtering), which
-// multiplies the ring count — the component-cost argument the paper makes —
-// but removes arbitration latency entirely. With TunedReceivers, the model
-// instead gives each cluster a single rapidly tunable receiver and
-// arbitrates it with the same all-optical token ring the MWSR crossbar uses
-// for its writers (package arbiter, reused only where the organization
-// actually needs it).
+// receive side: every cluster carries tuned drop filters for all channels
+// (receive-side wavelength filtering), which multiplies the ring count —
+// the component-cost argument the paper makes — but removes arbitration
+// latency entirely.
 //
 // The structural trade against MWSR is head-of-line blocking: a source
 // serializes all its traffic through one channel in FIFO order, so a
@@ -26,7 +22,6 @@ package swmr
 import (
 	"fmt"
 
-	"corona/internal/arbiter"
 	"corona/internal/noc"
 	"corona/internal/power"
 	"corona/internal/sim"
@@ -46,10 +41,6 @@ type Config struct {
 	// RecvBuffer is the per-destination receive buffer depth in messages;
 	// it is the credit pool writers draw from.
 	RecvBuffer int
-	// TunedReceivers selects the single-tunable-receiver organization:
-	// each destination's receiver is arbitrated by an optical token ring.
-	// False (the default) models fully provisioned per-channel receivers.
-	TunedReceivers bool
 }
 
 // DefaultConfig returns the SWMR organization at the paper's channel
@@ -67,7 +58,7 @@ func DefaultConfig() Config {
 // srcQueue is one source's injection FIFO over its private channel.
 type srcQueue struct {
 	msgs   sim.Fifo[*noc.Message]
-	active bool // head message is progressing through credit/receiver/transmit
+	active bool // head message is progressing through credit/transmit
 }
 
 // Crossbar implements noc.Network.
@@ -76,8 +67,6 @@ type Crossbar struct {
 
 	k   *sim.Kernel
 	cfg Config
-	// arb arbitrates destination receivers; nil unless TunedReceivers.
-	arb *arbiter.TokenRing
 
 	queues  []srcQueue  // per source
 	credits noc.Credits // per destination receive-buffer pool
@@ -88,18 +77,10 @@ type Crossbar struct {
 
 var _ noc.Network = (*Crossbar)(nil)
 
-// pack2 packs a (src, dst) cluster pair into a handler data word.
-func pack2(src, dst int) uint64 { return uint64(src)<<16 | uint64(dst) }
-
-func unpack2(data uint64) (src, dst int) { return int(data >> 16 & 0xffff), int(data & 0xffff) }
-
 // creditEvent hands a freed receive-buffer credit to a waiting writer.
 type creditEvent Crossbar
 
-func (e *creditEvent) OnEvent(_ sim.Time, data uint64) {
-	src, _ := unpack2(data)
-	(*Crossbar)(e).haveCredit(src)
-}
+func (e *creditEvent) OnEvent(_ sim.Time, src uint64) { (*Crossbar)(e).transmit(int(src)) }
 
 // releaseEvent fires when a message's tail leaves the source's channel: the
 // head (which occupied its injection-FIFO slot while in flight) pops and
@@ -114,42 +95,19 @@ func (e *releaseEvent) OnEvent(_ sim.Time, data uint64) {
 	x.advance(src)
 }
 
-// rxFreeEvent fires when the tail reaches a tuned receiver: the receiver's
-// token re-injects into the arbitration ring.
-type rxFreeEvent Crossbar
-
-func (e *rxFreeEvent) OnEvent(_ sim.Time, data uint64) {
-	src, dst := unpack2(data)
-	(*Crossbar)(e).arb.Release(dst, src)
-}
-
-// Granted implements arbiter.GrantHandler for the tuned-receiver
-// organization: channel is the destination whose receiver was won, cluster
-// the transmitting source.
-func (x *Crossbar) Granted(channel, cluster int) { x.transmit(cluster, channel) }
-
 // New builds an SWMR crossbar on kernel k.
 func New(k *sim.Kernel, cfg Config) *Crossbar {
-	if cfg.Clusters > 1<<16 {
-		// pack2 carries cluster ids in 16-bit event data fields.
-		panic(fmt.Sprintf("swmr: %d clusters exceeds the %d-cluster event encoding limit",
-			cfg.Clusters, 1<<16))
-	}
 	if cfg.Clusters <= 0 || cfg.BytesPerCycle <= 0 || cfg.PropSpeed <= 0 ||
 		cfg.InjectQueue <= 0 || cfg.RecvBuffer <= 0 {
 		panic(fmt.Sprintf("swmr: invalid config %+v", cfg))
 	}
-	x := &Crossbar{
+	return &Crossbar{
 		Endpoints: noc.NewEndpoints(k, "swmr", cfg.Clusters),
 		k:         k,
 		cfg:       cfg,
 		queues:    make([]srcQueue, cfg.Clusters),
 		credits:   noc.NewCredits("swmr", cfg.Clusters, cfg.RecvBuffer),
 	}
-	if cfg.TunedReceivers {
-		x.arb = arbiter.New(k, cfg.Clusters, cfg.Clusters, cfg.PropSpeed)
-	}
-	return x
 }
 
 // Reset implements noc.Resetter: restore the construction state in place,
@@ -163,9 +121,6 @@ func (x *Crossbar) Reset() {
 	}
 	x.credits.Reset()
 	x.Endpoints.Reset()
-	if x.arb != nil {
-		x.arb.Reset()
-	}
 	x.BusyCycles = 0
 }
 
@@ -193,60 +148,39 @@ func (x *Crossbar) Consume(cluster int, m *noc.Message) {
 	x.Release(m)
 	if src, ok := x.credits.Return(cluster); ok {
 		// Hand the credit straight to the waiting writer.
-		x.k.ScheduleEvent(0, (*creditEvent)(x), pack2(src, cluster))
+		x.k.ScheduleEvent(0, (*creditEvent)(x), uint64(src))
 	}
 }
 
-// advance starts src's head message through the credit (and, if configured,
-// receiver-arbitration) pipeline.
+// advance starts src's head message through the credit pipeline.
 func (x *Crossbar) advance(src int) {
 	q := &x.queues[src]
 	if q.msgs.Empty() {
 		q.active = false
 		return
 	}
-	dst := q.msgs.Front().Dst
-	// Step 1: acquire a receive-buffer credit at dst. The head waits here on
-	// back pressure — and everything queued behind it waits too (HOL).
-	if x.credits.Take(dst, src) {
-		x.haveCredit(src)
+	// Acquire a receive-buffer credit at the destination. The head waits
+	// here on back pressure — and everything queued behind it waits too
+	// (HOL). With one in hand the source transmits at once: no arbitration,
+	// the defining SWMR property.
+	if x.credits.Take(q.msgs.Front().Dst, src) {
+		x.transmit(src)
 	}
 }
 
-// haveCredit is step 2: with full per-channel receivers the source
-// transmits immediately (no arbitration — the defining SWMR property);
-// with tuned receivers it must win the destination's receiver token first.
-func (x *Crossbar) haveCredit(src int) {
-	dst := x.queues[src].msgs.Front().Dst
-	if x.arb != nil {
-		x.arb.RequestEvent(dst, src, x)
-		return
-	}
-	x.transmit(src, dst)
-}
-
-// transmit is step 3: modulate the message onto the source's own channel
-// and deliver after serpentine propagation. The head stays at the front of
-// the source FIFO (holding its injection slot) until the release fires.
-func (x *Crossbar) transmit(src, dst int) {
+// transmit modulates src's head message onto its own channel and delivers
+// it after serpentine propagation. The head stays at the front of the
+// source FIFO (holding its injection slot) until the release fires.
+func (x *Crossbar) transmit(src int) {
 	m := x.queues[src].msgs.Front()
 
 	tx := sim.Time((m.Size + x.cfg.BytesPerCycle - 1) / x.cfg.BytesPerCycle)
-	prop := x.propagation(src, dst)
+	prop := x.propagation(src, m.Dst)
 	x.BusyCycles += uint64(tx)
 
 	x.DeliverAfter(tx+prop, m)
-	if x.arb != nil {
-		// A tuned receiver stays filtering this channel until the tail
-		// arrives, so the token re-injects at tx+prop — and the source's
-		// next message must not re-request a token it still holds, so its
-		// release is scheduled after the token's (same cycle, FIFO order).
-		x.k.ScheduleEvent(tx+prop, (*rxFreeEvent)(x), pack2(src, dst))
-		x.k.ScheduleEvent(tx+prop, (*releaseEvent)(x), uint64(src))
-		return
-	}
-	// Fully provisioned receivers: the channel frees as soon as the tail
-	// leaves the modulators.
+	// The receivers are fully provisioned, so the channel frees as soon as
+	// the tail leaves the modulators.
 	x.k.ScheduleEvent(tx, (*releaseEvent)(x), uint64(src))
 }
 
@@ -273,17 +207,16 @@ func (x *Crossbar) Utilization(elapsed sim.Time) float64 {
 
 // Parameter keys the "swmr" fabric accepts in noc.FabricParams.Params.
 const (
-	ParamBytesPerCycle  = "bytes_per_cycle"
-	ParamPropSpeed      = "prop_speed"
-	ParamInjectQueue    = "inject_queue"
-	ParamRecvBuffer     = "recv_buffer"
-	ParamTunedReceivers = "tuned_receivers" // 0 = full per-channel receivers, 1 = token-arbitrated
+	ParamBytesPerCycle = "bytes_per_cycle"
+	ParamPropSpeed     = "prop_speed"
+	ParamInjectQueue   = "inject_queue"
+	ParamRecvBuffer    = "recv_buffer"
 )
 
 // FromParams resolves a Config from the published defaults plus overrides.
 func FromParams(p noc.FabricParams) (Config, error) {
 	if err := p.CheckKeys("swmr", ParamBytesPerCycle, ParamPropSpeed,
-		ParamInjectQueue, ParamRecvBuffer, ParamTunedReceivers); err != nil {
+		ParamInjectQueue, ParamRecvBuffer); err != nil {
 		return Config{}, err
 	}
 	cfg := DefaultConfig()
@@ -294,7 +227,6 @@ func FromParams(p noc.FabricParams) (Config, error) {
 	cfg.PropSpeed = p.Get(ParamPropSpeed, cfg.PropSpeed)
 	cfg.InjectQueue = p.Get(ParamInjectQueue, cfg.InjectQueue)
 	cfg.RecvBuffer = p.Get(ParamRecvBuffer, cfg.RecvBuffer)
-	cfg.TunedReceivers = p.Get(ParamTunedReceivers, 0) != 0
 	if cfg.Clusters <= 0 || cfg.BytesPerCycle <= 0 || cfg.PropSpeed <= 0 ||
 		cfg.InjectQueue <= 0 || cfg.RecvBuffer <= 0 {
 		return Config{}, fmt.Errorf("swmr: non-positive parameter in %+v", cfg)

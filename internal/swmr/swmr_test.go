@@ -165,29 +165,6 @@ func TestReceiveBufferBackPressure(t *testing.T) {
 	}
 }
 
-func TestFanInSharesReceiverBandwidthTuned(t *testing.T) {
-	// With a single tuned receiver per cluster, 63 writers into one reader
-	// serialize on the receiver: the drain takes at least 63 transmit slots,
-	// and the token ring (reused from the MWSR design) paces hand-offs.
-	cfg := DefaultConfig()
-	cfg.TunedReceivers = true
-	cfg.InjectQueue = 2
-	h := newHarness(t, cfg)
-	for s := 1; s < 64; s++ {
-		if !h.x.Send(msg(uint64(s), s, 0, 64)) {
-			t.Fatalf("send from %d refused", s)
-		}
-	}
-	h.k.Run()
-	if len(h.got) != 63 {
-		t.Fatalf("delivered %d, want 63", len(h.got))
-	}
-	end := h.when[len(h.when)-1]
-	if end < 63 {
-		t.Errorf("63 transfers through one tuned receiver finished in %d cycles (< 63)", end)
-	}
-}
-
 func TestFanInParallelWithFullReceivers(t *testing.T) {
 	// With per-channel receivers, fan-in is bounded by credits and source
 	// channels, not a shared receiver: 16 writers with 16 credits all land
@@ -209,50 +186,47 @@ func TestFanInParallelWithFullReceivers(t *testing.T) {
 }
 
 func TestDeliveryCompleteness(t *testing.T) {
-	for _, tuned := range []bool{false, true} {
-		f := func(seed uint64, nRaw uint8) bool {
-			n := int(nRaw%100) + 1
-			rng := sim.NewRand(seed)
-			k := sim.NewKernel()
-			cfg := DefaultConfig()
-			cfg.InjectQueue = 200 // accept everything up front
-			cfg.TunedReceivers = tuned
-			x := New(k, cfg)
-			seen := make(map[uint64]int)
-			for c := 0; c < cfg.Clusters; c++ {
-				c := c
-				x.SetDeliver(c, func(m *noc.Message) {
-					seen[m.ID]++
-					x.Consume(c, m)
-				})
+	f := func(seed uint64, nRaw uint8) bool {
+		n := int(nRaw%100) + 1
+		rng := sim.NewRand(seed)
+		k := sim.NewKernel()
+		cfg := DefaultConfig()
+		cfg.InjectQueue = 200 // accept everything up front
+		x := New(k, cfg)
+		seen := make(map[uint64]int)
+		for c := 0; c < cfg.Clusters; c++ {
+			c := c
+			x.SetDeliver(c, func(m *noc.Message) {
+				seen[m.ID]++
+				x.Consume(c, m)
+			})
+		}
+		for i := 0; i < n; i++ {
+			src := rng.Intn(64)
+			dst := rng.Intn(63)
+			if dst >= src {
+				dst++
 			}
-			for i := 0; i < n; i++ {
-				src := rng.Intn(64)
-				dst := rng.Intn(63)
-				if dst >= src {
-					dst++
-				}
-				size := 16 + rng.Intn(112)
-				if !x.Send(msg(uint64(i), src, dst, size)) {
-					return false
-				}
-			}
-			if k.RunLimit(2_000_000) >= 2_000_000 {
+			size := 16 + rng.Intn(112)
+			if !x.Send(msg(uint64(i), src, dst, size)) {
 				return false
 			}
-			if len(seen) != n {
+		}
+		if k.RunLimit(2_000_000) >= 2_000_000 {
+			return false
+		}
+		if len(seen) != n {
+			return false
+		}
+		for _, c := range seen {
+			if c != 1 {
 				return false
 			}
-			for _, c := range seen {
-				if c != 1 {
-					return false
-				}
-			}
-			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-			t.Fatalf("tuned=%v: %v", tuned, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -277,11 +251,11 @@ func TestFromParamsValidatesKeys(t *testing.T) {
 		t.Fatalf("typo key not rejected: %v", err)
 	}
 	cfg, err := FromParams(noc.FabricParams{Clusters: 64,
-		Params: map[string]int{ParamRecvBuffer: 8, ParamTunedReceivers: 1}})
+		Params: map[string]int{ParamRecvBuffer: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.RecvBuffer != 8 || !cfg.TunedReceivers || cfg.BytesPerCycle != 64 {
+	if cfg.RecvBuffer != 8 || cfg.BytesPerCycle != 64 {
 		t.Fatalf("params not applied over defaults: %+v", cfg)
 	}
 	if _, err := FromParams(noc.FabricParams{Clusters: 64,
