@@ -10,12 +10,13 @@ import (
 	_ "corona/internal/xbar"
 )
 
-// TestInjectEpochContract holds every registered fabric to the InjectEpochs contract the hub's refusal memo
-// relies on: the slice has one entry per cluster; after Send refuses a
-// message from src, Send keeps refusing it while epochs[src] is unchanged;
-// the first accept after a refusal follows an epoch change; the epoch never
-// decreases; and Reset zeroes every epoch in the same backing array, which
-// the hub keeps for the network's lifetime.
+// TestInjectEpochContract holds every registered fabric to the
+// InjectEpochs contract the hub's refusal memo relies on: the slice has
+// one entry per cluster; after Send refuses a message from src, Send keeps
+// refusing it while epochs[src] is unchanged; the first accept after a
+// refusal follows an epoch change; the epoch never decreases; and Reset
+// zeroes every epoch in the same backing array, which the hub keeps for
+// the network's lifetime.
 func TestInjectEpochContract(t *testing.T) {
 	names := noc.Names()
 	if len(names) < 4 {
