@@ -52,10 +52,9 @@ type tokenChannel struct {
 	pending []waiter
 	// gen invalidates in-flight grant events after a re-commit.
 	gen uint64
-	// commitCluster and commitWait describe the scheduled grant for the
-	// typed grant event.
+	// commitCluster is the requester the scheduled grant event diverts the
+	// token to.
 	commitCluster int
-	commitWait    sim.Time
 }
 
 // TokenRing arbitrates nchan channels among n clusters.
@@ -68,12 +67,6 @@ type TokenRing struct {
 	hops  []sim.Time
 	rev   sim.Time
 	chans []tokenChannel
-
-	// Grants counts total grants, for utilization statistics.
-	Grants uint64
-	// WaitCycles accumulates token acquisition wait, for Figure 10's queueing
-	// component.
-	WaitCycles uint64
 }
 
 // New returns a token ring arbitrating nchan channels among n clusters on
@@ -105,8 +98,8 @@ func New(k *sim.Kernel, n, nchan, speed int) *TokenRing {
 	return t
 }
 
-// Reset returns every channel to its construction state and zeroes the
-// counters, keeping grown pending-queue capacity.
+// Reset returns every channel to its construction state, keeping grown
+// pending-queue capacity.
 func (t *TokenRing) Reset() {
 	for i := range t.chans {
 		c := &t.chans[i]
@@ -118,7 +111,6 @@ func (t *TokenRing) Reset() {
 			pending:      c.pending[:0],
 		}
 	}
-	t.Grants, t.WaitCycles = 0, 0
 }
 
 // Clusters returns the ring size.
@@ -222,7 +214,6 @@ func (t *TokenRing) commit(channel int) {
 	}
 	c.gen++
 	c.commitCluster = c.pending[best].cluster
-	c.commitWait = bestETA - now
 	// The in-flight grant is a typed kernel event: the channel index and the
 	// commit generation pack into the data word, and the commitment details
 	// live on the channel, so no closure is allocated per arbitration.
@@ -260,7 +251,5 @@ func (g *grantEvent) OnEvent(_ sim.Time, data uint64) {
 			break
 		}
 	}
-	t.Grants++
-	t.WaitCycles += uint64(c.commitWait)
 	w.h.Granted(channel, c.holder)
 }

@@ -50,16 +50,15 @@ type Bus struct {
 	cfg Config
 	arb *arbiter.TokenRing
 
-	queues  [][]*noc.Message
+	queues  []sim.Fifo[*noc.Message]
 	active  []bool
 	deliver []DeliverFunc
 
 	// slots parks the in-flight broadcast for its per-cluster snoop events.
 	slots sim.Slots[*noc.Message]
 
-	// Broadcasts and Bytes count completed broadcasts.
+	// Broadcasts counts completed broadcasts.
 	Broadcasts uint64
-	Bytes      uint64
 }
 
 // New builds a broadcast bus on kernel k.
@@ -68,7 +67,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 		panic(fmt.Sprintf("bus: invalid config %+v", cfg))
 	}
 	if cfg.Clusters > 1<<16 {
-		// txDoneEvent/snoopEvent carry cluster ids in 16-bit event data fields.
+		// snoopEvent carries the cluster id in the data word's low 16 bits.
 		panic(fmt.Sprintf("bus: %d clusters exceeds the %d-cluster event encoding limit",
 			cfg.Clusters, 1<<16))
 	}
@@ -77,7 +76,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 		cfg: cfg,
 		// One token arbitrates the single bus among all clusters.
 		arb:     arbiter.New(k, cfg.Clusters, 1, cfg.TokenSpeed),
-		queues:  make([][]*noc.Message, cfg.Clusters),
+		queues:  make([]sim.Fifo[*noc.Message], cfg.Clusters),
 		active:  make([]bool, cfg.Clusters),
 		deliver: make([]DeliverFunc, cfg.Clusters),
 	}
@@ -91,21 +90,20 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 func (b *Bus) Granted(_, cluster int) { b.transmit(cluster) }
 
 // txDoneEvent fires when the modulated message's tail leaves the source: the
-// token re-injects, counters update, and any queued broadcast re-arbitrates.
-// The broadcast byte count rides in the upper bits of the data word.
+// token re-injects, the broadcast is counted, and any queued broadcast
+// re-arbitrates. The data word is the source cluster.
 type txDoneEvent Bus
 
 func (e *txDoneEvent) OnEvent(_ sim.Time, data uint64) {
 	b := (*Bus)(e)
-	src := int(data & 0xffff)
+	src := int(data)
 	b.arb.Release(0, src)
-	if len(b.queues[src]) > 0 {
+	if !b.queues[src].Empty() {
 		b.arb.RequestEvent(0, src, b)
 	} else {
 		b.active[src] = false
 	}
 	b.Broadcasts++
-	b.Bytes += data >> 16
 }
 
 // snoopEvent fires when the second-pass light reaches one cluster's
@@ -144,10 +142,10 @@ func (b *Bus) Broadcast(m *noc.Message) bool {
 	if m.Src < 0 || m.Src >= b.cfg.Clusters {
 		panic(fmt.Sprintf("bus: source %d out of range", m.Src))
 	}
-	if len(b.queues[m.Src]) >= b.cfg.InjectQueue {
+	if b.queues[m.Src].Len() >= b.cfg.InjectQueue {
 		return false
 	}
-	b.queues[m.Src] = append(b.queues[m.Src], m)
+	b.queues[m.Src].Push(m)
 	if !b.active[m.Src] {
 		b.active[m.Src] = true
 		b.arb.RequestEvent(0, m.Src, b)
@@ -158,13 +156,11 @@ func (b *Bus) Broadcast(m *noc.Message) bool {
 // transmit modulates the head message on the first pass and schedules the
 // second-pass snoops.
 func (b *Bus) transmit(src int) {
-	q := b.queues[src]
-	m := q[0]
-	b.queues[src] = q[1:]
+	m := b.queues[src].Pop()
 
 	tx := sim.Time((m.Size + b.cfg.BytesPerCycle - 1) / b.cfg.BytesPerCycle)
 
-	b.k.ScheduleEvent(tx, (*txDoneEvent)(b), uint64(src)|uint64(m.Size)<<16)
+	b.k.ScheduleEvent(tx, (*txDoneEvent)(b), uint64(src))
 
 	// The message becomes active when the light enters its second pass: it
 	// must first travel from src to the end of the first pass (the coil's

@@ -141,8 +141,8 @@ func TestQueuedBroadcastsFromOneSender(t *testing.T) {
 	if len(*got) != 5*64 {
 		t.Fatalf("delivered %d, want %d", len(*got), 5*64)
 	}
-	if b.Bytes != 5*16 {
-		t.Fatalf("Bytes = %d, want 80", b.Bytes)
+	if b.Broadcasts != 5 {
+		t.Fatalf("Broadcasts = %d, want 5", b.Broadcasts)
 	}
 }
 

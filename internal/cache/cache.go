@@ -204,10 +204,6 @@ type MSHR struct {
 	max   int  // the table's largest size: the power of two >= 2*cap
 	shift uint // 64 - log2(len(table)), for the hash's top bits
 	table []mshrEntry
-	// Stats.
-	PrimaryMisses   uint64
-	SecondaryMerges uint64
-	FullStalls      uint64
 }
 
 // mshrMinTable is the table size a new file starts with (capped at its
@@ -278,11 +274,9 @@ func (m *MSHR) Allocate(line uint64) (primary, ok bool) {
 	i, found := m.slot(line)
 	if found {
 		m.table[i].count++
-		m.SecondaryMerges++
 		return false, true
 	}
 	if m.n >= m.cap {
-		m.FullStalls++
 		return false, false
 	}
 	if 4*(m.n+1) > len(m.table) && len(m.table) < m.max {
@@ -291,11 +285,10 @@ func (m *MSHR) Allocate(line uint64) (primary, ok bool) {
 	}
 	m.table[i] = mshrEntry{line: line, count: 1}
 	m.n++
-	m.PrimaryMisses++
 	return true, true
 }
 
-// Reset drops every entry and zeroes the counters, keeping the grown table.
+// Reset drops every entry, keeping the grown table.
 // Backward-shift deletion leaves an emptied table all zero, so only a file
 // still holding entries is cleared.
 func (m *MSHR) Reset() {
@@ -303,7 +296,6 @@ func (m *MSHR) Reset() {
 		clear(m.table)
 	}
 	m.n = 0
-	m.PrimaryMisses, m.SecondaryMerges, m.FullStalls = 0, 0, 0
 }
 
 // Complete retires line's entry, returning how many requesters were merged

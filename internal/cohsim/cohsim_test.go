@@ -30,13 +30,11 @@ func TestLocalHitIsFast(t *testing.T) {
 	s := New(true)
 	s.Access(3, 0x40, false, nil)
 	s.Run(1)
-	s.Access(3, 0x40, false, nil) // now a pure hub hit
+	start, at := s.K.Now(), sim.Time(0)
+	s.Access(3, 0x40, false, func() { at = s.K.Now() }) // now a pure hub hit
 	s.Run(2)
-	if s.ReadLatency.Max() < s.ReadLatency.Mean()*1.5 {
-		t.Log("latency spread small; acceptable")
-	}
-	if s.ReadLatency.Min() > 2 {
-		t.Errorf("hit latency = %v ns, want ~0.8 (hub only)", s.ReadLatency.Min())
+	if got := at - start; got != hubCycles {
+		t.Errorf("hit latency = %d cycles, want %d (hub only)", got, hubCycles)
 	}
 }
 

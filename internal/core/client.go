@@ -117,7 +117,7 @@ func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, er
 		opt(&sc)
 	}
 	total := len(s.Configs) * len(s.Workloads)
-	order, err := subsetOrder(sc.subset, total)
+	order, err := SubsetOrder(sc.subset, total)
 	if err != nil {
 		return nil, err
 	}

@@ -380,26 +380,28 @@ func (s *Sweep) run(ctx context.Context, c *Client, cache *resultCache, rowSeed 
 	return nil
 }
 
-// subsetOrder validates and canonicalizes a Subset option against the matrix
+// SubsetOrder validates and canonicalizes a cell subset against the matrix
 // size: a sorted copy of the indices for a subset run, nil for a full one.
 // Out-of-range or duplicate indices — and an explicitly empty subset — are
-// caller mistakes, rejected as *ConfigError before any cell simulates.
-func subsetOrder(subset []int, total int) ([]int, error) {
+// caller mistakes, rejected as *ConfigError before any cell simulates. It
+// is the one rule set behind the Subset option and the daemon's "cells"
+// selector.
+func SubsetOrder(subset []int, total int) ([]int, error) {
 	if subset == nil {
 		return nil, nil
 	}
 	if len(subset) == 0 {
-		return nil, &ConfigError{Name: "subset", Err: fmt.Errorf("core: Subset selects no cells")}
+		return nil, &ConfigError{Name: "subset", Err: fmt.Errorf("core: cell subset selects no cells")}
 	}
 	order := make([]int, len(subset))
 	copy(order, subset)
 	sort.Ints(order)
 	for k, i := range order {
 		if i < 0 || i >= total {
-			return nil, &ConfigError{Name: "subset", Err: fmt.Errorf("core: Subset index %d outside the %d-cell matrix", i, total)}
+			return nil, &ConfigError{Name: "subset", Err: fmt.Errorf("core: cell index %d outside the %d-cell matrix", i, total)}
 		}
 		if k > 0 && order[k-1] == i {
-			return nil, &ConfigError{Name: "subset", Err: fmt.Errorf("core: Subset index %d duplicated", i)}
+			return nil, &ConfigError{Name: "subset", Err: fmt.Errorf("core: cell index %d duplicated", i)}
 		}
 	}
 	return order, nil

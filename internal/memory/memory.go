@@ -213,14 +213,12 @@ func (l *link) reserve(now, at sim.Time, bytes int, bytesPerCycle float64) (star
 }
 
 // inflightReq is what the finish event needs of one submitted transaction:
-// its completion handler and data word, its bytes on the wire and its
-// submit time. Copying these out of the Request keeps the caller's Request
-// from escaping.
+// its completion handler and data word and its bytes on the wire. Copying
+// these out of the Request keeps the caller's Request from escaping.
 type inflightReq struct {
 	done     sim.Handler
 	doneData uint64
 	bytes    uint64
-	start    sim.Time
 }
 
 // spaceWaiter is one queued NotifySpaceEvent registration.
@@ -243,7 +241,6 @@ func (e *finishEvent) OnEvent(now sim.Time, data uint64) {
 	}
 	c.Served++
 	c.BytesMoved += f.bytes
-	c.TotalLatency += now - f.start
 	if f.done != nil {
 		f.done.OnEvent(now, f.doneData)
 	}
@@ -272,11 +269,6 @@ type Controller struct {
 	// Stats.
 	Served     uint64
 	BytesMoved uint64
-	// QueueFullRefusals counts Submit back-pressure events.
-	QueueFullRefusals uint64
-	// TotalLatency sums each served transaction's time from Submit to
-	// completion, for MeanLatencyNs.
-	TotalLatency sim.Time
 }
 
 // NewController builds controller id with config cfg on kernel k.
@@ -296,9 +288,6 @@ func NewController(k *sim.Kernel, cfg Config, id int) *Controller {
 	return c
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // QueueLen returns the number of in-flight transactions.
 func (c *Controller) QueueLen() int { return c.queued }
 
@@ -313,8 +302,7 @@ func (c *Controller) Reset() {
 	c.queued = 0
 	c.waiters.Reset()
 	c.inflight.Reset()
-	c.Served, c.BytesMoved, c.QueueFullRefusals = 0, 0, 0
-	c.TotalLatency = 0
+	c.Served, c.BytesMoved = 0, 0
 }
 
 // chainDelay is the extra propagation from daisy-chained OCM modules: the
@@ -336,12 +324,11 @@ func (c *Controller) Submit(r *Request) bool {
 		panic(fmt.Sprintf("memory: invalid request %+v", *r))
 	}
 	if c.queued >= c.cfg.QueueDepth {
-		c.QueueFullRefusals++
 		return false
 	}
 	c.queued++
 	f := inflightReq{done: r.DoneHandler, doneData: r.DoneData,
-		bytes: uint64(r.ReqBytes + r.RspBytes), start: c.k.Now()}
+		bytes: uint64(r.ReqBytes + r.RspBytes)}
 
 	// 1. Command (and write data) transfer toward memory.
 	_, cmdEnd := c.inLink.reserve(c.k.Now(), c.k.Now(), r.ReqBytes, c.cfg.InBytesPerCycle)
@@ -379,12 +366,4 @@ func (c *Controller) NotifySpaceEvent(h sim.Handler, data uint64) {
 		return
 	}
 	c.waiters.Push(spaceWaiter{h: h, data: data})
-}
-
-// MeanLatencyNs returns the mean transaction latency in nanoseconds.
-func (c *Controller) MeanLatencyNs() float64 {
-	if c.Served == 0 {
-		return 0
-	}
-	return (sim.Time(float64(c.TotalLatency) / float64(c.Served))).Ns()
 }

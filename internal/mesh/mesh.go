@@ -143,9 +143,6 @@ type Mesh struct {
 	// has grown to the peak in-flight population, the Send→eject cycle
 	// allocates nothing.
 	pkts sim.Slots[packet]
-
-	// LinkBusyCycles accumulates occupancy across all links for utilization.
-	LinkBusyCycles uint64
 }
 
 var _ noc.Network = (*Mesh)(nil)
@@ -338,7 +335,6 @@ func (m *Mesh) Reset() {
 	clear(m.injectCount)
 	m.pkts.Reset()
 	m.Endpoints.Reset()
-	m.LinkBusyCycles = 0
 }
 
 // toward returns the dimension-order (X then Y) output port at router r
@@ -446,9 +442,6 @@ func (m *Mesh) grant(ref portRef, port *outPort, idx uint64) {
 	s := p.ser
 	port.busyUntil = m.k.Now() + s
 	port.credits[p.class]--
-	if ref.d != dirEject {
-		m.LinkBusyCycles += uint64(s)
-	}
 
 	// The upstream input-buffer slot (previous link's credit), or the
 	// source's injection slot, frees when the packet's tail leaves this
@@ -471,15 +464,4 @@ func (m *Mesh) grant(ref portRef, port *outPort, idx uint64) {
 		// Head arrives at the next router after HopLatency (cut-through).
 		m.k.ScheduleEvent(m.cfg.HopLatency, (*hopEvent)(m), idx)
 	}
-}
-
-// Utilization returns mean link occupancy over elapsed cycles across all
-// mesh links (excluding ejection ports).
-func (m *Mesh) Utilization(elapsed sim.Time) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	// 2*(W-1)*H horizontal + 2*W*(H-1) vertical unidirectional links.
-	links := 2*(m.cfg.Width-1)*m.cfg.Height + 2*m.cfg.Width*(m.cfg.Height-1)
-	return float64(m.LinkBusyCycles) / (float64(elapsed) * float64(links))
 }

@@ -543,18 +543,6 @@ func TestLocalTrafficPanics(t *testing.T) {
 	h.m.Send(msg(1, 5, 5, 64, noc.KindRequest))
 }
 
-func TestUtilization(t *testing.T) {
-	h := newHarness(t, HMeshConfig())
-	h.m.Send(msg(1, 0, 7, 64, noc.KindResponse))
-	h.k.Run()
-	if u := h.m.Utilization(h.k.Now()); u <= 0 || u > 1 {
-		t.Errorf("utilization = %v, want in (0,1]", u)
-	}
-	if h.m.Utilization(0) != 0 {
-		t.Error("zero-elapsed utilization should be 0")
-	}
-}
-
 // TestDoubleConsumePanics pins the pool misuse guard on the mesh: the
 // second release of one delivered message must panic (see the xbar twin).
 func TestDoubleConsumePanics(t *testing.T) {

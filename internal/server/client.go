@@ -259,9 +259,9 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 // Stream follows the job's NDJSON results live, invoking fn for each cell as
 // the daemon emits it, until the stream ends (the job reached a terminal
 // state, or the connection broke — the returned error distinguishes the
-// two), ctx is done, or fn returns an error (returned as-is). It is the
-// incremental form of Results a fleet coordinator merges shards through:
-// cells already received stay received even when the stream dies mid-job.
+// two), ctx is done, or fn returns an error (returned as-is). A fleet
+// coordinator merges shards through it: cells already received stay
+// received even when the stream dies mid-job.
 // Note the stream itself is never transparently re-dialed — a broken stream
 // returns an error so the caller can decide what is missing.
 func (c *Client) Stream(ctx context.Context, id string, fn func(core.CellResult) error) error {
@@ -285,41 +285,4 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(core.CellResult)
 		}
 	}
 	return sc.Err()
-}
-
-// Results streams the job's NDJSON results to completion and returns every
-// cell, following the job live until it reaches a terminal state.
-func (c *Client) Results(ctx context.Context, id string) ([]core.CellResult, error) {
-	var cells []core.CellResult
-	err := c.Stream(ctx, id, func(cell core.CellResult) error {
-		cells = append(cells, cell)
-		return nil
-	})
-	return cells, err
-}
-
-// Wait polls the job until it reaches a terminal state and returns the final
-// view. A job that ends anywhere but "done" is also reported as an *APIError
-// wrapping its status and error detail, so callers can treat "completed
-// successfully" as the nil-error path.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobView, error) {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
-		v, err := c.Status(ctx, id)
-		if err != nil {
-			return v, err
-		}
-		switch v.Status {
-		case statusDone:
-			return v, nil
-		case statusFailed, statusCanceled, statusTimedOut:
-			return v, &APIError{Status: http.StatusOK,
-				Message: fmt.Sprintf("job %s ended %s: %s", id, v.Status, v.Error)}
-		}
-		if err := c.sleep(ctx, poll); err != nil {
-			return v, err
-		}
-	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"corona/internal/core"
 )
 
 // recordedSleeps swaps the client's delay primitive for a recorder, so
@@ -220,8 +222,9 @@ func TestClientDoesNotRetryCanceledContext(t *testing.T) {
 	}
 }
 
-// TestClientEndToEnd drives a real daemon through the client: submit, wait,
-// stream results, and cancel-of-unknown as the error path.
+// TestClientEndToEnd drives a real daemon through the client: submit,
+// stream the results live to the end, read the finished job's status, and
+// cancel-of-unknown as the error path.
 func TestClientEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	c := NewClient(ts.URL)
@@ -230,18 +233,22 @@ func TestClientEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Wait(ctx, v.ID, 5*time.Millisecond)
-	if err != nil || final.Status != statusDone {
-		t.Fatalf("Wait = %+v, %v", final, err)
-	}
-	cells, err := c.Results(ctx, v.ID)
+	var cells []core.CellResult
+	err = c.Stream(ctx, v.ID, func(cell core.CellResult) error {
+		cells = append(cells, cell)
+		return nil
+	})
 	if err != nil || len(cells) != 2 {
-		t.Fatalf("Results = %d cells, %v; want 2", len(cells), err)
+		t.Fatalf("Stream = %d cells, %v; want 2", len(cells), err)
 	}
 	for _, cell := range cells {
 		if cell.Result.Cycles == 0 {
 			t.Errorf("streamed cell %+v has no result", cell)
 		}
+	}
+	// The stream ends only once the job is terminal.
+	if final, err := c.Status(ctx, v.ID); err != nil || final.Status != statusDone || final.Done != 2 {
+		t.Fatalf("Status after the stream = %+v, %v; want done with 2 cells", final, err)
 	}
 	if _, err := c.Status(ctx, "job-999999"); err == nil {
 		t.Error("Status of an unknown job did not error")

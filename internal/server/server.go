@@ -770,20 +770,7 @@ func (c *cellRange) resolve(total int) ([]int, error) {
 	case c.List != nil && (c.Lo != nil || c.Hi != nil):
 		return nil, fmt.Errorf(`cells: "list" and "lo"/"hi" are mutually exclusive`)
 	case c.List != nil:
-		if len(c.List) == 0 {
-			return nil, fmt.Errorf("cells: list selects no cells")
-		}
-		seen := make(map[int]bool, len(c.List))
-		for _, i := range c.List {
-			if i < 0 || i >= total {
-				return nil, fmt.Errorf("cells: index %d outside the %d-cell matrix", i, total)
-			}
-			if seen[i] {
-				return nil, fmt.Errorf("cells: index %d duplicated", i)
-			}
-			seen[i] = true
-		}
-		return c.List, nil
+		return core.SubsetOrder(c.List, total)
 	case c.Lo != nil && c.Hi != nil:
 		lo, hi := *c.Lo, *c.Hi
 		if lo < 0 || hi > total || lo >= hi {

@@ -11,22 +11,14 @@ import (
 	"strings"
 )
 
-// Sample accumulates a stream of values and reports mean/min/max.
+// Sample accumulates a stream of values and reports their mean.
 type Sample struct {
 	count uint64
 	sum   float64
-	min   float64
-	max   float64
 }
 
 // Observe adds one value to the sample.
 func (s *Sample) Observe(v float64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
-	}
-	if s.count == 0 || v > s.max {
-		s.max = v
-	}
 	s.count++
 	s.sum += v
 }
@@ -38,12 +30,6 @@ func (s *Sample) Mean() float64 {
 	}
 	return s.sum / float64(s.count)
 }
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 { return s.max }
 
 // Tail is a Sample that also reports the exact 99th percentile of a stream
 // whose length n is named up front. The P99 is the nearest-rank order
