@@ -20,9 +20,7 @@ import (
 	"corona/internal/config"
 	"corona/internal/core"
 	"corona/internal/memory"
-	"corona/internal/mesh"
 	"corona/internal/traffic"
-	"corona/internal/xbar"
 )
 
 // xbarPoint is one crossbar ablation cell: the flagship machine with a
@@ -76,7 +74,7 @@ func BenchmarkAblationArbitration(b *testing.B) {
 	var configs []config.System
 	for _, c := range cases {
 		names = append(names, c.name)
-		configs = append(configs, xbarPoint(xbar.ParamTokenSpeed, c.speed))
+		configs = append(configs, xbarPoint("token_speed", c.speed))
 	}
 	reportAblation(b, names, configs, "sim-cycles", cycles)
 }
@@ -88,7 +86,7 @@ func BenchmarkAblationXBarWidth(b *testing.B) {
 	var configs []config.System
 	for _, width := range []int{16, 32, 64, 128} {
 		names = append(names, fmt.Sprintf("bytes-per-cycle-%d", width))
-		configs = append(configs, xbarPoint(xbar.ParamBytesPerCycle, width))
+		configs = append(configs, xbarPoint("bytes_per_cycle", width))
 	}
 	reportAblation(b, names, configs, "sim-cycles", cycles)
 }
@@ -101,7 +99,7 @@ func BenchmarkAblationMeshBisection(b *testing.B) {
 	for _, width := range []int{4, 8, 16, 32} {
 		cfg := config.Custom("", "hmesh", config.OCM, nil)
 		cfg.Label = fmt.Sprintf("Mesh-%dB/OCM", width)
-		cfg.FabricParams = map[string]int{mesh.ParamBytesPerCycle: width}
+		cfg.FabricParams = map[string]int{"bytes_per_cycle": width}
 		names = append(names, fmt.Sprintf("link-bytes-per-cycle-%d", width))
 		configs = append(configs, cfg)
 	}

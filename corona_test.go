@@ -316,9 +316,6 @@ func TestFullPipeline(t *testing.T) {
 		if err := eng.Generate(w, perCluster); err != nil {
 			t.Fatal(err)
 		}
-		if eng.MissRate() == 0 {
-			t.Fatalf("cluster %d produced no misses", c)
-		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

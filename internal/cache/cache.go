@@ -42,23 +42,6 @@ type line struct {
 	lru uint64
 }
 
-// Stats counts cache events.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	Writebacks uint64
-}
-
-// MissRate returns misses / accesses.
-func (s Stats) MissRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
 // Cache is a single-level set-associative cache with LRU replacement and
 // write-back/write-allocate policy. It tracks tags only (no data payloads):
 // the simulation needs hit/miss/writeback behaviour, not contents.
@@ -66,7 +49,6 @@ type Cache struct {
 	cfg   Config
 	sets  [][]line
 	clock uint64
-	stats Stats
 }
 
 // New builds a cache; the configuration must describe a power-of-two set
@@ -89,9 +71,6 @@ func New(cfg Config) *Cache {
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	lineAddr := addr / uint64(c.cfg.LineBytes)
@@ -121,11 +100,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			if write {
 				lines[i].dirty = true
 			}
-			c.stats.Hits++
 			return Result{Hit: true}
 		}
 	}
-	c.stats.Misses++
 	// Choose victim: first invalid way, else LRU.
 	victim := 0
 	for i := range lines {
@@ -143,9 +120,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		res.VictimAddr = c.lineAddr(set, lines[victim].tag)
 		if lines[victim].dirty {
 			res.Writeback = true
-			c.stats.Writebacks++
 		}
-		c.stats.Evictions++
 	}
 	lines[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	return res
@@ -167,14 +142,13 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Reset returns the cache to its just-constructed state (all lines invalid,
-// counters zero), reusing the backing array.
+// Reset returns the cache to its just-constructed state (all lines
+// invalid), reusing the backing array.
 func (c *Cache) Reset() {
 	for _, set := range c.sets {
 		clear(set)
 	}
 	c.clock = 0
-	c.stats = Stats{}
 }
 
 // mshrEntry is one outstanding line miss and its merged requester count; a

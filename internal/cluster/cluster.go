@@ -117,9 +117,6 @@ type TraceEngine struct {
 	streams [ThreadsPerCluster]uint64 // per-thread stream cursor
 	hot     [ThreadsPerCluster]uint64 // per-thread working-set base
 	now     [ThreadsPerCluster]float64
-	// References and Misses count the engine's activity.
-	References uint64
-	Misses     uint64
 }
 
 // NewTraceEngine builds an engine for cluster c.
@@ -141,7 +138,6 @@ func NewTraceEngine(c *Cluster, model ThreadModel, seed uint64) *TraceEngine {
 // The boolean reports whether a record was produced.
 func (e *TraceEngine) Step(thread int) (trace.Record, bool) {
 	m := e.model
-	e.References++
 	e.now[thread] += 1 / m.ReferencesPerCycle
 
 	var addr uint64
@@ -158,7 +154,6 @@ func (e *TraceEngine) Step(thread int) (trace.Record, bool) {
 	if !miss {
 		return trace.Record{}, false
 	}
-	e.Misses++
 	return trace.Record{
 		Time:   sim.Time(e.now[thread]),
 		Thread: uint16(e.cluster.ID*ThreadsPerCluster + thread),
@@ -183,12 +178,4 @@ func (e *TraceEngine) Generate(w *trace.Writer, n int) error {
 		produced++
 	}
 	return nil
-}
-
-// MissRate returns the engine's observed memory miss rate per reference.
-func (e *TraceEngine) MissRate() float64 {
-	if e.References == 0 {
-		return 0
-	}
-	return float64(e.Misses) / float64(e.References)
 }

@@ -73,28 +73,31 @@ func TestMissRateTracksWorkingSet(t *testing.T) {
 	small := NewTraceEngine(New(0, true), ThreadModel{
 		WorkingSetLines: 64, StreamFrac: 0, WriteFrac: 0.3, ReferencesPerCycle: 0.5,
 	}, 1)
-	for i := 0; i < 50000; i++ {
-		small.Step(i % ThreadsPerCluster)
-	}
 	// Warm-up produces exactly the compulsory misses (16 threads x 64 lines);
 	// steady state adds none.
-	cold := small.Misses
-	for i := 0; i < 50000; i++ {
-		small.Step(i % ThreadsPerCluster)
-	}
-	if small.Misses != cold {
-		t.Errorf("L1-resident working set missed %d times after warm-up, want 0", small.Misses-cold)
+	step(small, 50000)
+	if misses := step(small, 50000); misses != 0 {
+		t.Errorf("L1-resident working set missed %d times after warm-up, want 0", misses)
 	}
 
 	stream := NewTraceEngine(New(1, true), ThreadModel{
 		WorkingSetLines: 64, StreamFrac: 1, WriteFrac: 0, ReferencesPerCycle: 0.5,
 	}, 2)
-	for i := 0; i < 50000; i++ {
-		stream.Step(i % ThreadsPerCluster)
-	}
-	if r := stream.MissRate(); r < 0.9 {
+	if r := float64(step(stream, 50000)) / 50000; r < 0.9 {
 		t.Errorf("pure-stream miss rate = %v, want ~1", r)
 	}
+}
+
+// step advances e by n references, round-robin over its threads from
+// thread 0, and returns how many produced a miss record.
+func step(e *TraceEngine, n int) int {
+	misses := 0
+	for i := 0; i < n; i++ {
+		if _, ok := e.Step(i % ThreadsPerCluster); ok {
+			misses++
+		}
+	}
+	return misses
 }
 
 func TestCapacityMisses(t *testing.T) {
@@ -104,10 +107,7 @@ func TestCapacityMisses(t *testing.T) {
 		WorkingSetLines: 64 * 1024, // 4 MB per thread
 		StreamFrac:      0, WriteFrac: 0.3, ReferencesPerCycle: 0.5,
 	}, 3)
-	for i := 0; i < 100000; i++ {
-		big.Step(i % ThreadsPerCluster)
-	}
-	if r := big.MissRate(); r < 0.5 {
+	if r := float64(step(big, 100000)) / 100000; r < 0.5 {
 		t.Errorf("L2-thrashing working set miss rate = %v, want high", r)
 	}
 }
@@ -151,14 +151,11 @@ func TestGenerateTrace(t *testing.T) {
 }
 
 func TestEngineDeterminism(t *testing.T) {
-	run := func() uint64 {
+	run := func() int {
 		e := NewTraceEngine(New(0, true), ThreadModel{
 			WorkingSetLines: 8192, StreamFrac: 0.1, WriteFrac: 0.3, ReferencesPerCycle: 0.5,
 		}, 99)
-		for i := 0; i < 20000; i++ {
-			e.Step(i % ThreadsPerCluster)
-		}
-		return e.Misses
+		return step(e, 20000)
 	}
 	if run() != run() {
 		t.Fatal("engine is not deterministic")

@@ -25,24 +25,16 @@ import (
 
 	"corona/internal/bus"
 	"corona/internal/coherence"
+	"corona/internal/config"
 	"corona/internal/noc"
 	"corona/internal/sim"
 	"corona/internal/stats"
-	"corona/internal/xbar"
 )
 
-// Corona's coherence parameters.
-const (
-	// broadcastThreshold is the number of other holders an invalidation must
-	// exceed to ride the broadcast bus (when the bus is in use); smaller
-	// pools are unicast on the crossbar.
-	broadcastThreshold = 3
-	// memoryCycles is the home-node memory access latency (20 ns) for lines
-	// no cache can supply.
-	memoryCycles = 20 * sim.CyclesPerNs
-	// hubCycles is the per-hop hub processing latency.
-	hubCycles = 4
-)
+// broadcastThreshold is the number of other holders an invalidation must
+// exceed to ride the broadcast bus (when the bus is in use); smaller pools
+// are unicast on the crossbar.
+const broadcastThreshold = 3
 
 // op is one in-flight coherence transaction.
 type op struct {
@@ -63,8 +55,13 @@ type System struct {
 	K      *sim.Kernel
 	useBus bool
 	proto  *coherence.Protocol
-	net    *xbar.Crossbar
+	net    noc.Network
 	bus    *bus.Bus
+
+	// hubLatency is the per-hop hub processing latency and memLatency the
+	// home-node memory access latency for lines no cache can supply, both
+	// the system model's (config.Corona).
+	hubLatency, memLatency sim.Time
 
 	// busy lines and their waiting transactions, at each home directory.
 	busy   map[uint64][]*op
@@ -78,33 +75,43 @@ type System struct {
 	atSlots  sim.Slots[func()]
 
 	// Latency samples by transaction flavour, in ns.
-	ReadLatency  stats.Sample
-	WriteLatency stats.Sample
-	InvLatency   stats.Sample // writes that had to invalidate sharers
+	ReadLatency stats.Sample
+	InvLatency  stats.Sample // writes that had to invalidate sharers
 	// Completed counts retired transactions.
 	Completed uint64
 }
 
-// New builds a timed coherence system over Corona's crossbar. With useBus,
-// invalidations of more than broadcastThreshold holders ride the broadcast
-// bus; without it, every invalidation is unicast.
+// New builds a timed coherence system over Corona's machine (config.Corona):
+// its crossbar, built through the fabric registry, its cluster count (the
+// broadcast bus's too), hub latency and memory access latency. With useBus, invalidations of more
+// than broadcastThreshold holders ride the broadcast bus; without it, every
+// invalidation is unicast.
 func New(useBus bool) *System {
+	cfg := config.Corona()
 	k := sim.NewKernel()
-	xcfg := xbar.DefaultConfig()
+	fab, _ := noc.Lookup(cfg.Fabric)
+	net, err := fab.Build(k, cfg.Params())
+	if err != nil {
+		panic(fmt.Sprintf("cohsim: building %s: %v", cfg.Name(), err))
+	}
+	bcfg := bus.DefaultConfig()
+	bcfg.Clusters = cfg.Clusters
 	s := &System{
-		K:      k,
-		useBus: useBus,
-		proto:  coherence.New(xcfg.Clusters),
-		net:    xbar.New(k, xcfg),
-		bus:    bus.New(k, bus.DefaultConfig()),
-		busy:   make(map[uint64][]*op),
+		K:          k,
+		useBus:     useBus,
+		proto:      coherence.New(cfg.Clusters),
+		net:        net,
+		bus:        bus.New(k, bcfg),
+		hubLatency: sim.Time(cfg.HubLatency),
+		memLatency: cfg.MemConfig().AccessCycles,
+		busy:       make(map[uint64][]*op),
 	}
 	// Crossbar arrivals run the protocol's continuations. Bus snoops:
 	// invalidation broadcasts are self-acknowledging in this model — every
 	// cluster snoops in bounded time, and the second-pass arrival at the
 	// writer's own detectors confirms completion, so no ack storm is needed
 	// (one of the bus's advantages).
-	for c := 0; c < xcfg.Clusters; c++ {
+	for c := 0; c < cfg.Clusters; c++ {
 		c := c
 		s.net.SetDeliver(c, func(m *noc.Message) { s.deliver(c, m) })
 		s.bus.SetDeliver(c, func(m *noc.Message) { s.snoop(c, m) })
@@ -201,7 +208,7 @@ func (s *System) Access(node int, line uint64, write bool, done func()) {
 	s.nextID++
 	o := &op{id: s.nextID, node: node, line: line, write: write, start: s.K.Now(), done: done}
 	if s.satisfied(o) {
-		s.K.ScheduleEvent(hubCycles, (*localHitEvent)(s), s.opSlots.Put(o))
+		s.K.ScheduleEvent(s.hubLatency, (*localHitEvent)(s), s.opSlots.Put(o))
 		return
 	}
 	s.toHome(o)
@@ -229,7 +236,7 @@ func (s *System) toHome(o *op) {
 // parked in atSlots and referenced by the pooled message's payload handle.
 func (s *System) sendOrLocal(from, to int, kind noc.Kind, size int, at func()) {
 	if from == to {
-		s.K.ScheduleEvent(hubCycles, (*hopEvent)(s), s.atSlots.Put(at))
+		s.K.ScheduleEvent(s.hubLatency, (*hopEvent)(s), s.atSlots.Put(at))
 		return
 	}
 	s.nextID++
@@ -247,7 +254,7 @@ func (s *System) sendOrLocal(from, to int, kind noc.Kind, size int, at func()) {
 func (s *System) deliver(cluster int, m *noc.Message) {
 	slot := m.Payload // read before Consume recycles the message
 	s.net.Consume(cluster, m)
-	s.K.ScheduleEvent(hubCycles, (*hopEvent)(s), slot)
+	s.K.ScheduleEvent(s.hubLatency, (*hopEvent)(s), slot)
 }
 
 // snoop handles a bus broadcast at one cluster. The payload word packs the
@@ -291,7 +298,7 @@ func (s *System) serve(o *op) {
 			})
 			return
 		}
-		s.K.ScheduleEvent(memoryCycles, (*hopEvent)(s), s.atSlots.Put(func() {
+		s.K.ScheduleEvent(s.memLatency, (*hopEvent)(s), s.atSlots.Put(func() {
 			s.sendOrLocal(home, o.node, noc.KindResponse, noc.ResponseBytes, commit)
 		}))
 		return
@@ -322,7 +329,7 @@ func (s *System) serve(o *op) {
 			s.sendOrLocal(owner, o.node, noc.KindResponse, noc.ResponseBytes, dataReady)
 		})
 	case s.proto.StateOf(o.node, o.line) == coherence.Invalid:
-		s.K.ScheduleEvent(memoryCycles, (*hopEvent)(s), s.atSlots.Put(func() {
+		s.K.ScheduleEvent(s.memLatency, (*hopEvent)(s), s.atSlots.Put(func() {
 			s.sendOrLocal(home, o.node, noc.KindResponse, noc.ResponseBytes, dataReady)
 		}))
 	default:
@@ -379,7 +386,7 @@ func (s *System) commitAtRequester(o *op) {
 		} else {
 			next := q[0]
 			s.busy[o.line] = q[1:]
-			s.K.ScheduleEvent(hubCycles, (*serveEvent)(s), s.opSlots.Put(next))
+			s.K.ScheduleEvent(s.hubLatency, (*serveEvent)(s), s.opSlots.Put(next))
 		}
 	}
 }
@@ -388,7 +395,6 @@ func (s *System) commitAtRequester(o *op) {
 func (s *System) commit(o *op) {
 	lat := (s.K.Now() - o.start).Ns()
 	if o.write {
-		s.WriteLatency.Observe(lat)
 		if o.invalidated {
 			s.InvLatency.Observe(lat)
 		}

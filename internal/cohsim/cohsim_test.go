@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"corona/internal/coherence"
+	"corona/internal/config"
 	"corona/internal/sim"
 )
 
@@ -33,8 +34,8 @@ func TestLocalHitIsFast(t *testing.T) {
 	start, at := s.K.Now(), sim.Time(0)
 	s.Access(3, 0x40, false, func() { at = s.K.Now() }) // now a pure hub hit
 	s.Run(2)
-	if got := at - start; got != hubCycles {
-		t.Errorf("hit latency = %d cycles, want %d (hub only)", got, hubCycles)
+	if got, want := at-start, sim.Time(config.Corona().HubLatency); got != want {
+		t.Errorf("hit latency = %d cycles, want %d (hub only)", got, want)
 	}
 }
 

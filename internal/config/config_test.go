@@ -1,11 +1,14 @@
 package config
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"corona/internal/noc"
+	"corona/internal/sim"
 )
 
 func TestFiveCombos(t *testing.T) {
@@ -182,5 +185,91 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.HasPrefix(MemoryKind(9).String(), "mem(") {
 		t.Error("unknown kinds should format numerically")
+	}
+}
+
+// TestFabricParamValidation drives every built-in fabric's parameter table
+// through Validate and Build: an unknown key is rejected by name along with
+// the exact list of accepted keys, every accepted key rejects 0 and -1, and
+// a positive override reaches the built network's configuration.
+func TestFabricParamValidation(t *testing.T) {
+	crossbar := map[string]string{ // key -> Config field
+		"bytes_per_cycle": "BytesPerCycle", "inject_queue": "InjectQueue", "recv_buffer": "RecvBuffer"}
+	mesh := map[string]string{
+		"width": "Width", "height": "Height", "bytes_per_cycle": "BytesPerCycle", "hop_latency": "HopLatency",
+		"link_buffer": "LinkBuffer", "inject_queue": "InjectQueue", "recv_buffer": "RecvBuffer"}
+	fabrics := map[string]map[string]string{
+		"xbar":  with(crossbar, "token_speed", "TokenSpeed"),
+		"swmr":  with(crossbar, "prop_speed", "PropSpeed"),
+		"hmesh": mesh,
+		"lmesh": mesh,
+	}
+	for _, fabric := range sortedKeys(fabrics) {
+		keys := fabrics[fabric]
+		valid := sortedKeys(keys)
+		err := Custom("", fabric, OCM, map[string]int{"recv_bufer": 4}).Validate()
+		if err == nil || !strings.Contains(err.Error(), `"recv_bufer"`) ||
+			!strings.Contains(err.Error(), fmt.Sprint(valid)) {
+			t.Errorf("%s: unknown key error = %v, want it to name the key and list %v", fabric, err, valid)
+		}
+		for _, key := range valid {
+			field := keys[key]
+			for _, bad := range []int{0, -1} {
+				if err := Custom("", fabric, OCM, map[string]int{key: bad}).Validate(); err == nil ||
+					!strings.Contains(err.Error(), key) {
+					t.Errorf("%s: %s=%d not rejected by name: %v", fabric, key, bad, err)
+				}
+			}
+			params := map[string]int{key: 2}
+			switch key { // the mesh geometry must still hold 64 routers
+			case "width":
+				params["height"] = 32
+			case "height":
+				params["width"] = 32
+			}
+			cfg := Custom("", fabric, OCM, params)
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s: %s=2 rejected: %v", fabric, key, err)
+				continue
+			}
+			fab, _ := noc.Lookup(fabric)
+			net, err := fab.Build(sim.NewKernel(), cfg.Params())
+			if err != nil {
+				t.Fatalf("%s: build with %s=2: %v", fabric, key, err)
+			}
+			got := reflect.ValueOf(net).Elem().FieldByName("cfg").FieldByName(field)
+			if fmt.Sprint(got) != "2" {
+				t.Errorf("%s: %s=2 built a network with %s = %v", fabric, key, field, got)
+			}
+		}
+	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// with returns keys plus one more key -> field entry.
+func with(keys map[string]string, key, field string) map[string]string {
+	out := map[string]string{key: field}
+	for k, f := range keys {
+		out[k] = f
+	}
+	return out
+}
+
+// TestValidateAllocatesNothing pins the pre-flight's cost: resolving a
+// preset's parameters through its fabric's key table allocates nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, c := range append(Combos(), Custom("", "swmr", OCM, nil)) {
+		if allocs := testing.AllocsPerRun(20, func() { _ = c.Validate() }); allocs != 0 {
+			t.Errorf("%s: Validate allocates %v times per call, want 0", c.Name(), allocs)
+		}
 	}
 }

@@ -38,8 +38,8 @@ type Result struct {
 	NetBytes      uint64
 	HopTraversals uint64
 	// XBarUtil is mean data-channel occupancy for crossbar-family fabrics
-	// (those whose registry descriptor reports a channel utilization);
-	// mesh-style fabrics leave it zero.
+	// (those that count noc.Stats.ChannelCycles); mesh-style fabrics leave
+	// it zero.
 	XBarUtil float64
 	// KernelEvents is the number of discrete events the simulation kernel
 	// dispatched to produce this cell — the denominator for simulator
@@ -238,8 +238,8 @@ func (r *Runner) collect() Result {
 	if sys.fabric.PowerW != nil {
 		res.NetworkPowerW = sys.fabric.PowerW(ns, elapsed)
 	}
-	if sys.fabric.Utilization != nil {
-		res.XBarUtil = sys.fabric.Utilization(sys.Net, elapsed)
+	if ns.ChannelCycles > 0 {
+		res.XBarUtil = float64(ns.ChannelCycles) / (float64(elapsed) * float64(sys.Net.Clusters()))
 	}
 	memBytes := sys.MemoryBytesMoved()
 	if sys.Cfg.Mem == config.OCM {

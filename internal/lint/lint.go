@@ -51,7 +51,8 @@ var simPackages = map[string]bool{
 	"sim": true, "core": true, "noc": true, "xbar": true, "mesh": true,
 	"swmr": true, "bus": true, "memory": true, "cohsim": true,
 	"coherence": true, "arbiter": true, "stats": true, "trace": true,
-	"traffic": true, "photonic": true, "power": true,
+	"traffic": true, "photonic": true, "power": true, "cache": true,
+	"config": true, "splash": true, "cluster": true, "stack": true,
 }
 
 // hasInternalSegment reports whether pkgPath contains the consecutive

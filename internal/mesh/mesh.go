@@ -50,11 +50,11 @@ func LMeshConfig() Config {
 	return c
 }
 
-// BisectionBytesPerSec returns the mesh bisection bandwidth in bytes/second
-// at 5 GHz (both directions across the vertical cut).
-func (c Config) BisectionBytesPerSec() float64 {
+// BisectionTBs returns the mesh bisection bandwidth in TB/s at 5 GHz (both
+// directions across the vertical cut).
+func (c Config) BisectionTBs() float64 {
 	links := 2 * c.Height // both directions across the cut
-	return float64(links*c.BytesPerCycle) * 5e9
+	return float64(links*c.BytesPerCycle) * 5e9 / 1e12
 }
 
 // dir indexes a router's output ports.

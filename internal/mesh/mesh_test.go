@@ -36,11 +36,11 @@ func msg(id uint64, src, dst, size int, kind noc.Kind) *noc.Message {
 }
 
 func TestBisectionBandwidth(t *testing.T) {
-	if got := HMeshConfig().BisectionBytesPerSec(); got != 1.28e12 {
-		t.Errorf("HMesh bisection = %v, want 1.28 TB/s", got)
+	if got := HMeshConfig().BisectionTBs(); got != 1.28 {
+		t.Errorf("HMesh bisection = %v TB/s, want 1.28", got)
 	}
-	if got := LMeshConfig().BisectionBytesPerSec(); got != 0.64e12 {
-		t.Errorf("LMesh bisection = %v, want 0.64 TB/s", got)
+	if got := LMeshConfig().BisectionTBs(); got != 0.64 {
+		t.Errorf("LMesh bisection = %v TB/s, want 0.64", got)
 	}
 }
 

@@ -8,40 +8,29 @@ import (
 	"corona/internal/sim"
 )
 
-// Parameter keys the mesh fabrics accept in noc.FabricParams.Params; values
-// override the preset Config field-for-field. Width and height must be
-// overridden together and their product must equal the cluster count.
-const (
-	ParamWidth         = "width"
-	ParamHeight        = "height"
-	ParamBytesPerCycle = "bytes_per_cycle"
-	ParamHopLatency    = "hop_latency"
-	ParamLinkBuffer    = "link_buffer"
-	ParamInjectQueue   = "inject_queue"
-	ParamRecvBuffer    = "recv_buffer"
-)
-
 // FromParams resolves a Config from base (a preset such as HMeshConfig)
 // plus overrides, rejecting unknown keys, non-positive sizes, and geometry
-// that does not match the requested cluster count. When the cluster count
-// differs from the base geometry and no explicit width/height is given, a
-// square mesh is derived.
+// that does not match the requested cluster count. Width and height must be
+// overridden together and their product must equal the cluster count; when
+// the cluster count differs from the base geometry and no explicit
+// width/height is given, a square mesh is derived.
 func FromParams(base Config, p noc.FabricParams) (Config, error) {
-	if err := p.CheckKeys(base.Name, ParamWidth, ParamHeight, ParamBytesPerCycle,
-		ParamHopLatency, ParamLinkBuffer, ParamInjectQueue, ParamRecvBuffer); err != nil {
+	cfg := base
+	hop := int(cfg.HopLatency)
+	if err := p.Apply(base.Name,
+		noc.Param{Key: "width", Field: &cfg.Width},
+		noc.Param{Key: "height", Field: &cfg.Height},
+		noc.Param{Key: "bytes_per_cycle", Field: &cfg.BytesPerCycle},
+		noc.Param{Key: "hop_latency", Field: &hop},
+		noc.Param{Key: "link_buffer", Field: &cfg.LinkBuffer},
+		noc.Param{Key: "inject_queue", Field: &cfg.InjectQueue},
+		noc.Param{Key: "recv_buffer", Field: &cfg.RecvBuffer}); err != nil {
 		return Config{}, err
 	}
-	cfg := base
-	cfg.Width = p.Get(ParamWidth, cfg.Width)
-	cfg.Height = p.Get(ParamHeight, cfg.Height)
-	cfg.BytesPerCycle = p.Get(ParamBytesPerCycle, cfg.BytesPerCycle)
-	cfg.HopLatency = sim.Time(p.Get(ParamHopLatency, int(cfg.HopLatency)))
-	cfg.LinkBuffer = p.Get(ParamLinkBuffer, cfg.LinkBuffer)
-	cfg.InjectQueue = p.Get(ParamInjectQueue, cfg.InjectQueue)
-	cfg.RecvBuffer = p.Get(ParamRecvBuffer, cfg.RecvBuffer)
+	cfg.HopLatency = sim.Time(hop)
 	if p.Clusters > 0 && cfg.Width*cfg.Height != p.Clusters {
-		_, wOver := p.Params[ParamWidth]
-		_, hOver := p.Params[ParamHeight]
+		_, wOver := p.Params["width"]
+		_, hOver := p.Params["height"]
 		if wOver || hOver {
 			return Config{}, fmt.Errorf("mesh: %dx%d geometry has %d routers, system wants %d clusters",
 				cfg.Width, cfg.Height, cfg.Width*cfg.Height, p.Clusters)
@@ -51,14 +40,10 @@ func FromParams(base Config, p noc.FabricParams) (Config, error) {
 			side++
 		}
 		if side*side != p.Clusters {
-			return Config{}, fmt.Errorf("mesh: %d clusters is not a perfect square; pass explicit %s/%s",
-				p.Clusters, ParamWidth, ParamHeight)
+			return Config{}, fmt.Errorf("mesh: %d clusters is not a perfect square; pass explicit width/height",
+				p.Clusters)
 		}
 		cfg.Width, cfg.Height = side, side
-	}
-	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.BytesPerCycle <= 0 || cfg.HopLatency <= 0 ||
-		cfg.LinkBuffer <= 0 || cfg.InjectQueue <= 0 || cfg.RecvBuffer <= 0 {
-		return Config{}, fmt.Errorf("mesh: non-positive parameter in %+v", cfg)
 	}
 	return cfg, nil
 }
@@ -76,20 +61,12 @@ func registerMesh(name, display, desc string, base func() Config) {
 			}
 			return New(k, cfg), nil
 		},
-		Check: func(p noc.FabricParams) error { _, err := FromParams(base(), p); return err },
-		BisectionBytesPerSec: func(p noc.FabricParams) float64 {
-			cfg, err := FromParams(base(), p)
-			if err != nil {
-				return 0
-			}
-			return cfg.BisectionBytesPerSec()
-		},
+		Check:            func(p noc.FabricParams) error { _, err := FromParams(base(), p); return err },
+		BisectionTBs:     base().BisectionTBs(),
 		MinTransitCycles: base().HopLatency * 2, // one hop plus ejection
 		PowerW: func(st noc.Stats, elapsed sim.Time) float64 {
 			return power.MeshDynamicW(st.HopTraversals, elapsed)
 		},
-		// Utilization is deliberately nil: mesh link occupancy is not the
-		// crossbar channel-utilization figure of merit.
 	})
 }
 

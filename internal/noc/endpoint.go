@@ -11,9 +11,10 @@ import (
 // delivery callbacks, the injection epochs and the delivery counters. It
 // implements Network's Name, Clusters, Acquire, SetDeliver, InjectEpochs
 // and Stats; the fabric writes Send and Consume, calls Check at the top of
-// Send, SlotFreed whenever a message leaves an injection queue, and Deliver
-// or DeliverAfter when a message arrives. Out-of-tree fabrics may implement
-// Network by hand instead.
+// Send, SlotFreed whenever a message leaves an injection queue, Occupy when
+// a crossbar-style data channel transmits, and Deliver or DeliverAfter when
+// a message arrives. Out-of-tree fabrics may implement Network by hand
+// instead.
 type Endpoints struct {
 	MsgPool // Acquire; the fabric's Consume calls Release
 
@@ -62,6 +63,9 @@ func (b badMessage) Error() string {
 
 // SlotFreed records that a message left one of src's injection queues.
 func (e *Endpoints) SlotFreed(src int) { e.epochs[src]++ }
+
+// Occupy records that a data channel carried a message for cycles cycles.
+func (e *Endpoints) Occupy(cycles sim.Time) { e.stats.ChannelCycles += uint64(cycles) }
 
 // Deliver counts m and hands it to its destination now.
 func (e *Endpoints) Deliver(m *Message) {

@@ -193,6 +193,10 @@ type Stats struct {
 	Messages      uint64
 	Bytes         uint64
 	HopTraversals uint64 // mesh only: sum over messages of per-hop link uses
+	// ChannelCycles is crossbar-family only: the sum over transmissions of
+	// the cycles a data channel was occupied. Divided by the elapsed
+	// cycles times the channel count it is the mean channel utilization.
+	ChannelCycles uint64
 }
 
 // Validate checks a message for internal consistency against a network of n

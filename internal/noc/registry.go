@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"corona/internal/sim"
@@ -11,41 +12,64 @@ import (
 // FabricParams is the generic sizing input a fabric builder receives: the
 // endpoint count the system requires plus fabric-specific integer overrides.
 // A nil (or empty) Params map selects the fabric's published defaults;
-// builders must reject unknown keys with a descriptive error, so a typo in a
-// JSON config fails loudly instead of silently simulating the default.
+// builders resolve overrides through Apply, which rejects unknown keys with
+// a descriptive error, so a typo in a JSON config fails loudly instead of
+// silently simulating the default.
 type FabricParams struct {
 	// Clusters is the number of network endpoints the system will attach.
 	Clusters int
 	// Params holds fabric-specific sizing overrides, keyed by the names each
-	// builder documents (e.g. "bytes_per_cycle", "recv_buffer").
+	// builder declares (e.g. "bytes_per_cycle", "recv_buffer").
 	Params map[string]int
 }
 
-// Get returns the override for key, or def when absent.
-func (p FabricParams) Get(key string, def int) int {
-	if v, ok := p.Params[key]; ok {
-		return v
-	}
-	return def
+// Param binds one parameter key a fabric accepts to the configuration field
+// an override of it sets.
+type Param struct {
+	Key   string
+	Field *int
 }
 
-// CheckKeys returns an error if Params contains a key outside known — the
-// shared typo guard every builder applies before interpreting overrides.
-func (p FabricParams) CheckKeys(fabric string, known ...string) error {
-	for k := range p.Params {
-		ok := false
-		for _, w := range known {
-			if k == w {
-				ok = true
-				break
-			}
-		}
+// Apply is the one resolver every fabric builder calls with its key table:
+// it sets the bound field of each overridden key, rejecting a key outside
+// the table and a non-positive value. Fields whose keys are absent keep
+// their defaults. The error paths copy the keys they report, so the table
+// does not escape and the caller's configuration stays on its stack.
+func (p FabricParams) Apply(fabric string, params ...Param) error {
+	set := 0
+	for _, q := range params {
+		v, ok := p.Params[q.Key]
 		if !ok {
-			sort.Strings(known)
-			return fmt.Errorf("noc: fabric %q has no parameter %q (valid: %v)", fabric, k, known)
+			continue
 		}
+		if v <= 0 {
+			return fmt.Errorf("noc: fabric %q parameter %q must be positive, got %d", fabric, strings.Clone(q.Key), v)
+		}
+		*q.Field = v
+		set++
+	}
+	if set < len(p.Params) {
+		return unknownParam(fabric, p.Params, params)
 	}
 	return nil
+}
+
+// unknownParam names the first key of given, in sorted order, that params
+// does not declare.
+func unknownParam(fabric string, given map[string]int, params []Param) error {
+	valid := make([]string, len(params))
+	for i, q := range params {
+		valid[i] = strings.Clone(q.Key)
+	}
+	sort.Strings(valid)
+	var unknown []string
+	for k := range given {
+		if i := sort.SearchStrings(valid, k); i == len(valid) || valid[i] != k {
+			unknown = append(unknown, k)
+		}
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("noc: fabric %q has no parameter %q (valid: %v)", fabric, unknown[0], valid)
 }
 
 // BuildFunc constructs a fabric's network model on kernel k.
@@ -53,7 +77,7 @@ type BuildFunc func(k *sim.Kernel, p FabricParams) (Network, error)
 
 // Fabric describes one registered interconnect: how to build it, how to
 // label it, and the analytic metadata the experiment layer reports without
-// simulating (bisection bandwidth, power, channel utilization). Everything
+// simulating (bisection bandwidth, transit latency, power). Everything
 // the core system assembly needs flows through this descriptor, so adding a
 // topology never touches package core — see docs/ARCHITECTURE.md for the
 // walkthrough.
@@ -74,9 +98,9 @@ type Fabric struct {
 	// whose constructors are cheap may leave it nil and rely on Build.
 	Check func(p FabricParams) error
 
-	// BisectionBytesPerSec returns the analytic bisection bandwidth for the
-	// given params, in bytes/second. Optional.
-	BisectionBytesPerSec func(p FabricParams) float64
+	// BisectionTBs is the analytic bisection bandwidth at the published
+	// defaults (64 clusters), in TB/s. Zero when not stated.
+	BisectionTBs float64
 	// MinTransitCycles is the best-case endpoint-to-endpoint transit latency
 	// in cycles (analytic, uncontended). Zero when not stated.
 	MinTransitCycles sim.Time
@@ -85,11 +109,6 @@ type Fabric struct {
 	// network's counters and the elapsed simulated time (Figure 11's model).
 	// Optional; nil reports zero.
 	PowerW func(st Stats, elapsed sim.Time) float64
-	// Utilization, when non-nil, reports mean data-channel occupancy over a
-	// run (0..1) for crossbar-style fabrics whose channel utilization is a
-	// first-class figure of merit. Mesh-style fabrics, whose link-occupancy
-	// metric is not comparable, leave it nil.
-	Utilization func(n Network, elapsed sim.Time) float64
 }
 
 // registry is the process-wide fabric catalog, indexed by name and by
@@ -187,18 +206,13 @@ func Catalog() []CatalogEntry {
 	out := make([]CatalogEntry, 0, len(names))
 	for _, name := range names {
 		f, _ := Lookup(name)
-		e := CatalogEntry{
+		out = append(out, CatalogEntry{
 			Name:             name,
 			Display:          f.Display,
 			Description:      f.Description,
+			BisectionTBs:     f.BisectionTBs,
 			MinTransitCycles: uint64(f.MinTransitCycles),
-		}
-		if f.BisectionBytesPerSec != nil {
-			if bw := f.BisectionBytesPerSec(FabricParams{Clusters: 64}); bw > 0 {
-				e.BisectionTBs = bw / 1e12
-			}
-		}
-		out = append(out, e)
+		})
 	}
 	return out
 }

@@ -70,9 +70,6 @@ type Crossbar struct {
 
 	queues  []srcQueue  // per source
 	credits noc.Credits // per destination receive-buffer pool
-
-	// BusyCycles accumulates channel occupancy for utilization reporting.
-	BusyCycles uint64
 }
 
 var _ noc.Network = (*Crossbar)(nil)
@@ -121,7 +118,6 @@ func (x *Crossbar) Reset() {
 	}
 	x.credits.Reset()
 	x.Endpoints.Reset()
-	x.BusyCycles = 0
 }
 
 // Send implements noc.Network: enqueue on the source's channel FIFO.
@@ -176,7 +172,7 @@ func (x *Crossbar) transmit(src int) {
 
 	tx := sim.Time((m.Size + x.cfg.BytesPerCycle - 1) / x.cfg.BytesPerCycle)
 	prop := x.propagation(src, m.Dst)
-	x.BusyCycles += uint64(tx)
+	x.Occupy(tx)
 
 	x.DeliverAfter(tx+prop, m)
 	// The receivers are fully provisioned, so the channel frees as soon as
@@ -196,40 +192,18 @@ func (x *Crossbar) propagation(src, dst int) sim.Time {
 	return sim.Time((d + x.cfg.PropSpeed - 1) / x.cfg.PropSpeed)
 }
 
-// Utilization returns mean channel occupancy over elapsed cycles across all
-// source channels (0..1).
-func (x *Crossbar) Utilization(elapsed sim.Time) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(x.BusyCycles) / (float64(elapsed) * float64(x.cfg.Clusters))
-}
-
-// Parameter keys the "swmr" fabric accepts in noc.FabricParams.Params.
-const (
-	ParamBytesPerCycle = "bytes_per_cycle"
-	ParamPropSpeed     = "prop_speed"
-	ParamInjectQueue   = "inject_queue"
-	ParamRecvBuffer    = "recv_buffer"
-)
-
 // FromParams resolves a Config from the published defaults plus overrides.
 func FromParams(p noc.FabricParams) (Config, error) {
-	if err := p.CheckKeys("swmr", ParamBytesPerCycle, ParamPropSpeed,
-		ParamInjectQueue, ParamRecvBuffer); err != nil {
-		return Config{}, err
-	}
 	cfg := DefaultConfig()
 	if p.Clusters > 0 {
 		cfg.Clusters = p.Clusters
 	}
-	cfg.BytesPerCycle = p.Get(ParamBytesPerCycle, cfg.BytesPerCycle)
-	cfg.PropSpeed = p.Get(ParamPropSpeed, cfg.PropSpeed)
-	cfg.InjectQueue = p.Get(ParamInjectQueue, cfg.InjectQueue)
-	cfg.RecvBuffer = p.Get(ParamRecvBuffer, cfg.RecvBuffer)
-	if cfg.Clusters <= 0 || cfg.BytesPerCycle <= 0 || cfg.PropSpeed <= 0 ||
-		cfg.InjectQueue <= 0 || cfg.RecvBuffer <= 0 {
-		return Config{}, fmt.Errorf("swmr: non-positive parameter in %+v", cfg)
+	if err := p.Apply("swmr",
+		noc.Param{Key: "bytes_per_cycle", Field: &cfg.BytesPerCycle},
+		noc.Param{Key: "prop_speed", Field: &cfg.PropSpeed},
+		noc.Param{Key: "inject_queue", Field: &cfg.InjectQueue},
+		noc.Param{Key: "recv_buffer", Field: &cfg.RecvBuffer}); err != nil {
+		return Config{}, err
 	}
 	return cfg, nil
 }
@@ -237,6 +211,7 @@ func FromParams(p noc.FabricParams) (Config, error) {
 // init registers the SWMR crossbar with the fabric registry — the worked
 // example of docs/ARCHITECTURE.md's "adding a topology" walkthrough.
 func init() {
+	def := DefaultConfig()
 	noc.Register(noc.Fabric{
 		Name:        "swmr",
 		Display:     "SWMR",
@@ -248,20 +223,11 @@ func init() {
 			}
 			return New(k, cfg), nil
 		},
-		Check: func(p noc.FabricParams) error { _, err := FromParams(p); return err },
-		BisectionBytesPerSec: func(p noc.FabricParams) float64 {
-			cfg, err := FromParams(p)
-			if err != nil {
-				return 0
-			}
-			return float64(cfg.Clusters*cfg.BytesPerCycle) * 5e9
-		},
+		Check:            func(p noc.FabricParams) error { _, err := FromParams(p); return err },
+		BisectionTBs:     float64(def.Clusters*def.BytesPerCycle) * 5e9 / 1e12,
 		MinTransitCycles: 2,
 		PowerW: func(_ noc.Stats, _ sim.Time) float64 {
 			return power.SWMRContinuousW
-		},
-		Utilization: func(n noc.Network, elapsed sim.Time) float64 {
-			return n.(*Crossbar).Utilization(elapsed)
 		},
 	})
 }

@@ -1,7 +1,6 @@
 package swmr
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,31 +235,11 @@ func TestStatsAndUtilization(t *testing.T) {
 	h.x.Send(msg(2, 1, 0, 72))
 	h.k.Run()
 	s := h.x.Stats()
-	if s.Messages != 2 || s.Bytes != 88 {
-		t.Errorf("stats = %+v, want 2 messages / 88 bytes", s)
+	if s.Messages != 2 || s.Bytes != 88 || s.ChannelCycles != 1+2 {
+		t.Errorf("stats = %+v, want 2 messages / 88 bytes / 3 channel cycles", s)
 	}
-	if u := h.x.Utilization(h.k.Now()); u <= 0 || u > 1 {
+	if u := float64(s.ChannelCycles) / (float64(h.k.Now()) * 64); u <= 0 || u > 1 {
 		t.Errorf("utilization = %v, want in (0,1]", u)
-	}
-}
-
-func TestFromParamsValidatesKeys(t *testing.T) {
-	if _, err := FromParams(noc.FabricParams{Clusters: 64,
-		Params: map[string]int{"recv_bufer": 8}}); err == nil ||
-		!strings.Contains(err.Error(), "recv_bufer") {
-		t.Fatalf("typo key not rejected: %v", err)
-	}
-	cfg, err := FromParams(noc.FabricParams{Clusters: 64,
-		Params: map[string]int{ParamRecvBuffer: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.RecvBuffer != 8 || cfg.BytesPerCycle != 64 {
-		t.Fatalf("params not applied over defaults: %+v", cfg)
-	}
-	if _, err := FromParams(noc.FabricParams{Clusters: 64,
-		Params: map[string]int{ParamBytesPerCycle: 0}}); err == nil {
-		t.Fatal("zero channel width not rejected")
 	}
 }
 
@@ -269,7 +248,7 @@ func TestRegisteredFabric(t *testing.T) {
 	if !ok {
 		t.Fatal("swmr fabric not registered")
 	}
-	if f.Display != "SWMR" || f.Utilization == nil || f.PowerW == nil {
+	if f.Display != "SWMR" || f.PowerW == nil {
 		t.Fatalf("incomplete descriptor: %+v", f)
 	}
 	n, err := f.Build(sim.NewKernel(), noc.FabricParams{Clusters: 64})
@@ -279,8 +258,8 @@ func TestRegisteredFabric(t *testing.T) {
 	if n.Clusters() != 64 || n.Name() != "swmr" {
 		t.Fatalf("built network wrong: %s/%d", n.Name(), n.Clusters())
 	}
-	if bw := f.BisectionBytesPerSec(noc.FabricParams{Clusters: 64}); bw != 64*64*5e9 {
-		t.Errorf("bisection = %v, want 20.48 TB/s", bw)
+	if f.BisectionTBs != 20.48 {
+		t.Errorf("bisection = %v TB/s, want 20.48", f.BisectionTBs)
 	}
 }
 

@@ -1,40 +1,24 @@
 package xbar
 
 import (
-	"fmt"
-
 	"corona/internal/noc"
 	"corona/internal/power"
 	"corona/internal/sim"
 )
 
-// Parameter keys the "xbar" fabric accepts in noc.FabricParams.Params;
-// values override DefaultConfig field-for-field.
-const (
-	ParamBytesPerCycle = "bytes_per_cycle"
-	ParamTokenSpeed    = "token_speed"
-	ParamInjectQueue   = "inject_queue"
-	ParamRecvBuffer    = "recv_buffer"
-)
-
 // FromParams resolves a Config from the published defaults plus overrides,
 // rejecting unknown keys and non-positive sizes.
 func FromParams(p noc.FabricParams) (Config, error) {
-	if err := p.CheckKeys("xbar",
-		ParamBytesPerCycle, ParamTokenSpeed, ParamInjectQueue, ParamRecvBuffer); err != nil {
-		return Config{}, err
-	}
 	cfg := DefaultConfig()
 	if p.Clusters > 0 {
 		cfg.Clusters = p.Clusters
 	}
-	cfg.BytesPerCycle = p.Get(ParamBytesPerCycle, cfg.BytesPerCycle)
-	cfg.TokenSpeed = p.Get(ParamTokenSpeed, cfg.TokenSpeed)
-	cfg.InjectQueue = p.Get(ParamInjectQueue, cfg.InjectQueue)
-	cfg.RecvBuffer = p.Get(ParamRecvBuffer, cfg.RecvBuffer)
-	if cfg.Clusters <= 0 || cfg.BytesPerCycle <= 0 || cfg.TokenSpeed <= 0 ||
-		cfg.InjectQueue <= 0 || cfg.RecvBuffer <= 0 {
-		return Config{}, fmt.Errorf("xbar: non-positive parameter in %+v", cfg)
+	if err := p.Apply("xbar",
+		noc.Param{Key: "bytes_per_cycle", Field: &cfg.BytesPerCycle},
+		noc.Param{Key: "token_speed", Field: &cfg.TokenSpeed},
+		noc.Param{Key: "inject_queue", Field: &cfg.InjectQueue},
+		noc.Param{Key: "recv_buffer", Field: &cfg.RecvBuffer}); err != nil {
+		return Config{}, err
 	}
 	return cfg, nil
 }
@@ -42,6 +26,7 @@ func FromParams(p noc.FabricParams) (Config, error) {
 // init registers the MWSR crossbar with the fabric registry; the system
 // model builds it by name ("xbar") instead of linking this package.
 func init() {
+	def := DefaultConfig()
 	noc.Register(noc.Fabric{
 		Name:        "xbar",
 		Display:     "XBar",
@@ -54,20 +39,11 @@ func init() {
 			return New(k, cfg), nil
 		},
 		Check: func(p noc.FabricParams) error { _, err := FromParams(p); return err },
-		BisectionBytesPerSec: func(p noc.FabricParams) float64 {
-			cfg, err := FromParams(p)
-			if err != nil {
-				return 0
-			}
-			// Fully connected: every channel crosses any cut once.
-			return float64(cfg.Clusters*cfg.BytesPerCycle) * 5e9
-		},
+		// Fully connected: every channel crosses any cut once.
+		BisectionTBs:     float64(def.Clusters*def.BytesPerCycle) * 5e9 / 1e12,
 		MinTransitCycles: 2, // 1-cycle serialization + 1-cycle nearest-hop propagation
 		PowerW: func(_ noc.Stats, _ sim.Time) float64 {
 			return power.XBarContinuousW
-		},
-		Utilization: func(n noc.Network, elapsed sim.Time) float64 {
-			return n.(*Crossbar).Utilization(elapsed)
 		},
 	})
 }

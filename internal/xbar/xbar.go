@@ -58,9 +58,6 @@ type Crossbar struct {
 	// credit/token/transmit.
 	queues  sim.PairQueues[*noc.Message]
 	credits noc.Credits // per destination channel's receive buffer
-
-	// BusyCycles accumulates channel occupancy for utilization reporting.
-	BusyCycles uint64
 }
 
 var _ noc.Network = (*Crossbar)(nil)
@@ -128,7 +125,6 @@ func (x *Crossbar) Reset() {
 	x.credits.Reset()
 	x.Endpoints.Reset()
 	x.arb.Reset()
-	x.BusyCycles = 0
 }
 
 // Send implements noc.Network: enqueue on the (src,dst) injection FIFO.
@@ -186,7 +182,7 @@ func (x *Crossbar) transmit(src, dst int) {
 
 	tx := sim.Time((m.Size + x.cfg.BytesPerCycle - 1) / x.cfg.BytesPerCycle)
 	prop := x.propagation(src, dst)
-	x.BusyCycles += uint64(tx)
+	x.Occupy(tx)
 
 	// Token travels in parallel with the tail of the message.
 	x.k.ScheduleEvent(tx, (*releaseEvent)(x), pack2(src, dst))
@@ -203,13 +199,4 @@ func (x *Crossbar) propagation(src, dst int) sim.Time {
 		d += x.cfg.Clusters
 	}
 	return sim.Time((d + x.cfg.TokenSpeed - 1) / x.cfg.TokenSpeed)
-}
-
-// Utilization returns mean channel occupancy over elapsed cycles across all
-// channels (0..1).
-func (x *Crossbar) Utilization(elapsed sim.Time) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(x.BusyCycles) / (float64(elapsed) * float64(x.cfg.Clusters))
 }

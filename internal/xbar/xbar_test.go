@@ -131,8 +131,8 @@ func TestManyWritersOneReaderSerializes(t *testing.T) {
 	if len(h.got) != 63 {
 		t.Fatalf("delivered %d, want 63", len(h.got))
 	}
-	if h.x.BusyCycles != 63 {
-		t.Errorf("BusyCycles = %d, want 63 (one per line)", h.x.BusyCycles)
+	if c := h.x.Stats().ChannelCycles; c != 63 {
+		t.Errorf("ChannelCycles = %d, want 63 (one per line)", c)
 	}
 	end := h.when[len(h.when)-1]
 	if end < 63 {
@@ -203,8 +203,8 @@ func TestMultiMessageSizes(t *testing.T) {
 	h.x.Send(msg(1, 3, 4, 16))
 	h.x.Send(msg(2, 3, 4, 128))
 	h.k.Run()
-	if h.x.BusyCycles != 1+2 {
-		t.Errorf("BusyCycles = %d, want 3", h.x.BusyCycles)
+	if c := h.x.Stats().ChannelCycles; c != 1+2 {
+		t.Errorf("ChannelCycles = %d, want 3", c)
 	}
 }
 
@@ -214,14 +214,11 @@ func TestStatsAccounting(t *testing.T) {
 	h.x.Send(msg(2, 1, 0, 72))
 	h.k.Run()
 	s := h.x.Stats()
-	if s.Messages != 2 || s.Bytes != 88 {
-		t.Errorf("stats = %+v, want 2 messages / 88 bytes", s)
+	if s.Messages != 2 || s.Bytes != 88 || s.ChannelCycles != 1+2 {
+		t.Errorf("stats = %+v, want 2 messages / 88 bytes / 3 channel cycles", s)
 	}
-	if u := h.x.Utilization(h.k.Now()); u <= 0 || u > 1 {
+	if u := float64(s.ChannelCycles) / (float64(h.k.Now()) * 64); u <= 0 || u > 1 {
 		t.Errorf("utilization = %v, want in (0,1]", u)
-	}
-	if h.x.Utilization(0) != 0 {
-		t.Error("zero-elapsed utilization should be 0")
 	}
 }
 
